@@ -1,10 +1,10 @@
 //! Stage benchmark: times all ten driver stages end-to-end over the
 //! workload-generator seed ladder, plus focused before/after rungs for
-//! the three overhauled analysis stages — pointer analysis (every
-//! solver strategy vs the frozen reference, single-threaded and at 4
-//! threads), VFG construction (CSR-first builder vs the frozen
-//! adjacency-list reference) and definedness resolution (SCC
-//! condensation + context bit-lanes vs the frozen visited-state walk).
+//! the three overhauled analysis stages — pointer analysis (the
+//! production prefiltered solver vs the frozen reference), VFG
+//! construction (CSR-first builder vs the frozen adjacency-list
+//! reference) and definedness resolution (SCC condensation + context
+//! bit-lanes vs the frozen visited-state walk).
 //!
 //! The resolve rung measures the *same work as the driver's Resolve
 //! stage*: Opt II discovery plus re-resolution, on both sides. Every
@@ -24,11 +24,11 @@
 //! in as the record the quick gate asserts against.
 //!
 //! Usage: `stage_bench [--quick]` (`--quick` = two smoke rungs, fewer
-//! iterations, and regression guards: exits nonzero if the condensed
-//! vfg+resolve pipeline is slower than the frozen reference, if a live
-//! demand query exceeds the gate with slack, or if the checked-in
-//! `BENCH_demand.json` records a gen-131 query at or above 10% of a
-//! cold full resolve).
+//! iterations, and regression guards: exits nonzero if the pointer solve
+//! or the condensed vfg+resolve pipeline is slower than its frozen
+//! reference, if a live demand query exceeds the gate with slack, or if
+//! the checked-in `BENCH_demand.json` records a gen-131 query at or
+//! above 10% of a cold full resolve).
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -117,10 +117,11 @@ fn assert_freeze_equal(g: &Vfg, frozen: &Vfg, tag: &str) {
     assert_eq!(g.stats, frozen.stats, "{tag}: store-kind stats");
 }
 
-/// All strategies must agree on everything downstream stages consume:
-/// per-variable points-to sets and function targets, per-object field
-/// classes and memory rows, concreteness and the call graph.
-fn assert_strategy_equiv(m: &Module, a: &PointerAnalysis, b: &PointerAnalysis, tag: &str) {
+/// The production solver must agree with the frozen reference on
+/// everything downstream stages consume: per-variable points-to sets and
+/// function targets, per-object field classes and memory rows,
+/// concreteness and the call graph.
+fn assert_pointer_equiv(m: &Module, a: &PointerAnalysis, b: &PointerAnalysis, tag: &str) {
     for (f, func) in m.funcs.iter_enumerated() {
         for (v, _) in func.vars.iter_enumerated() {
             assert_eq!(a.pts_var(f, v), b.pts_var(f, v), "{tag}: pts({f:?},{v:?})");
@@ -165,7 +166,7 @@ fn main() -> ExitCode {
 
     let mut workloads = String::new();
     let mut demand_workloads = String::new();
-    let mut largest: Option<(String, f64, f64, f64, f64, f64, f64)> = None;
+    let mut largest: Option<(String, f64, f64, f64, f64, f64)> = None;
     let mut regression = false;
 
     for (i, &(seed, helpers, stmts)) in rungs.iter().enumerate() {
@@ -222,20 +223,10 @@ fn main() -> ExitCode {
             "{name}: instrumentation plans are not byte-identical"
         );
 
-        // Every solver strategy must agree with the frozen reference on
-        // all observables, and prefilter+wave must be byte-identical
-        // (same digest) no matter how many threads drive the waves.
+        // The production solver must agree with the frozen reference on
+        // all observables.
         let pa_ref = usher_pointer::analyze_reference(&m);
-        for strategy in PointerStrategy::ALL {
-            let pa_s = analyze_pointer(&m, strategy, 1);
-            assert_strategy_equiv(&m, &pa_s, &pa_ref, &format!("{name}/{strategy}"));
-        }
-        let pa_t4 = analyze_pointer(&m, PointerStrategy::PrefilterWave, 4);
-        assert_eq!(
-            pa.digest(),
-            pa_t4.digest(),
-            "{name}: prefilter-wave digest differs between 1 and 4 threads"
-        );
+        assert_pointer_equiv(&m, &pa, &pa_ref, &name);
 
         // ---- all ten driver stages + end-to-end ---------------------
         let mut stage_ms = [f64::INFINITY; STAGE_NAMES.len()];
@@ -256,17 +247,10 @@ fn main() -> ExitCode {
         }
 
         // ---- before/after rungs -------------------------------------
-        // One rung per pointer strategy (single-threaded), plus the
-        // default strategy on four driver threads.
-        let mut t_strategy = [0f64; PointerStrategy::ALL.len()];
-        for (j, strategy) in PointerStrategy::ALL.into_iter().enumerate() {
-            t_strategy[j] = time_min(iters, || analyze_pointer(&m, strategy, 1));
-        }
-        let t_pointer_before = t_strategy[0]; // reference
-        let t_pointer_after = t_strategy[PointerStrategy::ALL.len() - 1]; // prefilter-wave
-        let t_pointer_t4 = time_min(iters, || {
-            analyze_pointer(&m, PointerStrategy::PrefilterWave, 4)
-        });
+        let t_pointer_before =
+            time_min(iters, || analyze_pointer(&m, PointerStrategy::Reference, 1));
+        let t_pointer_after =
+            time_min(iters, || analyze_pointer(&m, PointerStrategy::Prefilter, 1));
 
         let t_vfg_before = time_min(iters, || build_reference(&m, &pa, &ms, VfgMode::Full));
         let t_vfg_after = time_min(iters, || build(&m, &pa, &ms, VfgMode::Full));
@@ -342,7 +326,6 @@ fn main() -> ExitCode {
         }
 
         let p_speedup = t_pointer_before / t_pointer_after.max(1e-9);
-        let p_t4_speedup = t_pointer_before / t_pointer_t4.max(1e-9);
         let v_speedup = t_vfg_before / t_vfg_after.max(1e-9);
         let r_speedup = t_resolve_before / t_resolve_after.max(1e-9);
         let combined =
@@ -358,7 +341,7 @@ fn main() -> ExitCode {
         }
         if quick && p_speedup < 1.0 {
             eprintln!(
-                "REGRESSION: {name}: prefilter-wave pointer solve {:.3}ms is slower than \
+                "REGRESSION: {name}: prefilter pointer solve {:.3}ms is slower than \
                  the frozen reference {:.3}ms ({p_speedup:.2}x)",
                 t_pointer_after * 1e3,
                 t_pointer_before * 1e3,
@@ -384,23 +367,9 @@ fn main() -> ExitCode {
             );
         }
         let _ = write!(workloads, ",\"total\":{total_ms:.3}}}");
-        let _ = write!(workloads, ",\"pointer\":{{\"strategies_ms\":{{");
-        for (j, strategy) in PointerStrategy::ALL.into_iter().enumerate() {
-            let _ = write!(
-                workloads,
-                "{}\"{strategy}\":{:.3}",
-                if j > 0 { "," } else { "" },
-                t_strategy[j] * 1e3,
-            );
-        }
         let _ = write!(
             workloads,
-            "}},\"t4_ms\":{:.3},\"t4_speedup\":{p_t4_speedup:.2},",
-            t_pointer_t4 * 1e3,
-        );
-        let _ = write!(
-            workloads,
-            "\"before_ms\":{:.3},\"after_ms\":{:.3},\"speedup\":{:.2}}},\
+            ",\"pointer\":{{\"before_ms\":{:.3},\"after_ms\":{:.3},\"speedup\":{:.2}}},\
              \"vfg\":{{\"before_ms\":{:.3},\"after_ms\":{:.3},\"speedup\":{:.2}}},\
              \"resolve\":{{\"before_ms\":{:.3},\"after_ms\":{:.3},\"speedup\":{:.2}}},\
              \"combined_vfg_resolve_speedup\":{combined:.2},\
@@ -447,21 +416,18 @@ fn main() -> ExitCode {
         largest = Some((
             name.clone(),
             p_speedup,
-            p_t4_speedup,
             v_speedup,
             r_speedup,
             combined,
             d_ratio,
         ));
         eprintln!(
-            "{name} helpers={helpers} nodes={} pointer {:.2}ms -> {:.2}ms ({p_speedup:.2}x, \
-             t4 {:.2}ms {p_t4_speedup:.2}x) vfg {:.2}ms -> {:.2}ms ({v_speedup:.2}x) \
+            "{name} helpers={helpers} nodes={} pointer {:.2}ms -> {:.2}ms ({p_speedup:.2}x) vfg {:.2}ms -> {:.2}ms ({v_speedup:.2}x) \
              resolve {:.2}ms -> {:.2}ms ({r_speedup:.2}x) combined {combined:.2}x \
              demand-query {:.3}ms/{:.3}ms ({:.1}% of cold resolve) total {total_ms:.1}ms",
             g.len(),
             t_pointer_before * 1e3,
             t_pointer_after * 1e3,
-            t_pointer_t4 * 1e3,
             t_vfg_before * 1e3,
             t_vfg_after * 1e3,
             t_resolve_before * 1e3,
@@ -517,11 +483,11 @@ fn main() -> ExitCode {
         }
     }
 
-    let (lname, lp, lp4, lv, lr, lc, ld) = largest.expect("at least one rung");
+    let (lname, lp, lv, lr, lc, ld) = largest.expect("at least one rung");
     println!(
         "{{\"bench\":\"stages\",\"quick\":{quick},\"iters\":{iters},\"context_depth\":{CONTEXT_DEPTH},\
          \"workloads\":[{workloads}],\
-         \"largest\":{{\"name\":\"{lname}\",\"pointer_speedup\":{lp:.2},\"pointer_t4_speedup\":{lp4:.2},\
+         \"largest\":{{\"name\":\"{lname}\",\"pointer_speedup\":{lp:.2},\
          \"vfg_speedup\":{lv:.2},\"resolve_speedup\":{lr:.2},\"combined_vfg_resolve_speedup\":{lc:.2},\
          \"demand_query_ratio\":{ld:.4}}}}}"
     );

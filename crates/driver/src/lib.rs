@@ -46,9 +46,7 @@ pub use cache::{artifact_digest, Artifact, ArtifactCache, CacheStats, CACHE_FORM
 pub use fingerprint::{gamma_fingerprint, plan_fingerprint};
 pub use key::KeyWriter;
 pub use options::{GuidedKnobs, PipelineOptions};
-pub use pipeline::{
-    analyze_pointer, analyze_pointer_budgeted, DriverError, Job, Pipeline, PipelineRun, SourceInput,
-};
+pub use pipeline::{analyze_pointer, DriverError, Job, Pipeline, PipelineRun, SourceInput};
 pub use pool::{default_threads, parallel_map, parallel_map_catching};
 pub use report::{
     json_escape, BatchReport, DegradeEvent, PipelineReport, ServeHealth, Stage, StageTiming,

@@ -8,7 +8,7 @@
 //! | knob changed          | recomputed stages                    |
 //! |-----------------------|--------------------------------------|
 //! | `opt_level`           | everything                           |
-//! | `pointer_strategy`    | pointer artifact only                |
+//! | `pointer_strategy`    | pointer artifact only (oracle runs)  |
 //! | `guided.mode`         | VFG, resolution, instrumentation     |
 //! | `guided.semi_strong`  | VFG, resolution, instrumentation     |
 //! | `guided.context_depth`| resolution, instrumentation          |
@@ -78,12 +78,15 @@ pub struct PipelineOptions {
     pub guided: Option<GuidedKnobs>,
     /// Bit-level shadow precision (Section 4.1).
     pub bit_level: bool,
-    /// Which pointer-analysis solver runs the pointer stage. Every
-    /// strategy produces byte-identical results (enforced by the
-    /// representation-equivalence suite), but their `SolverStats`
-    /// counters differ, so the strategy **is** part of the pointer
-    /// cache key (and only that key — downstream artifacts are
-    /// strategy-invariant and chain off the frontend key).
+    /// Which pointer-analysis solver runs the pointer stage: the
+    /// production solver (the default) or the frozen reference oracle,
+    /// which differential harnesses (`usher fuzz --fault
+    /// strategy-diverge`, `stage_bench`) select here. Both produce
+    /// byte-identical results (enforced by the representation-equivalence
+    /// suite), but their `SolverStats` counters differ, so the strategy
+    /// **is** part of the pointer cache key (and only that key —
+    /// downstream artifacts are strategy-invariant and chain off the
+    /// frontend key).
     pub pointer_strategy: PointerStrategy,
     /// Display name stamped on the produced plan and telemetry. Not part
     /// of any cache key.

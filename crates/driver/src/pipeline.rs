@@ -59,7 +59,7 @@ use usher_core::{
 };
 use usher_frontend::CompileError;
 use usher_ir::{mem2reg, optimize, run_inline, Budget, Exhausted, FuncId, InlinePolicy, Module};
-use usher_pointer::{PointerAnalysis, PointerStrategy, WaveJob};
+use usher_pointer::{PointerAnalysis, PointerStrategy};
 use usher_vfg::{
     build_function_ssa_budgeted, build_with_budgeted, modref_summaries_budgeted, BuildOpts,
     DemandStats, MemSsa, NodeKind, Vfg, VfgMode,
@@ -595,10 +595,9 @@ impl Pipeline {
             _ => {
                 deadline_gate(budget, Stage::Pointer)?;
                 let strategy = options.pointer_strategy;
-                let computed = ctx.timed(Stage::Pointer, |c| {
-                    let threads = c.threads;
+                let computed = ctx.timed(Stage::Pointer, |_| {
                     contained(options, Stage::Pointer, || {
-                        analyze_pointer_budgeted(module, strategy, budget, threads)
+                        strategy.analyze_budgeted(module, budget)
                     })
                 });
                 let pa = Arc::new(stage_result(computed, Stage::Pointer)?);
@@ -1021,37 +1020,14 @@ fn degraded_functions(vfg: &Vfg, coverage: &[bool]) -> Option<HashSet<FuncId>> {
     Some(funcs)
 }
 
-/// Runs the pointer stage standalone: `strategy` under `budget`, with
-/// the wave strategy's parallel batches fanned out over the driver's
-/// thread pool when `threads > 1`. This is the function the pipeline's
-/// pointer stage calls; benches and tests use it to get strategy- and
-/// thread-faithful runs without a full pipeline. Results are
-/// byte-identical at every thread count (the wave batches are
-/// deterministic; [`parallel_map`] returns results in input order).
-///
-/// # Errors
-///
-/// Returns [`Exhausted`] when the budget runs out before the fixpoint.
-pub fn analyze_pointer_budgeted(
-    m: &Module,
-    strategy: PointerStrategy,
-    budget: &Budget,
-    threads: usize,
-) -> Result<PointerAnalysis, Exhausted> {
-    if threads > 1 && strategy == PointerStrategy::PrefilterWave {
-        let runner = move |count: usize, job: WaveJob<'_>| -> Vec<Vec<u32>> {
-            let indices: Vec<usize> = (0..count).collect();
-            parallel_map(threads, &indices, |&i| job(i))
-        };
-        usher_pointer::analyze_budgeted_with(m, strategy, budget, Some(&runner))
-    } else {
-        usher_pointer::analyze_budgeted_with(m, strategy, budget, None)
-    }
-}
-
-/// [`analyze_pointer_budgeted`] without a budget.
-pub fn analyze_pointer(m: &Module, strategy: PointerStrategy, threads: usize) -> PointerAnalysis {
-    analyze_pointer_budgeted(m, strategy, &Budget::unlimited(), threads)
+/// Runs the pointer stage standalone, unbudgeted, exactly as the
+/// pipeline's pointer stage does; benches and tests use it to get
+/// strategy-faithful runs without a full pipeline. The solvers are
+/// sequential, so `threads` changes nothing; it stays in the signature
+/// because the `perfbench` harness passes it.
+pub fn analyze_pointer(m: &Module, strategy: PointerStrategy, _threads: usize) -> PointerAnalysis {
+    strategy
+        .analyze_budgeted(m, &Budget::unlimited())
         .expect("unlimited budget cannot exhaust")
 }
 

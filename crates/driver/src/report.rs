@@ -106,7 +106,7 @@ pub struct PipelineReport {
     /// `PointerStrategy::name`; empty for default-constructed reports).
     pub pointer_strategy: String,
     /// Pointer-solver counters (pops, merges, interned targets, peak pts
-    /// words, prefilter classes, wave batches); zero when the stage was
+    /// words, prefilter classes); zero when the stage was
     /// served from cache or skipped.
     pub solver_stats: SolverStats,
     /// Resolution counters (interned contexts, visited states); zero when
@@ -248,7 +248,7 @@ impl PipelineReport {
         );
         let _ = write!(
             s,
-            ",\"solver\":{{\"strategy\":\"{}\",\"nodes\":{},\"interned_targets\":{},\"pops\":{},\"merges\":{},\"peak_pts_words\":{},\"unify_classes\":{},\"unify_collapsed\":{},\"prefilter_us\":{},\"wave_batches\":{},\"wave_propagated\":{},\"wave_max_width\":{}}}",
+            ",\"solver\":{{\"strategy\":\"{}\",\"nodes\":{},\"interned_targets\":{},\"pops\":{},\"merges\":{},\"peak_pts_words\":{},\"unify_classes\":{},\"unify_collapsed\":{},\"prefilter_us\":{}}}",
             esc(&self.pointer_strategy),
             self.solver_stats.nodes,
             self.solver_stats.interned_targets,
@@ -258,9 +258,6 @@ impl PipelineReport {
             self.solver_stats.unify_classes,
             self.solver_stats.unify_collapsed,
             self.solver_stats.prefilter_us,
-            self.solver_stats.wave_batches,
-            self.solver_stats.wave_propagated,
-            self.solver_stats.wave_max_width,
         );
         let _ = write!(
             s,

@@ -32,13 +32,14 @@
 //!   budget at several levels; every degraded plan the anytime pipeline
 //!   produces must stay detection-equivalent to the MSan baseline.
 //! * [`FaultInjection::StrategyDiverge`] — runs the same program through
-//!   the driver once per [`PointerStrategy`]; every strategy's plan must
-//!   fingerprint identically to the reference strategy's, and each plan
-//!   is additionally run under the native-vs-instrumented oracle. This
-//!   is not a synthesized fault but a genuine soundness boundary: the
-//!   pointer-stage overhaul claims the prefilter and wave solvers are
-//!   observationally invisible, and this mode attacks the claim with
-//!   mutated programs rather than assuming it from the unit suites.
+//!   the driver with the frozen reference pointer solver and with the
+//!   production (prefiltered) one; the production plan must fingerprint
+//!   identically to the reference plan, and each plan is additionally
+//!   run under the native-vs-instrumented oracle. This is not a
+//!   synthesized fault but a genuine soundness boundary: the production
+//!   solver claims to be observationally identical to the oracle, and
+//!   this mode attacks the claim with mutated programs rather than
+//!   assuming it from the unit suites.
 //! * [`FaultInjection::DemandDiverge`] — runs the same program through
 //!   the driver with the exhaustive definedness resolver and with the
 //!   demand-driven query engine; the two plans must fingerprint
@@ -84,9 +85,9 @@ pub enum FaultInjection {
     /// Starve the driver's analysis budget; the degraded plans must stay
     /// detection-equivalent to the MSan baseline.
     BudgetExhaust,
-    /// Run the program once per pointer-solver strategy; all plans must
-    /// fingerprint identically and each must survive the
-    /// native-vs-instrumented oracle.
+    /// Run the program under the reference and the production pointer
+    /// solver; the plans must fingerprint identically and each must
+    /// survive the native-vs-instrumented oracle.
     StrategyDiverge,
     /// Run the program with the exhaustive resolver and with the
     /// demand-driven query engine; the plans must fingerprint

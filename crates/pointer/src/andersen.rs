@@ -17,7 +17,6 @@ use usher_ir::{
 
 use crate::callgraph::{CallGraph, LoopInfo};
 use crate::pts::PtsSet;
-use crate::strategy::WaveRunner;
 
 /// A points-to target: a field of an abstract object, identified by its
 /// canonical (representative) cell — the first cell of its field class.
@@ -43,14 +42,14 @@ pub struct SolverStats {
     pub nodes: usize,
     /// Distinct points-to targets interned.
     pub interned_targets: usize,
-    /// Worklist pops (or wave constraint replays) until the fixpoint.
+    /// Worklist pops until the fixpoint.
     pub pops: usize,
     /// Union-find merges performed by cycle collapsing.
     pub merges: usize,
     /// Peak 64-bit words held by all points-to sets at once.
     pub peak_pts_words: usize,
     /// Multi-member equivalence classes found by the unification
-    /// prefilter (0 when the strategy runs without one).
+    /// prefilter (0 for the reference solver, which runs without one).
     pub unify_classes: usize,
     /// Nodes the prefilter collapsed into a class representative.
     pub unify_collapsed: usize,
@@ -58,14 +57,6 @@ pub struct SolverStats {
     /// The only scheduling-dependent counter; it is excluded from
     /// [`PointerAnalysis::digest`].
     pub prefilter_us: usize,
-    /// Topological batches executed by wave propagation (0 for the
-    /// worklist strategies).
-    pub wave_batches: usize,
-    /// Target ids propagated across wave batch boundaries.
-    pub wave_propagated: usize,
-    /// Widest single wave batch — the per-batch parallelism available
-    /// to an injected [`crate::strategy::WaveRunner`].
-    pub wave_max_width: usize,
 }
 
 /// The result of [`analyze`].
@@ -229,27 +220,24 @@ impl PointerAnalysis {
     }
 }
 
-/// Runs the plain Andersen worklist solver (no prefilter, no waves)
-/// under a cooperative step budget: one step per worklist pop. On
-/// exhaustion the partial fixpoint is discarded — a partial points-to
-/// solution *under*-approximates and must never feed the guided planner
-/// — and the caller is expected to degrade to full instrumentation.
-///
-/// The strategy-dispatching entry points live in [`crate::strategy`];
-/// this is the `PointerStrategy::Andersen` implementation.
+/// Analyzes a module with the production solver: the unification
+/// prefilter, then the Andersen worklist on the collapsed graph.
+pub fn analyze(m: &Module) -> PointerAnalysis {
+    analyze_budgeted(m, &Budget::unlimited()).expect("unlimited budget cannot exhaust")
+}
+
+/// [`analyze`] under a cooperative step budget: one step per worklist
+/// pop. On exhaustion the partial fixpoint is discarded — a partial
+/// points-to solution *under*-approximates and must never feed the
+/// guided planner — and the caller is expected to degrade to full
+/// instrumentation.
 ///
 /// # Errors
 ///
 /// Returns [`Exhausted`] when the budget runs out before the fixpoint.
-pub(crate) fn analyze_andersen(
-    m: &Module,
-    budget: &Budget,
-    prefilter: bool,
-) -> Result<PointerAnalysis, Exhausted> {
+pub fn analyze_budgeted(m: &Module, budget: &Budget) -> Result<PointerAnalysis, Exhausted> {
     let mut s = Solver::new(m);
-    if prefilter {
-        s.apply_prefilter();
-    }
+    s.apply_prefilter();
     s.seed();
     s.solve(budget)?;
     Ok(s.finish())
@@ -301,19 +289,16 @@ pub(crate) fn finish_analysis(
     reps: FxHashMap<ObjId, Vec<u32>>,
     solution: Solution,
 ) -> PointerAnalysis {
-    finish_analysis_with(m, cg, reps, solution, None, None)
+    finish_analysis_with(m, cg, reps, solution, None)
 }
 
-/// [`finish_analysis`] with an optional parallel runner: per-function
-/// loop analysis is independent across functions, so it is dispatched as
-/// read-only jobs (one per function, encoded as the list of in-loop
-/// block ids) when a runner is available. Output is runner-independent.
-pub(crate) fn finish_analysis_with(
+/// [`finish_analysis`] with each object's first allocation block
+/// already known (`None` rescans the module).
+fn finish_analysis_with(
     m: &Module,
     mut cg: CallGraph,
     reps: FxHashMap<ObjId, Vec<u32>>,
     solution: Solution,
-    runner: Option<crate::strategy::WaveRunner<'_>>,
     alloc_block: Option<Vec<u32>>,
 ) -> PointerAnalysis {
     let Solution {
@@ -322,30 +307,11 @@ pub(crate) fn finish_analysis_with(
         pool,
         stats,
     } = solution;
-    let loops: FxHashMap<FuncId, LoopInfo> = match runner {
-        Some(run) if m.funcs.len() > 1 => {
-            let job = |i: usize| -> Vec<u32> {
-                let f = FuncId::from_usize(i);
-                LoopInfo::compute(&m.funcs[f]).loop_blocks()
-            };
-            run(m.funcs.len(), &job)
-                .into_iter()
-                .enumerate()
-                .map(|(i, blocks)| {
-                    let f = FuncId::from_usize(i);
-                    (
-                        f,
-                        LoopInfo::from_loop_blocks(m.funcs[f].blocks.len(), &blocks),
-                    )
-                })
-                .collect()
-        }
-        _ => m
-            .funcs
-            .iter_enumerated()
-            .map(|(f, func)| (f, LoopInfo::compute(func)))
-            .collect(),
-    };
+    let loops: FxHashMap<FuncId, LoopInfo> = m
+        .funcs
+        .iter_enumerated()
+        .map(|(f, func)| (f, LoopInfo::compute(func)))
+        .collect();
     cg.finalize(m, &loops);
 
     // Concrete objects: allocation executes at most once. Each object's
@@ -489,32 +455,19 @@ impl NodeLayout {
     }
 }
 
-pub(crate) struct Solver<'m> {
-    pub(crate) m: &'m Module,
-    pub(crate) layout: NodeLayout,
-    pub(crate) parent: Vec<u32>,
+struct Solver<'m> {
+    m: &'m Module,
+    layout: NodeLayout,
+    parent: Vec<u32>,
     /// Interned targets: id -> payload.
-    pub(crate) targets: Vec<Target>,
+    targets: Vec<Target>,
     target_ids: FxHashMap<Target, u32>,
     /// Points-to sets over interned target ids.
-    pub(crate) pts: Vec<PtsSet>,
+    pts: Vec<PtsSet>,
     /// Pending difference per node (unique ids, each also in `pts`).
-    pub(crate) delta: Vec<Vec<u32>>,
+    delta: Vec<Vec<u32>>,
     /// Copy successors as sorted id vectors.
-    pub(crate) copy_succs: Vec<Vec<u32>>,
-    /// Copy edges accumulated as a flat list during a lazy seeding pass
-    /// (`lazy_seed`), bulk-distributed into exact-capacity `copy_succs`
-    /// lists by [`Solver::finalize_lazy_edges`] — one growth-free arena
-    /// push per edge instead of one per-node `Vec` growth ladder.
-    pub(crate) lazy_edges: Vec<(u32, u32)>,
-    /// Offline `(to, from)` copy edges handed over by the prefilter.
-    /// [`Solver::import_offline_edges`] drains this; when it has run,
-    /// the seeding pass skips re-deriving the same copy/phi/return/
-    /// direct-call edges from the IR.
-    offline_copy_edges: Vec<(u32, u32)>,
-    /// Set once [`Solver::import_offline_edges`] has seeded the offline
-    /// copy edges (only meaningful while `lazy_seed` is on).
-    offline_imported: bool,
+    copy_succs: Vec<Vec<u32>>,
     /// On new Loc in pts(n): add copy edge Mem(loc) -> dst.
     load_cons: ConsArena<u32>,
     /// On new Loc in pts(n): add copy edge src -> Mem(loc).
@@ -528,8 +481,8 @@ pub(crate) struct Solver<'m> {
     /// (args range, dst) per call site, for (indirect) wiring.
     site_info: FxHashMap<Site, (u32, u32, Option<VarId>)>,
     wired: FxHashSet<(Site, FuncId)>,
-    pub(crate) worklist: VecDeque<u32>,
-    pub(crate) in_wl: Vec<bool>,
+    worklist: VecDeque<u32>,
+    in_wl: Vec<bool>,
     cg: CallGraph,
     reps: FxHashMap<ObjId, Vec<u32>>,
     /// Reusable snapshot buffer (cuts transient allocations on the
@@ -539,25 +492,14 @@ pub(crate) struct Solver<'m> {
     fresh_buf: Vec<u32>,
     /// Reusable gep-shift buffer.
     loc_buf: Vec<Loc>,
-    pub(crate) pops: usize,
-    pub(crate) merges: usize,
+    pops: usize,
+    merges: usize,
     cur_words: usize,
     peak_words: usize,
-    /// Prefilter counters (0 when no prefilter ran).
+    /// Prefilter counters.
     unify_classes: usize,
     unify_collapsed: usize,
     prefilter_us: usize,
-    /// Wave counters (0 for worklist solves); written by `solve_wave`.
-    pub(crate) wave_batches: usize,
-    pub(crate) wave_propagated: usize,
-    pub(crate) wave_max_width: usize,
-    /// When set (the wave strategy's seeding phase), new copy edges do
-    /// not eagerly flow `pts(from)` into `pts(to)`; the source is left
-    /// enqueued with its full set pending in `delta`, and the first wave
-    /// performs the whole transitive propagation in level-parallel
-    /// batches. Must be cleared before constraint replay begins: edges
-    /// materialized mid-solve rely on the eager flush.
-    pub(crate) lazy_seed: bool,
     /// First allocation block per object (`u32::MAX` = never allocated),
     /// recorded while seeding so finalization skips a full IR rescan.
     alloc_block: Vec<u32>,
@@ -646,7 +588,7 @@ fn two_mut<T>(v: &mut [T], i: usize, j: usize) -> (&mut T, &mut T) {
 }
 
 impl<'m> Solver<'m> {
-    pub(crate) fn new(m: &'m Module) -> Self {
+    fn new(m: &'m Module) -> Self {
         let reps = object_reps(m);
         let layout = NodeLayout::new(m, &reps);
         let n_nodes = layout.n_nodes;
@@ -662,9 +604,6 @@ impl<'m> Solver<'m> {
             pts: vec![PtsSet::new(); n_nodes],
             delta: vec![Vec::new(); n_nodes],
             copy_succs: vec![Vec::new(); n_nodes],
-            lazy_edges: Vec::new(),
-            offline_copy_edges: Vec::new(),
-            offline_imported: false,
             load_cons: ConsArena::new(n_nodes),
             store_cons: ConsArena::new(n_nodes),
             gep_cons: ConsArena::new(n_nodes),
@@ -686,10 +625,6 @@ impl<'m> Solver<'m> {
             unify_classes: 0,
             unify_collapsed: 0,
             prefilter_us: 0,
-            wave_batches: 0,
-            wave_propagated: 0,
-            wave_max_width: 0,
-            lazy_seed: false,
             alloc_block: vec![u32::MAX; m.objects.len()],
         }
     }
@@ -698,7 +633,7 @@ impl<'m> Solver<'m> {
     /// the union-find with its oversharing-safe equivalence classes, so
     /// every class is solved on one representative node. Must run before
     /// [`Solver::seed`].
-    pub(crate) fn apply_prefilter(&mut self) {
+    fn apply_prefilter(&mut self) {
         let t0 = std::time::Instant::now();
         let pf = crate::unify::prefilter(self.m, &self.layout);
         debug_assert_eq!(pf.parent.len() as u32, self.layout.mem_base);
@@ -707,24 +642,7 @@ impl<'m> Solver<'m> {
         }
         self.unify_classes = pf.classes;
         self.unify_collapsed = pf.collapsed;
-        self.offline_copy_edges = pf.edges;
         self.prefilter_us = t0.elapsed().as_micros() as usize;
-    }
-
-    /// Seeds the copy graph from the prefilter's offline edge list (in
-    /// bulk, before any points-to targets exist, so no enqueues are
-    /// needed) and marks the IR's copy-shaped flows as already wired.
-    /// Only valid under `lazy_seed` after [`Solver::apply_prefilter`];
-    /// the subsequent [`Solver::seed`] walk then skips the
-    /// copy/phi/return/direct-call edges the prefilter already saw,
-    /// turning two IR-wide edge derivations into one.
-    pub(crate) fn import_offline_edges(&mut self) {
-        debug_assert!(self.lazy_seed, "bulk import is a lazy-seeding step");
-        let edges = std::mem::take(&mut self.offline_copy_edges);
-        for &(to, from) in &edges {
-            self.add_copy_edge(from, to);
-        }
-        self.offline_imported = true;
     }
 
     #[inline]
@@ -754,7 +672,7 @@ impl<'m> Solver<'m> {
         id
     }
 
-    pub(crate) fn find(&mut self, mut n: u32) -> u32 {
+    fn find(&mut self, mut n: u32) -> u32 {
         while self.parent[n as usize] != n {
             let gp = self.parent[self.parent[n as usize] as usize];
             self.parent[n as usize] = gp;
@@ -775,7 +693,7 @@ impl<'m> Solver<'m> {
         }
     }
 
-    pub(crate) fn enqueue(&mut self, n: u32) {
+    fn enqueue(&mut self, n: u32) {
         let n = self.find(n);
         if !self.in_wl[n as usize] && !self.delta[n as usize].is_empty() {
             self.in_wl[n as usize] = true;
@@ -783,17 +701,7 @@ impl<'m> Solver<'m> {
         }
     }
 
-    /// Read-only representative lookup (no path compression), for code
-    /// that walks shared state — the wave closure scan and the parallel
-    /// extraction jobs.
-    pub(crate) fn find_ro(&self, mut n: u32) -> u32 {
-        while self.parent[n as usize] != n {
-            n = self.parent[n as usize];
-        }
-        n
-    }
-
-    pub(crate) fn track_words(&mut self, before: usize, after: usize) {
+    fn track_words(&mut self, before: usize, after: usize) {
         self.cur_words = self.cur_words + after - before;
         self.peak_words = self.peak_words.max(self.cur_words);
     }
@@ -857,52 +765,10 @@ impl<'m> Solver<'m> {
         if from == to {
             return;
         }
-        if self.lazy_seed {
-            // Seeding under the wave strategy: during seeding `delta`
-            // always holds the node's full points-to set, so leaving the
-            // source enqueued is enough — the first wave flows it. Edges
-            // are appended unsorted (duplicates included) and normalized
-            // once in [`Solver::finalize_lazy_edges`], replacing the
-            // per-insert binary search + memmove with one bulk sort.
-            // `from` is already resolved, so the enqueue check is inlined
-            // without a second union-find walk.
-            self.lazy_edges.push((from, to));
-            if !self.in_wl[from as usize] && !self.delta[from as usize].is_empty() {
-                self.in_wl[from as usize] = true;
-                self.worklist.push_back(from);
-            }
-            return;
-        }
         let succs = &mut self.copy_succs[from as usize];
         if let Err(pos) = succs.binary_search(&to) {
             succs.insert(pos, to);
             self.flow_full_pts(from, to);
-        }
-    }
-
-    /// Distributes the flat lazy edge list into per-node successor
-    /// lists (allocated at exact capacity) and restores the
-    /// sorted/deduplicated invariant. Must run before the solve phase
-    /// (mid-solve `add_copy_edge` relies on binary search).
-    pub(crate) fn finalize_lazy_edges(&mut self) {
-        let edges = std::mem::take(&mut self.lazy_edges);
-        let mut deg = vec![0u32; self.layout.n_nodes];
-        for &(from, _) in &edges {
-            deg[from as usize] += 1;
-        }
-        for &(from, to) in &edges {
-            let succs = &mut self.copy_succs[from as usize];
-            if succs.capacity() == 0 {
-                succs.reserve_exact(deg[from as usize] as usize);
-            }
-            succs.push(to);
-        }
-        for (node, &d) in deg.iter().enumerate() {
-            if d > 1 {
-                let succs = &mut self.copy_succs[node];
-                succs.sort_unstable();
-                succs.dedup();
-            }
         }
     }
 
@@ -938,11 +804,6 @@ impl<'m> Solver<'m> {
     fn flow_into(&mut self, f: FuncId, op: Operand, dst: u32) {
         match op {
             Operand::Var(v) => {
-                // Offline-visible edge: already imported in bulk when the
-                // wave strategy pre-seeded from the prefilter's edge list.
-                if self.offline_imported && self.lazy_seed {
-                    return;
-                }
                 let n = self.var_node(f, v);
                 self.add_copy_edge(n, dst);
             }
@@ -956,7 +817,7 @@ impl<'m> Solver<'m> {
 
     // ---- constraint generation -----------------------------------------
 
-    pub(crate) fn seed(&mut self) {
+    fn seed(&mut self) {
         for (fid, func) in self.m.funcs.iter_enumerated() {
             for (bb, block) in func.blocks.iter_enumerated() {
                 for (idx, inst) in block.insts.iter().enumerate() {
@@ -1212,9 +1073,6 @@ impl<'m> Solver<'m> {
             self.flow_into(site.func, a, pn);
         }
         if let Some(d) = dst {
-            if self.offline_imported && self.lazy_seed {
-                return;
-            }
             let dn = self.var_node(site.func, d);
             let rn = self.ret_node(g);
             self.add_copy_edge(rn, dn);
@@ -1223,7 +1081,7 @@ impl<'m> Solver<'m> {
 
     // ---- solving ---------------------------------------------------------
 
-    pub(crate) fn solve(&mut self, budget: &Budget) -> Result<(), Exhausted> {
+    fn solve(&mut self, budget: &Budget) -> Result<(), Exhausted> {
         while let Some(n) = self.worklist.pop_front() {
             budget.try_charge(1)?;
             let n = self.find(n);
@@ -1246,7 +1104,7 @@ impl<'m> Solver<'m> {
     /// rather than cloned; any edge out of `n` added while it is out
     /// flows its points-to set at insertion, so merging the two sorted
     /// lists afterwards loses nothing.
-    pub(crate) fn propagate_to_succs(&mut self, n: u32, delta: &[u32]) {
+    fn propagate_to_succs(&mut self, n: u32, delta: &[u32]) {
         let succs = std::mem::take(&mut self.copy_succs[n as usize]);
         for &s in &succs {
             self.add_target_ids(s, delta);
@@ -1262,9 +1120,8 @@ impl<'m> Solver<'m> {
 
     /// Reacts `n`'s complex constraints to new targets. The arena chains
     /// only grow during seeding and SCC merges, never inside this scan,
-    /// so cursor walks see a frozen list without cloning. Shared between
-    /// the worklist pop body and the wave solver's replay phase.
-    pub(crate) fn replay_constraints(&mut self, n: u32, delta: &[u32]) {
+    /// so cursor walks see a frozen list without cloning.
+    fn replay_constraints(&mut self, n: u32, delta: &[u32]) {
         for &t in delta {
             match self.targets[t as usize] {
                 Target::Loc(l) => {
@@ -1304,7 +1161,7 @@ impl<'m> Solver<'m> {
 
     /// Tarjan over a CSR snapshot of the (representative-resolved)
     /// copy-edge graph; merges every nontrivial SCC into one node.
-    pub(crate) fn collapse_cycles(&mut self) {
+    fn collapse_cycles(&mut self) {
         let n = self.layout.n_nodes;
         // Resolve every node's representative once, then freeze the copy
         // graph into offsets + edges arrays (struct-of-arrays CSR).
@@ -1479,16 +1336,7 @@ impl<'m> Solver<'m> {
 
     // ---- finalization ----------------------------------------------------
 
-    pub(crate) fn finish(self) -> PointerAnalysis {
-        self.finish_with(None)
-    }
-
-    /// Like [`Solver::finish`], but with an optional parallel runner:
-    /// result extraction (per-node rank sorting) and per-function loop
-    /// analysis are chunked into read-only jobs and dispatched on it.
-    /// Results are assembled in chunk order, so the output is identical
-    /// with or without a runner, at any thread count.
-    pub(crate) fn finish_with(mut self, runner: Option<WaveRunner<'_>>) -> PointerAnalysis {
+    fn finish(mut self) -> PointerAnalysis {
         // Extract per-node results (resolving union-find). Target order in
         // the output is the payload (`Target`) order, matching the
         // reference solver's `BTreeSet` iteration: interned ids are mapped
@@ -1501,121 +1349,56 @@ impl<'m> Solver<'m> {
         for (rank, &id) in order.iter().enumerate() {
             rank_of[id as usize] = rank as u32;
         }
-
-        // Fully compress the union-find so the read-only lookups inside
-        // the (possibly parallel) extraction jobs are O(1).
-        for n in 0..self.layout.n_nodes as u32 {
-            let r = self.find(n);
-            self.parent[n as usize] = r;
-        }
-
-        // Row keys in output order, with their solver node ids.
-        enum RowKey {
-            Var(FuncId, VarId),
-            Mem(Loc),
-        }
-        let mut keys: Vec<RowKey> = Vec::new();
-        let mut ids: Vec<u32> = Vec::new();
-        for (f, func) in self.m.funcs.iter_enumerated() {
-            for (v, _) in func.vars.iter_enumerated() {
-                keys.push(RowKey::Var(f, v));
-                ids.push(self.var_node(f, v));
-            }
-        }
-        let n_var_rows = ids.len();
-        for (oid, _o) in self.m.objects.iter_enumerated() {
-            let cells = self.reps[&oid].len() as u32;
-            for field in 0..cells {
-                let l = Loc { obj: oid, field };
-                keys.push(RowKey::Mem(l));
-                ids.push(self.mem_node(l));
-            }
-        }
-
-        // Chunked extraction: each job encodes its rows as a flat
-        // `[len, sorted ranks...]*` word stream. Chunk boundaries depend
-        // only on the row count, never on the thread count.
-        const EXTRACT_CHUNK: usize = 1024;
-        let count = ids.len().div_ceil(EXTRACT_CHUNK);
-        let encode = |j: usize| -> Vec<u32> {
-            let lo = j * EXTRACT_CHUNK;
-            let hi = (lo + EXTRACT_CHUNK).min(ids.len());
-            let mut out: Vec<u32> = Vec::new();
-            let mut ranks: Vec<u32> = Vec::new();
-            for &id in &ids[lo..hi] {
-                let rep = self.find_ro(id);
-                ranks.clear();
-                ranks.extend(self.pts[rep as usize].iter().map(|id| rank_of[id as usize]));
-                ranks.sort_unstable();
-                out.push(ranks.len() as u32);
-                out.extend_from_slice(&ranks);
-            }
-            out
-        };
-        let encoded: Vec<Vec<u32>> = match runner {
-            Some(run) if count > 1 => run(count, &encode),
-            _ => (0..count).map(encode).collect(),
-        };
-
-        // Count non-empty rows per section so each map allocates exactly
-        // once, then decode straight into the maps — keys are regenerated
-        // in the same order the ids were emitted.
-        let mut var_nonempty = 0usize;
-        let mut mem_nonempty = 0usize;
-        let mut total_targets = 0usize;
-        {
-            let mut row = 0usize;
-            for chunk in &encoded {
-                let mut pos = 0usize;
-                while pos < chunk.len() {
-                    let len = chunk[pos] as usize;
-                    if len > 0 {
-                        if row < n_var_rows {
-                            var_nonempty += 1;
-                        } else {
-                            mem_nonempty += 1;
-                        }
-                        total_targets += len;
-                    }
-                    pos += 1 + len;
-                    row += 1;
-                }
-            }
-        }
-        let mut var_pts: FxHashMap<(FuncId, VarId), (u32, u32)> =
-            FxHashMap::with_capacity_and_hasher(var_nonempty, Default::default());
-        let mut mem_pts: FxHashMap<Loc, (u32, u32)> =
-            FxHashMap::with_capacity_and_hasher(mem_nonempty, Default::default());
-        let mut pool: Vec<Target> = Vec::with_capacity(total_targets);
         let target_by_rank: Vec<Target> =
             order.iter().map(|&id| self.targets[id as usize]).collect();
-        let mut key_it = keys.iter();
-        for chunk in &encoded {
-            let mut pos = 0usize;
-            while pos < chunk.len() {
-                let key = key_it.next().expect("one key per encoded row");
-                let len = chunk[pos] as usize;
-                pos += 1;
-                if len > 0 {
-                    let start = pool.len() as u32;
-                    pool.extend(
-                        chunk[pos..pos + len]
-                            .iter()
-                            .map(|&r| target_by_rank[r as usize]),
-                    );
-                    let range = (start, pool.len() as u32);
-                    match *key {
-                        RowKey::Var(f, v) => {
-                            var_pts.insert((f, v), range);
-                        }
-                        RowKey::Mem(l) => {
-                            mem_pts.insert(l, range);
-                        }
-                    }
+
+        // Non-empty rows in output order, with their representatives,
+        // collected first so the maps and the pool allocate exactly once.
+        let m = self.m;
+        let mut var_rows: Vec<((FuncId, VarId), u32)> = Vec::new();
+        for (f, func) in m.funcs.iter_enumerated() {
+            for (v, _) in func.vars.iter_enumerated() {
+                let rep = self.find(self.var_node(f, v));
+                if !self.pts[rep as usize].is_empty() {
+                    var_rows.push(((f, v), rep));
                 }
-                pos += len;
             }
         }
+        let mut mem_rows: Vec<(Loc, u32)> = Vec::new();
+        for (oid, _o) in m.objects.iter_enumerated() {
+            for field in 0..self.reps[&oid].len() as u32 {
+                let l = Loc { obj: oid, field };
+                let rep = self.find(self.mem_node(l));
+                if !self.pts[rep as usize].is_empty() {
+                    mem_rows.push((l, rep));
+                }
+            }
+        }
+        let pts = &self.pts;
+        let total_targets: usize = var_rows
+            .iter()
+            .map(|&(_, rep)| rep)
+            .chain(mem_rows.iter().map(|&(_, rep)| rep))
+            .map(|rep| pts[rep as usize].len())
+            .sum();
+        let mut pool: Vec<Target> = Vec::with_capacity(total_targets);
+        let mut ranks: Vec<u32> = Vec::new();
+        let mut push_row = |rep: u32| -> (u32, u32) {
+            ranks.clear();
+            ranks.extend(pts[rep as usize].iter().map(|id| rank_of[id as usize]));
+            ranks.sort_unstable();
+            let start = pool.len() as u32;
+            pool.extend(ranks.iter().map(|&r| target_by_rank[r as usize]));
+            (start, pool.len() as u32)
+        };
+        let var_pts: FxHashMap<(FuncId, VarId), (u32, u32)> = var_rows
+            .iter()
+            .map(|&(key, rep)| (key, push_row(rep)))
+            .collect();
+        let mem_pts: FxHashMap<Loc, (u32, u32)> = mem_rows
+            .iter()
+            .map(|&(l, rep)| (l, push_row(rep)))
+            .collect();
 
         let stats = SolverStats {
             nodes: self.layout.n_nodes,
@@ -1626,9 +1409,6 @@ impl<'m> Solver<'m> {
             unify_classes: self.unify_classes,
             unify_collapsed: self.unify_collapsed,
             prefilter_us: self.prefilter_us,
-            wave_batches: self.wave_batches,
-            wave_propagated: self.wave_propagated,
-            wave_max_width: self.wave_max_width,
         };
         let alloc_block = std::mem::take(&mut self.alloc_block);
         finish_analysis_with(
@@ -1641,7 +1421,6 @@ impl<'m> Solver<'m> {
                 pool,
                 stats,
             },
-            runner,
             Some(alloc_block),
         )
     }

@@ -102,23 +102,6 @@ impl LoopInfo {
     pub fn in_loop(&self, bb: BlockId) -> bool {
         self.in_loop.get(bb.index()).copied().unwrap_or(false)
     }
-
-    /// The ascending list of in-loop block ids — the wire format the
-    /// parallel finalization jobs ship loop analyses across threads in.
-    pub(crate) fn loop_blocks(&self) -> Vec<u32> {
-        (0..self.in_loop.len() as u32)
-            .filter(|&b| self.in_loop[b as usize])
-            .collect()
-    }
-
-    /// Rebuilds a [`LoopInfo`] from [`LoopInfo::loop_blocks`] output.
-    pub(crate) fn from_loop_blocks(n_blocks: usize, blocks: &[u32]) -> LoopInfo {
-        let mut in_loop = vec![false; n_blocks];
-        for &b in blocks {
-            in_loop[b as usize] = true;
-        }
-        LoopInfo { in_loop }
-    }
 }
 
 /// The resolved call graph, including indirect call targets.

@@ -17,15 +17,15 @@
 //!   in `usher_ir::inline` (each inlined wrapper copy gets fresh objects).
 //!
 //! The solver core is a worklist with difference propagation and
-//! periodic Tarjan cycle collapsing over the copy-edge graph. Points-to
+//! periodic Tarjan cycle collapsing over the copy-edge graph. It runs on
+//! the graph left after a unification prefilter (`unify.rs`) has merged
+//! the oversharing-safe equivalence classes (Kuderski et al.,
+//! *Unification-based Pointer Analysis without Oversharing*). Points-to
 //! sets are hybrid sparse/dense bitmaps over interned target ids
-//! ([`pts`]). Four interchangeable [`strategy`] implementations share
-//! that core: the frozen `BTreeSet` baseline ([`reference`]), the plain
-//! bitmap worklist ([`andersen`]), a unification-prefiltered worklist
-//! ([`unify`](crate::strategy::PointerStrategy::Prefilter) + worklist)
-//! and prefiltered parallel wave propagation
-//! ([`strategy::PointerStrategy::PrefilterWave`], the default). All of
-//! them produce byte-identical results; see `tests/representation_equiv.rs`.
+//! ([`pts`]). The frozen `BTreeSet` baseline ([`reference`]) is kept as
+//! the equivalence oracle; [`strategy::PointerStrategy`] picks between
+//! the two, and both produce byte-identical results (see
+//! `tests/representation_equiv.rs`).
 
 #![warn(missing_docs)]
 
@@ -35,13 +35,9 @@ pub mod pts;
 pub mod reference;
 pub mod strategy;
 mod unify;
-mod wave;
 
-pub use andersen::{Loc, PointerAnalysis, SolverStats};
+pub use andersen::{analyze, analyze_budgeted, Loc, PointerAnalysis, SolverStats};
 pub use callgraph::{CallGraph, LoopInfo};
 pub use pts::PtsSet;
 pub use reference::{analyze_reference, analyze_reference_budgeted};
-pub use strategy::{
-    analyze, analyze_budgeted, analyze_budgeted_with, analyze_with, AndersenSolver,
-    PointerStrategy, PrefilterSolver, ReferenceSolver, Solver, WaveJob, WaveRunner, WaveSolver,
-};
+pub use strategy::PointerStrategy;

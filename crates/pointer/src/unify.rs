@@ -53,11 +53,6 @@ use crate::andersen::NodeLayout;
 pub(crate) struct Prefilter {
     /// `parent[n]` is `n`'s class representative (already compressed).
     pub(crate) parent: Vec<u32>,
-    /// The offline `(to, from)` copy-edge list the classes were computed
-    /// from, in raw (pre-unification) node ids. The wave strategy seeds
-    /// its copy graph straight from this list instead of re-deriving the
-    /// same edges from a second IR walk.
-    pub(crate) edges: Vec<(u32, u32)>,
     /// Number of multi-member classes.
     pub(crate) classes: usize,
     /// Number of nodes collapsed into some other representative.
@@ -248,7 +243,6 @@ pub(crate) fn prefilter(m: &Module, layout: &NodeLayout) -> Prefilter {
     let classes = class_size.iter().filter(|&&s| s > 1).count();
     Prefilter {
         parent,
-        edges: g.edges,
         classes,
         collapsed,
     }

@@ -53,9 +53,9 @@ use usher_core::{
     guided_plan, redundant_check_elimination, Config, Gamma, GuidedOpts, Plan, PlanProvenance,
 };
 use usher_driver::{
-    analyze_pointer, default_threads, gamma_fingerprint, parallel_map, plan_fingerprint, Artifact,
-    ArtifactCache, CacheStats, DegradeEvent, GuidedKnobs, KeyWriter, PipelineOptions,
-    PipelineReport, Stage, StageTiming,
+    default_threads, gamma_fingerprint, parallel_map, plan_fingerprint, Artifact, ArtifactCache,
+    CacheStats, DegradeEvent, GuidedKnobs, KeyWriter, PipelineOptions, PipelineReport, Stage,
+    StageTiming,
 };
 use usher_frontend::{
     lower_program, parser, relower_function, LowerEnv, RelowerBlocked, RelowerError,
@@ -65,7 +65,7 @@ use usher_ir::{
     Callee, FuncId, GepOffset, Idx, InlinePolicy, InlineTrace, Inst, Module, ObjId, Operand,
     OptLevel, Terminator,
 };
-use usher_pointer::{PointerAnalysis, PointerStrategy, SolverStats};
+use usher_pointer::{PointerAnalysis, SolverStats};
 use usher_vfg::{
     build_function_ssa, build_with_tape, modref_summaries, rebuild_with_tape, BuildOpts,
     DemandEngine, MemSsa, ModRef, Vfg, VfgMode, VfgTape,
@@ -87,11 +87,6 @@ pub struct EngineConfig {
     pub threads: usize,
     /// `false` bypasses both cache tiers entirely (`--no-cache`).
     pub use_cache: bool,
-    /// Pointer-stage solver strategy (`--pointer-strategy`). Part of the
-    /// pointer artifact's cache key; retained sessions record the
-    /// strategy their analysis was computed with, and incremental edits
-    /// fall back when it no longer matches.
-    pub pointer_strategy: PointerStrategy,
     /// Explicit session WAL path (`--wal`). `None` places the WAL at
     /// `<store_dir>/sessions.wal` when the disk tier is enabled, and
     /// disables it otherwise.
@@ -110,7 +105,6 @@ impl Default for EngineConfig {
             store_cap_bytes: 256 << 20,
             threads: default_threads(),
             use_cache: true,
-            pointer_strategy: PointerStrategy::default(),
             wal_path: None,
             wal_enabled: true,
             io: FaultIo::none(),
@@ -290,8 +284,6 @@ pub struct EngineStats {
     pub disk: Option<DiskStats>,
     /// Hits over lookups across both tiers (0.0 when no lookups yet).
     pub warm_hit_ratio: f64,
-    /// The engine's current pointer-stage strategy name.
-    pub pointer_strategy: &'static str,
     /// Solver counters of the most recent full pointer solve (zeroed
     /// until one has run).
     pub last_solver: SolverStats,
@@ -323,11 +315,6 @@ struct Backend {
     env: LowerEnv,
     inline: InlineTrace,
     pa: PointerAnalysis,
-    /// Strategy `pa` was computed with; an engine whose configured
-    /// strategy has moved away from this must not splice incremental
-    /// results onto the retained analysis (the observables are equal,
-    /// but the telemetry counters and cache keys would lie).
-    pa_strategy: PointerStrategy,
     modref: ModRef,
     memssa: MemSsa,
     vfg: Vfg,
@@ -492,8 +479,7 @@ impl Engine {
     pub fn new(cfg: EngineConfig) -> Result<Engine, String> {
         let opts = PipelineOptions::from_config(Config::USHER)
             .at_level(OptLevel::O0Im)
-            .labelled("serve")
-            .with_pointer_strategy(cfg.pointer_strategy);
+            .labelled("serve");
         let knobs = opts.guided.expect("USHER preset is guided");
         let io = cfg.io.clone();
         let disk = match (&cfg.store_dir, cfg.use_cache) {
@@ -689,21 +675,6 @@ impl Engine {
         }
     }
 
-    /// Switches the pointer-stage strategy for subsequent full solves.
-    /// Sessions retain analyses computed under the previous strategy;
-    /// their next edit falls back to a full recompute
-    /// (`pointer-strategy-changed`) instead of splicing onto a result
-    /// whose provenance no longer matches the engine configuration.
-    pub fn set_pointer_strategy(&mut self, strategy: PointerStrategy) {
-        self.opts.pointer_strategy = strategy;
-    }
-
-    /// The engine's current pointer-stage strategy.
-    #[must_use]
-    pub fn pointer_strategy(&self) -> PointerStrategy {
-        self.opts.pointer_strategy
-    }
-
     fn build_opts(&self) -> BuildOpts {
         BuildOpts {
             mode: self.knobs.mode,
@@ -842,10 +813,7 @@ impl Engine {
         if let Err(errs) = verify(&module) {
             return Err(user(format!("internal verification failure: {errs:?}")));
         }
-        let pa = timed!(
-            Stage::Pointer,
-            analyze_pointer(&module, self.opts.pointer_strategy, self.threads)
-        );
+        let pa = timed!(Stage::Pointer, usher_pointer::analyze(&module));
         let (modref, memssa) = timed!(Stage::MemSsa, {
             let modref = modref_summaries(&module, &pa);
             let fids: Vec<FuncId> = module.funcs.indices().collect();
@@ -886,7 +854,6 @@ impl Engine {
                 env,
                 inline,
                 pa,
-                pa_strategy: self.opts.pointer_strategy,
                 modref,
                 memssa,
                 vfg,
@@ -1188,9 +1155,6 @@ impl Engine {
             else {
                 break 'fast "backend-cold";
             };
-            if b.pa_strategy != self.opts.pointer_strategy {
-                break 'fast "pointer-strategy-changed";
-            }
             let Some(fid) = b.env.funcs.get(func).map(|t| t.0) else {
                 break 'fast "unknown-function";
             };
@@ -1553,7 +1517,6 @@ impl Engine {
             } else {
                 hits as f64 / lookups as f64
             },
-            pointer_strategy: self.opts.pointer_strategy.name(),
             last_solver: self.last_solver,
             sessions_recovered: self.replay.sessions_recovered,
             wal_records_dropped: self.replay.records_dropped,
@@ -2039,47 +2002,6 @@ def main(int c) {
         let q = e.query(warm.session_id).unwrap();
         let (pf, _) = oracle(&e.session_source(warm.session_id).unwrap());
         assert_eq!(q.plan_fingerprint, pf);
-    }
-
-    #[test]
-    fn strategy_switch_gates_incremental_edits() {
-        let mut e = engine(EngineConfig::default());
-        let sid = e.analyze(SRC).unwrap().session_id;
-        assert_eq!(e.stats().pointer_strategy, "prefilter-wave");
-        assert_eq!(e.stats().counters.pointer_solves, 1);
-        assert!(e.stats().last_solver.nodes > 0);
-
-        // Retained analysis was computed under prefilter-wave; after a
-        // strategy switch the same const-level edit must fall back once
-        // (recording the reason), then be incremental again.
-        e.set_pointer_strategy(PointerStrategy::Reference);
-        let body = |k: i64| {
-            format!(
-                "def helper0(int a) -> int {{
-    int x = a + {k};
-    if (x) {{ return x * 2; }}
-    return 3;
-}}"
-            )
-        };
-        let out = e.edit(sid, "helper0", &body(5)).unwrap();
-        assert!(!out.incremental);
-        assert_eq!(out.fallback_reason, Some("pointer-strategy-changed"));
-        assert_eq!(out.report.pointer_strategy, "reference");
-        assert_eq!(e.stats().counters.pointer_solves, 2);
-
-        let out2 = e.edit(sid, "helper0", &body(6)).unwrap();
-        assert!(
-            out2.incremental,
-            "edit under the new strategy must be incremental: {:?}",
-            out2.fallback_reason
-        );
-        // Observables are strategy-independent: the result still equals
-        // the cold oracle.
-        let q = e.query(sid).unwrap();
-        let (pf, gf) = oracle(&e.session_source(sid).unwrap());
-        assert_eq!(q.plan_fingerprint, pf);
-        assert_eq!(q.gamma_fingerprint, gf);
     }
 
     #[test]

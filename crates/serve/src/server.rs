@@ -89,8 +89,6 @@ pub struct ServerConfig {
     pub threads: usize,
     /// `false` bypasses both cache tiers (`--no-cache`).
     pub use_cache: bool,
-    /// Pointer-stage solver strategy (`--pointer-strategy`).
-    pub pointer_strategy: usher_pointer::PointerStrategy,
     /// Maximum heavy requests in flight before shedding (`--max-queue`).
     pub max_queue: usize,
     /// How long graceful shutdown waits for in-flight requests
@@ -113,7 +111,6 @@ impl Default for ServerConfig {
             max_clients: 8,
             threads: e.threads,
             use_cache: true,
-            pointer_strategy: e.pointer_strategy,
             max_queue: 32,
             drain_timeout_ms: 2000,
             wal_path: None,
@@ -212,7 +209,6 @@ impl Dispatcher {
             store_cap_bytes: cfg.store_cap_bytes,
             threads: cfg.threads,
             use_cache: cfg.use_cache,
-            pointer_strategy: cfg.pointer_strategy,
             wal_path: cfg.wal_path.clone(),
             wal_enabled: cfg.wal_enabled,
             io: FaultIo::none(),
@@ -558,7 +554,6 @@ impl Dispatcher {
                     .u64("wal_store_misses", st.wal_store_misses)
                     .bool("wal_enabled", st.wal_enabled)
                     .u64("wal_appends_failed", st.wal_appends_failed)
-                    .str("pointer_strategy", st.pointer_strategy)
                     .u64("pointer_solves", st.counters.pointer_solves)
                     .u64("demand_queries", st.counters.demand_queries)
                     .u64("solver_nodes", st.last_solver.nodes as u64)
@@ -568,12 +563,7 @@ impl Dispatcher {
                         "solver_unify_collapsed",
                         st.last_solver.unify_collapsed as u64,
                     )
-                    .u64("solver_prefilter_us", st.last_solver.prefilter_us as u64)
-                    .u64("solver_wave_batches", st.last_solver.wave_batches as u64)
-                    .u64(
-                        "solver_wave_propagated",
-                        st.last_solver.wave_propagated as u64,
-                    );
+                    .u64("solver_prefilter_us", st.last_solver.prefilter_us as u64);
                 if let Some(d) = st.disk {
                     w.u64("disk_entries", d.entries as u64)
                         .u64("disk_bytes", d.bytes)

@@ -46,28 +46,19 @@ if ./target/release/usher analyze "$DEG_TC" --budget-steps 500 --no-cache --stri
 fi
 rm -f "$DEG_TC" "$DEG_JSON"
 
-echo "==> pointer-strategy smoke"
-# Pointer-stage overhaul gate (DESIGN.md §12): the cross-strategy
-# divergence fuzz mode must classify clean (every solver strategy's plan
-# fingerprints identically and survives the native-vs-instrumented
-# oracle), and the CLI knob itself must be observably inert — `usher
-# check` under every --pointer-strategy value prints byte-identical
-# output, while the analyze telemetry names the strategy that ran.
+echo "==> pointer solver smoke"
+# Pointer-stage gate (DESIGN.md §12): the reference-vs-production
+# divergence fuzz mode must classify clean (the production solver's plan
+# fingerprints identically to the frozen reference solver's and both
+# survive the native-vs-instrumented oracle), and the analyze telemetry
+# must name the production solver. Byte-identity across the SPEC-modelled
+# programs is covered by tests/representation_equiv.rs.
 ./target/release/usher fuzz --smoke --fault strategy-diverge
-STR_TC=$(mktemp) && STR_A=$(mktemp) && STR_B=$(mktemp)
+STR_TC=$(mktemp) && STR_B=$(mktemp)
 ./target/release/usher gen --seed 41 --helpers 12 --stmts 10 > "$STR_TC"
-for S in reference andersen prefilter prefilter-wave; do
-    ./target/release/usher analyze "$STR_TC" --pointer-strategy "$S" --no-cache --report > /dev/null 2> "$STR_B"
-    grep -q "\"strategy\":\"$S\"" "$STR_B"
-    ./target/release/usher check "$STR_TC" --pointer-strategy "$S" --no-cache > "$STR_B" 2>&1 || true
-    if [ ! -s "$STR_A" ]; then
-        cp "$STR_B" "$STR_A"
-    elif ! cmp -s "$STR_A" "$STR_B"; then
-        echo "error: usher check output diverged under --pointer-strategy $S" >&2
-        exit 1
-    fi
-done
-rm -f "$STR_TC" "$STR_A" "$STR_B"
+./target/release/usher analyze "$STR_TC" --no-cache --report > /dev/null 2> "$STR_B"
+grep -q '"strategy":"prefilter"' "$STR_B"
+rm -f "$STR_TC" "$STR_B"
 
 echo "==> serve smoke"
 # Persistent-service gate (DESIGN.md §11): drive the JSON-lines protocol

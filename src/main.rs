@@ -67,10 +67,10 @@ fn main() -> ExitCode {
         Err(msg) => {
             eprintln!("usher: {msg}");
             eprintln!();
-            eprintln!("usage: usher <run|check|analyze|ir|dis|vfg> <file.tc|file.uir> [--config CFG] [--opt LVL] [--seed N] [--threads N] [--pointer-strategy S] [--no-cache] [--report] [--demand] [--budget-steps N] [--deadline-ms N] [--strict] [--inject-panic STAGE]");
+            eprintln!("usage: usher <run|check|analyze|ir|dis|vfg> <file.tc|file.uir> [--config CFG] [--opt LVL] [--seed N] [--threads N] [--no-cache] [--report] [--demand] [--budget-steps N] [--deadline-ms N] [--strict] [--inject-panic STAGE]");
             eprintln!("       usher gen [--seed N] [--helpers N] [--stmts N]");
             eprintln!("       usher fuzz [--smoke] [--seeds N] [--start N] [--mutants N] [--frontend] [--fault MODE] [--threads N] [--no-minimize] [--report FILE] [--out DIR]");
-            eprintln!("       usher serve [--socket PATH] [--store-dir DIR] [--store-cap-bytes N] [--max-clients N] [--threads N] [--pointer-strategy S] [--no-cache] [--wal PATH] [--no-wal] [--max-queue N] [--drain-timeout-ms N]");
+            eprintln!("       usher serve [--socket PATH] [--store-dir DIR] [--store-cap-bytes N] [--max-clients N] [--threads N] [--no-cache] [--wal PATH] [--no-wal] [--max-queue N] [--drain-timeout-ms N]");
             eprintln!("       usher serve-bench [--quick] [--clients N] [--edits N] [--out FILE]");
             ExitCode::from(2)
         }
@@ -96,7 +96,6 @@ fn dispatch(args: &[String]) -> Result<ExitCode, String> {
     let mut level = OptLevel::O0Im;
     let mut seed = 0x5eedu64;
     let mut threads = None;
-    let mut pointer_strategy = None;
     let mut use_cache = true;
     let mut report = false;
     let mut budget_steps = None;
@@ -142,13 +141,6 @@ fn dispatch(args: &[String]) -> Result<ExitCode, String> {
                 }
                 threads = Some(n);
             }
-            "--pointer-strategy" => {
-                let v = it.next().ok_or("--pointer-strategy needs a value")?;
-                pointer_strategy = Some(
-                    usher::PointerStrategy::parse(v)
-                        .ok_or_else(|| format!("unknown pointer strategy {v} (expected reference|andersen|prefilter|prefilter-wave)"))?,
-                );
-            }
             "--no-cache" => use_cache = false,
             "--report" => report = true,
             "--budget-steps" => {
@@ -193,9 +185,6 @@ fn dispatch(args: &[String]) -> Result<ExitCode, String> {
         .with_deadline_ms(deadline_ms)
         .strict(strict)
         .with_inject_panic(inject_panic);
-    if let Some(st) = pointer_strategy {
-        options = options.with_pointer_strategy(st);
-    }
     if demand {
         options = options.with_demand(true);
     }
@@ -399,11 +388,6 @@ fn serve_command(args: &[String]) -> Result<ExitCode, String> {
                     return Err("--threads must be at least 1".into());
                 }
                 cfg.threads = n;
-            }
-            "--pointer-strategy" => {
-                let v = it.next().ok_or("--pointer-strategy needs a value")?;
-                cfg.pointer_strategy = usher::PointerStrategy::parse(v)
-                    .ok_or_else(|| format!("unknown pointer strategy {v} (expected reference|andersen|prefilter|prefilter-wave)"))?;
             }
             "--no-cache" => cfg.use_cache = false,
             "--wal" => {

@@ -13,16 +13,19 @@
 //! Random inputs come from the repo's own deterministic workload
 //! generator, so the suite needs no external property-testing crate.
 
+use std::sync::Arc;
+
 use usher::core::{
     guided_plan, redundant_check_elimination, redundant_check_elimination_reference, resolve,
-    resolve_reference, Gamma, GuidedOpts, Plan,
+    resolve_reference, Config, Gamma, GuidedOpts, Plan,
 };
-use usher::driver::{analyze_pointer, analyze_pointer_budgeted};
+
+use usher::driver::{analyze_pointer, plan_fingerprint, Pipeline, PipelineOptions};
 use usher::frontend::compile_o0im;
 use usher::ir::{Budget, Module};
 use usher::pointer::{analyze, analyze_reference, PointerAnalysis, PointerStrategy};
 use usher::vfg::{build, build_memssa, build_reference, VfgMode};
-use usher::workloads::{generate, ladder_config, GenConfig, SEED_LADDER};
+use usher::workloads::{all_workloads, generate, ladder_config, GenConfig, Scale, SEED_LADDER};
 
 const CONTEXT_DEPTH: usize = 1;
 
@@ -237,46 +240,60 @@ fn gamma_and_opt2_agree_on_large_ladder_rungs() {
     }
 }
 
-#[test]
-fn every_pointer_strategy_agrees_on_the_ladder() {
-    // The strategy matrix: all four solver implementations, run through
-    // the driver's strategy- and thread-aware entry point, must produce
-    // byte-identical observables on the benchmark rungs. The reference
-    // solver is the oracle. Digests are compared within a strategy only
-    // (they fold in per-strategy solver counters by design): two runs of
-    // the same strategy must agree bit for bit, which is what the
-    // cache-key contract — strategy name in the key, digest as the
-    // self-healing checksum — relies on.
-    for &(seed, helpers, stmts) in &SEED_LADDER[..4] {
-        let src = generate(seed, ladder_config(helpers, stmts));
-        let m = compile_o0im(&src).expect("ladder rungs compile");
-        let oracle = analyze_pointer(&m, PointerStrategy::Reference, 1);
-        for strategy in PointerStrategy::ALL {
-            let pa = analyze_pointer(&m, strategy, 1);
-            assert_pointer_equiv(&m, &pa, &oracle, &format!("ladder-{seed}/{strategy}"));
-            assert_eq!(
-                pa.digest(),
-                analyze_pointer(&m, strategy, 1).digest(),
-                "ladder-{seed}/{strategy}: rerun digest"
-            );
-        }
+/// The strategy matrix on one module: the production solver and the
+/// frozen reference, run through the driver, must produce byte-identical
+/// pointer observables and full-Usher plans. The reference solver is the
+/// oracle. Digests are compared within a strategy only (they fold in
+/// per-strategy solver counters by design): two runs of the same
+/// strategy must agree bit for bit, which is what the cache-key contract
+/// — strategy name in the key, digest as the self-healing checksum —
+/// relies on.
+fn assert_strategies_agree(m: Module, tag: &str) {
+    let m = Arc::new(m);
+    let plan_of = |strategy: PointerStrategy| {
+        let opts = PipelineOptions::from_config(Config::USHER).with_pointer_strategy(strategy);
+        let run = Pipeline::new()
+            .without_cache()
+            .with_threads(1)
+            .run_module(tag, m.clone(), opts);
+        plan_fingerprint(&run.plan)
+    };
+    let oracle = analyze_pointer(&m, PointerStrategy::Reference, 1);
+    let want_plan = plan_of(PointerStrategy::Reference);
+    for strategy in PointerStrategy::ALL {
+        let tag = format!("{tag}/{strategy}");
+        let pa = analyze_pointer(&m, strategy, 1);
+        assert_pointer_equiv(&m, &pa, &oracle, &tag);
+        assert_eq!(
+            pa.digest(),
+            analyze_pointer(&m, strategy, 1).digest(),
+            "{tag}: rerun digest"
+        );
+        assert_eq!(
+            plan_of(strategy),
+            want_plan,
+            "{tag}: Usher plan fingerprint"
+        );
     }
 }
 
 #[test]
-fn wave_digests_are_thread_count_invariant() {
-    // Parallel wave propagation must be deterministic: the digest at
-    // every thread count 1..=8 matches the inline (single-threaded)
-    // wave solve, counters included. Thread counts above the pool's
-    // worker limit exercise the clamping path too.
-    for &(seed, helpers, stmts) in &SEED_LADDER[2..4] {
+fn every_pointer_strategy_agrees_on_the_ladder() {
+    for &(seed, helpers, stmts) in &SEED_LADDER[..4] {
         let src = generate(seed, ladder_config(helpers, stmts));
         let m = compile_o0im(&src).expect("ladder rungs compile");
-        let want = analyze_pointer(&m, PointerStrategy::PrefilterWave, 1).digest();
-        for threads in 1..=8usize {
-            let got = analyze_pointer(&m, PointerStrategy::PrefilterWave, threads).digest();
-            assert_eq!(got, want, "ladder-{seed}: wave digest at {threads} threads");
-        }
+        assert_strategies_agree(m, &format!("ladder-{seed}"));
+    }
+}
+
+#[test]
+fn every_pointer_strategy_agrees_on_the_spec_programs() {
+    // The SPEC-modelled programs have shapes the generated ladder lacks:
+    // 176.gcc's expression evaluator once exposed a solver bug that no
+    // rung hit.
+    for w in all_workloads(Scale::TEST) {
+        let m = w.compile_o0im().expect("workloads compile");
+        assert_strategies_agree(m, w.name);
     }
 }
 
@@ -292,29 +309,28 @@ fn budget_exhaustion_is_all_or_nothing_for_every_strategy() {
     let m = compile_o0im(&src).expect("ladder rungs compile");
     let oracle = analyze_pointer(&m, PointerStrategy::Reference, 1);
     for strategy in PointerStrategy::ALL {
-        for threads in [1usize, 4] {
-            let starved = analyze_pointer_budgeted(&m, strategy, &Budget::limited(1), threads);
-            assert!(
-                starved.is_err(),
-                "{strategy}/t{threads}: one step cannot reach the fixpoint"
-            );
-            let full = analyze_pointer_budgeted(&m, strategy, &Budget::unlimited(), threads)
-                .expect("unlimited budget cannot exhaust");
-            assert_pointer_equiv(
-                &m,
-                &full,
-                &oracle,
-                &format!("{strategy}/t{threads}: post-exhaustion rerun"),
-            );
-        }
+        let starved = strategy.analyze_budgeted(&m, &Budget::limited(1));
+        assert!(
+            starved.is_err(),
+            "{strategy}: one step cannot reach the fixpoint"
+        );
+        let full = strategy
+            .analyze_budgeted(&m, &Budget::unlimited())
+            .expect("unlimited budget cannot exhaust");
+        assert_pointer_equiv(
+            &m,
+            &full,
+            &oracle,
+            &format!("{strategy}: post-exhaustion rerun"),
+        );
     }
 }
 
 #[test]
 fn demand_queries_agree_with_exhaustive_gamma_across_the_matrix() {
     // The demand-driven query engine must answer every check with
-    // exactly the exhaustive resolver's verdict, whatever pointer
-    // strategy and thread count produced the underlying analysis — and
+    // exactly the exhaustive resolver's verdict, whichever pointer
+    // solver produced the underlying analysis — and
     // its cost counters must be deterministic: the same rung yields the
     // same [`DemandStats`] cell for cell across the whole matrix, which
     // is what makes the telemetry comparable across configurations.
@@ -324,31 +340,29 @@ fn demand_queries_agree_with_exhaustive_gamma_across_the_matrix() {
         let m = compile_o0im(&src).expect("ladder rungs compile");
         let mut want_stats = None;
         for strategy in PointerStrategy::ALL {
-            for threads in 1..=4usize {
-                let tag = format!("ladder-{seed}/{strategy}/t{threads}");
-                let pa = analyze_pointer(&m, strategy, threads);
-                let ms = build_memssa(&m, &pa);
-                let g = build(&m, &pa, &ms, VfgMode::Full);
-                let gamma = resolve(&g, CONTEXT_DEPTH);
-                let mut eng = DemandEngine::new(&g, CONTEXT_DEPTH);
-                assert!(!g.checks.is_empty(), "{tag}: rung must have checks");
-                for (i, ch) in g.checks.iter().enumerate() {
-                    let v = eng.query(&g, ch.node, &Budget::unlimited());
-                    assert!(v.complete, "{tag}: unlimited query {i} must complete");
-                    assert_eq!(
-                        v.bot,
-                        gamma.is_bot(ch.node),
-                        "{tag}: check {i} (node {})",
-                        ch.node
-                    );
-                }
-                let stats = eng.stats();
-                assert_eq!(stats.exhausted_queries, 0, "{tag}: nothing exhausts");
-                assert_eq!(stats.queries, g.checks.len(), "{tag}: query count");
-                match &want_stats {
-                    None => want_stats = Some(stats),
-                    Some(w) => assert_eq!(&stats, w, "{tag}: cost counters must not vary"),
-                }
+            let tag = format!("ladder-{seed}/{strategy}");
+            let pa = analyze_pointer(&m, strategy, 1);
+            let ms = build_memssa(&m, &pa);
+            let g = build(&m, &pa, &ms, VfgMode::Full);
+            let gamma = resolve(&g, CONTEXT_DEPTH);
+            let mut eng = DemandEngine::new(&g, CONTEXT_DEPTH);
+            assert!(!g.checks.is_empty(), "{tag}: rung must have checks");
+            for (i, ch) in g.checks.iter().enumerate() {
+                let v = eng.query(&g, ch.node, &Budget::unlimited());
+                assert!(v.complete, "{tag}: unlimited query {i} must complete");
+                assert_eq!(
+                    v.bot,
+                    gamma.is_bot(ch.node),
+                    "{tag}: check {i} (node {})",
+                    ch.node
+                );
+            }
+            let stats = eng.stats();
+            assert_eq!(stats.exhausted_queries, 0, "{tag}: nothing exhausts");
+            assert_eq!(stats.queries, g.checks.len(), "{tag}: query count");
+            match &want_stats {
+                None => want_stats = Some(stats),
+                Some(w) => assert_eq!(&stats, w, "{tag}: cost counters must not vary"),
             }
         }
     }
