@@ -18,13 +18,13 @@
 //! consistent snapshot because every critical section is a single
 //! `HashMap` operation.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use usher_core::{Gamma, Plan};
-use usher_ir::{FxHasher, Idx, Module};
+use usher_ir::{FxHasher, Module};
 use usher_pointer::PointerAnalysis;
 use usher_vfg::{MemSsa, Vfg};
 
@@ -58,15 +58,31 @@ fn hash_str(h: &mut FxHasher, s: &str) {
     h.write(s.as_bytes());
 }
 
-/// Structural digest of an artifact, stable across runs within one
-/// process (it hashes content, never addresses). Deliberately built on
-/// deterministic orderings: map keys are sorted before hashing.
+/// Hashes a map's entries in key order, so equal maps digest equally
+/// whatever their iteration order.
+fn hash_sorted<K: Ord + Hash, V: Hash>(h: &mut FxHasher, map: &HashMap<K, V>) {
+    let mut entries: Vec<_> = map.iter().collect();
+    entries.sort_unstable_by_key(|(k, _)| *k);
+    entries.hash(h);
+}
+
+/// Hashes a set's members in order.
+fn hash_sorted_set<T: Ord + Hash>(h: &mut FxHasher, set: &HashSet<T>) {
+    let mut members: Vec<_> = set.iter().collect();
+    members.sort_unstable();
+    members.hash(h);
+}
+
+/// Structural digest of an artifact, stable across runs (it hashes
+/// content, never addresses). Artifacts are streamed through their
+/// `Hash` impls field by field, never printed; map keys are sorted
+/// before hashing.
 pub fn artifact_digest(a: &Artifact) -> u64 {
     let mut h = FxHasher::default();
     match a {
         Artifact::Module(m) => {
             h.write_u64(1);
-            hash_str(&mut h, &usher_ir::write_text(m));
+            m.hash(&mut h);
         }
         Artifact::Pointer(pa) => {
             h.write_u64(2);
@@ -74,57 +90,33 @@ pub fn artifact_digest(a: &Artifact) -> u64 {
         }
         Artifact::MemSsa(ms) => {
             h.write_u64(3);
-            let mut fids: Vec<_> = ms.funcs.keys().copied().collect();
-            fids.sort_unstable();
-            for fid in fids {
-                let fs = &ms.funcs[&fid];
-                h.write_usize(fid.index());
-                hash_str(&mut h, &format!("{:?}", fs.defs));
-                let mut sites: Vec<_> = fs.mus.keys().copied().collect();
-                sites.sort_unstable();
-                for s in sites {
-                    hash_str(&mut h, &format!("{s:?}{:?}", fs.mus[&s]));
-                }
-                let mut sites: Vec<_> = fs.chis.keys().copied().collect();
-                sites.sort_unstable();
-                for s in sites {
-                    hash_str(&mut h, &format!("{s:?}{:?}", fs.chis[&s]));
-                }
-                let mut blocks: Vec<_> = fs.phis.keys().copied().collect();
-                blocks.sort_unstable();
-                for b in blocks {
-                    hash_str(&mut h, &format!("{b:?}{:?}", fs.phis[&b]));
-                }
-                let mut blocks: Vec<_> = fs.ret_mus.keys().copied().collect();
-                blocks.sort_unstable();
-                for b in blocks {
-                    hash_str(&mut h, &format!("{b:?}{:?}", fs.ret_mus[&b]));
-                }
-                let mut locs: Vec<_> = fs.formal_in.iter().map(|(l, v)| (*l, *v)).collect();
-                locs.sort_unstable_by_key(|(l, _)| *l);
-                hash_str(&mut h, &format!("{locs:?}"));
-                let mut sin: Vec<_> = fs.summary_in.iter().copied().collect();
-                sin.sort_unstable();
-                let mut sout: Vec<_> = fs.summary_out.iter().copied().collect();
-                sout.sort_unstable();
-                hash_str(&mut h, &format!("{sin:?}{sout:?}"));
+            let mut funcs: Vec<_> = ms.funcs.iter().collect();
+            funcs.sort_unstable_by_key(|(fid, _)| **fid);
+            h.write_usize(funcs.len());
+            for (fid, fs) in funcs {
+                fid.hash(&mut h);
+                fs.defs.hash(&mut h);
+                hash_sorted(&mut h, &fs.mus);
+                hash_sorted(&mut h, &fs.chis);
+                hash_sorted(&mut h, &fs.phis);
+                hash_sorted(&mut h, &fs.ret_mus);
+                hash_sorted(&mut h, &fs.formal_in);
+                hash_sorted_set(&mut h, &fs.summary_in);
+                hash_sorted_set(&mut h, &fs.summary_out);
             }
         }
         Artifact::Vfg(v) => {
             h.write_u64(4);
-            for n in &v.nodes {
-                n.hash(&mut h);
+            v.nodes.hash(&mut h);
+            for csr in [&v.deps, &v.users] {
+                csr.offsets.hash(&mut h);
+                csr.targets.hash(&mut h);
+                csr.kinds.hash(&mut h);
             }
-            for w in &v.deps.offsets {
-                h.write_u32(*w);
-            }
-            for w in &v.deps.targets {
-                h.write_u32(*w);
-            }
-            hash_str(&mut h, &format!("{:?}", v.deps.kinds));
-            hash_str(&mut h, &format!("{:?}", v.checks));
-            hash_str(&mut h, &format!("{:?}", v.def_site));
-            hash_str(&mut h, &format!("{:?}{:?}", v.stats, v.mode));
+            v.checks.hash(&mut h);
+            v.def_site.hash(&mut h);
+            v.stats.hash(&mut h);
+            v.mode.hash(&mut h);
             h.write_u32(v.t_root);
             h.write_u32(v.f_root);
         }
@@ -296,6 +288,8 @@ impl ArtifactCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use usher_ir::{Inst, ObjId, Operand, VarId};
+    use usher_vfg::MemVerId;
 
     #[test]
     fn hit_and_miss_accounting() {
@@ -332,6 +326,125 @@ mod tests {
         c.map().get_mut(&9).unwrap().version = CACHE_FORMAT_VERSION + 1;
         assert!(c.lookup(9).is_none());
         assert_eq!(c.stats().corrupt_recovered, 1);
+    }
+
+    const DIGEST_SRC: &str = "
+        struct pair { int a; int *b; };
+        int g;
+        def helper(int a) -> int { int t; if (a > 1) { t = a; } return t; }
+        def main(int c) -> int {
+            struct pair *p;
+            p = malloc(2);
+            p->a = helper(c);
+            g = p->a + 7;
+            print(g);
+            return 0;
+        }
+    ";
+
+    /// Module, memory SSA and VFG of one independent compile + analysis.
+    fn analyzed(src: &str) -> (Module, MemSsa, Vfg) {
+        let m = usher_frontend::compile_o0im(src).expect("digest source compiles");
+        let pa = usher_pointer::analyze(&m);
+        let ms = usher_vfg::build_memssa(&m, &pa);
+        let v = usher_vfg::build(&m, &pa, &ms, usher_vfg::VfgMode::Full);
+        (m, ms, v)
+    }
+
+    fn module_digest(m: &Module) -> u64 {
+        artifact_digest(&Artifact::Module(Arc::new(m.clone())))
+    }
+
+    fn memssa_digest(ms: &MemSsa) -> u64 {
+        artifact_digest(&Artifact::MemSsa(Arc::new(ms.clone())))
+    }
+
+    fn vfg_digest(v: &Vfg) -> u64 {
+        artifact_digest(&Artifact::Vfg(Arc::new(v.clone())))
+    }
+
+    #[test]
+    fn digests_are_deterministic_and_see_every_single_field_change() {
+        let (m, ms, v) = analyzed(DIGEST_SRC);
+        let (dm, dms, dv) = (module_digest(&m), memssa_digest(&ms), vfg_digest(&v));
+
+        // Two independent runs (fresh hash maps, fresh iteration orders)
+        // digest identically, and so does a clone.
+        let (m2, ms2, v2) = analyzed(DIGEST_SRC);
+        assert_eq!(
+            (module_digest(&m2), memssa_digest(&ms2), vfg_digest(&v2)),
+            (dm, dms, dv)
+        );
+        assert_eq!(module_digest(&m.clone()), dm);
+
+        // One instruction operand.
+        let mut m1 = m.clone();
+        let inst = m1
+            .funcs
+            .iter_mut()
+            .flat_map(|f| f.blocks.iter_mut())
+            .flat_map(|b| b.insts.iter_mut())
+            .find(|i| {
+                matches!(
+                    i,
+                    Inst::Bin {
+                        rhs: Operand::Const(_),
+                        ..
+                    }
+                )
+            })
+            .expect("a binary instruction with a constant operand");
+        inst.map_uses(|op| match op {
+            Operand::Const(c) => Operand::Const(c + 1),
+            other => other,
+        });
+        assert_ne!(module_digest(&m1), dm, "instruction operand");
+
+        // One variable name.
+        let mut m1 = m.clone();
+        let f = m1.main.expect("main resolved");
+        m1.funcs[f].vars[VarId(0)].name.push('_');
+        assert_ne!(module_digest(&m1), dm, "variable name");
+
+        // One object's zero_init.
+        let mut m1 = m.clone();
+        m1.objects[ObjId(0)].zero_init ^= true;
+        assert_ne!(module_digest(&m1), dm, "object zero_init");
+
+        // One struct field.
+        let mut m1 = m.clone();
+        let sid = m1.types.struct_by_name("pair").expect("struct pair");
+        let mut fields = m1.types.struct_def(sid).fields.clone();
+        fields[1].0.push('_');
+        m1.types.set_struct_fields(sid, fields);
+        assert_ne!(module_digest(&m1), dm, "struct field");
+
+        // One chi and one mu entry of the memory SSA.
+        let mut ms1 = ms.clone();
+        let chi = ms1
+            .funcs
+            .values_mut()
+            .flat_map(|fs| fs.chis.values_mut())
+            .flat_map(|chis| chis.iter_mut())
+            .next()
+            .expect("a chi");
+        chi.old = MemVerId(chi.old.0 + 1);
+        assert_ne!(memssa_digest(&ms1), dms, "chi entry");
+        let mut ms1 = ms.clone();
+        let mu = ms1
+            .funcs
+            .values_mut()
+            .flat_map(|fs| fs.mus.values_mut())
+            .flat_map(|mus| mus.iter_mut())
+            .next()
+            .expect("a mu");
+        mu.def = MemVerId(mu.def.0 + 1);
+        assert_ne!(memssa_digest(&ms1), dms, "mu entry");
+
+        // One VFG edge.
+        let mut v1 = v.clone();
+        v1.deps.targets[0] ^= 1;
+        assert_ne!(vfg_digest(&v1), dv, "VFG edge");
     }
 
     #[test]

@@ -138,7 +138,7 @@ pub enum ExtFunc {
 /// One IR instruction. `dst` registers are in SSA form; field meanings
 /// follow the variant docs.
 #[allow(missing_docs)]
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub enum Inst {
     /// `dst := src`.
     Copy { dst: VarId, src: Operand },
@@ -284,7 +284,7 @@ impl Inst {
 
 /// A block terminator.
 #[allow(missing_docs)]
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub enum Terminator {
     /// Unconditional jump.
     Jmp(BlockId),
@@ -346,7 +346,7 @@ impl Terminator {
 }
 
 /// A basic block.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub struct Block {
     /// Straight-line instructions.
     pub insts: Vec<Inst>,
@@ -371,7 +371,7 @@ impl Default for Block {
 }
 
 /// Metadata for a top-level variable.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct VarData {
     /// Debug name (source name or temp).
     pub name: String,
@@ -380,7 +380,7 @@ pub struct VarData {
 }
 
 /// A function definition.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub struct Function {
     /// Source-level name.
     pub name: String,
@@ -451,7 +451,7 @@ pub enum ObjKind {
 }
 
 /// An abstract memory object — one per allocation site / global.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub struct ObjectData {
     /// Debug name.
     pub name: String,
@@ -486,7 +486,7 @@ impl ObjectData {
 }
 
 /// A whole program.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, Hash)]
 pub struct Module {
     /// All functions.
     pub funcs: IdxVec<FuncId, Function>,

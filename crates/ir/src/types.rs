@@ -27,7 +27,7 @@ pub enum Type {
 }
 
 /// A struct definition: named, ordered fields.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct StructDef {
     /// Source-level name.
     pub name: String,
@@ -67,7 +67,7 @@ impl Layout {
 }
 
 /// Interner for types and registry of struct definitions.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, Hash)]
 pub struct TypeTable {
     types: IdxVec<TypeId, Type>,
     structs: IdxVec<StructId, StructDef>,

@@ -4,7 +4,8 @@
 //! warm-start cost: the compiled [`Module`], the resolved [`Gamma`] (with
 //! Opt II's redirected-node count) and the instrumentation [`Plan`].
 //! Intermediate artifacts (pointer analysis, memory SSA, VFG) are cheap to
-//! rebuild relative to their serialized size and stay memory-only.
+//! rebuild relative to their serialized size and are cached in neither
+//! tier: only the session that computed them holds them.
 //!
 //! Every codec is a deterministic line-based text format: map keys are
 //! sorted before encoding, so equal artifacts encode to equal bytes and

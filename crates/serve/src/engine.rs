@@ -41,7 +41,11 @@
 //!
 //! Incremental results are *not* persisted to the store: the session
 //! retains them in memory, and only full analyses (which equal what a
-//! cold run would produce) populate the cache tiers.
+//! cold run would produce) populate the cache tiers. Both tiers hold
+//! exactly what the warm path reads back (module, Γ and plan); the
+//! memory tier shares the session's module by `Arc` rather than copying
+//! it. The engine's [`ArtifactCache`] is private to it, so its entries
+//! are never seen by a batch [`usher_driver::Pipeline`].
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
@@ -311,7 +315,7 @@ struct FnSpan {
 
 /// Retained analysis state for incremental edits.
 struct Backend {
-    module: Module,
+    module: Arc<Module>,
     env: LowerEnv,
     inline: InlineTrace,
     pa: PointerAnalysis,
@@ -362,9 +366,9 @@ pub struct Engine {
     replay: ReplaySummary,
 }
 
-/// Stable FNV key of a TinyC source text — identical to the driver's
-/// source keying, so serve cache entries interoperate with batch-driver
-/// entries for the same source and knobs.
+/// Stable FNV key of a TinyC source text, built the way the driver keys
+/// sources. The engine's cache tiers are its own, so the keys only have
+/// to agree across engine restarts over one store directory.
 fn source_key(src: &str) -> u64 {
     let mut k = KeyWriter::new("src-tinyc");
     k.str(src);
@@ -471,7 +475,7 @@ fn operand_invisible_to_pa(m: &Module, pa: &PointerAnalysis, fid: FuncId, op: Op
 impl Engine {
     /// Builds an engine with the serve preset (the paper's `Usher`
     /// configuration at `O0+IM`, labelled `serve`; the label is excluded
-    /// from cache keys, so entries interoperate with the batch driver).
+    /// from cache keys).
     ///
     /// # Errors
     ///
@@ -732,36 +736,24 @@ impl Engine {
         Some(p)
     }
 
-    /// Persists a completed full analysis into both tiers. Degraded
-    /// plans are refused (serve's unbudgeted runs cannot produce them,
-    /// but the invariant is enforced here, not assumed).
+    /// Persists a completed full analysis into both tiers: module, Γ and
+    /// plan, the three artifacts [`Engine::warm_probe`] reads back. The
+    /// memory tier shares them with the session by `Arc`. Degraded plans
+    /// are refused (serve's unbudgeted runs cannot produce them, but the
+    /// invariant is enforced here, not assumed).
     fn persist(&self, sk: u64, b: &Backend) {
         if !self.use_cache || plan_is_degraded(&b.plan) {
             return;
         }
-        let g = self.knobs;
         let fk = self.opts.frontend_key(sk);
-        let rk = self.opts.resolve_key(sk, &g);
+        let rk = self.opts.resolve_key(sk, &self.knobs);
         let plk = self.opts.plan_key(sk);
-        let module = Arc::new(b.module.clone());
-        self.cache.insert(fk, Artifact::Module(module.clone()));
-        self.cache.insert(
-            self.opts.pointer_key(sk),
-            Artifact::Pointer(Arc::new(b.pa.clone())),
-        );
-        self.cache.insert(
-            self.opts.memssa_key(sk),
-            Artifact::MemSsa(Arc::new(b.memssa.clone())),
-        );
-        self.cache.insert(
-            self.opts.vfg_key(sk, &g),
-            Artifact::Vfg(Arc::new(b.vfg.clone())),
-        );
+        self.cache.insert(fk, Artifact::Module(b.module.clone()));
         self.cache
             .insert(rk, Artifact::Gamma(b.gamma.clone(), b.redirected));
         self.cache.insert(plk, Artifact::Plan(b.plan.clone()));
         if let Some(disk) = &self.disk {
-            disk.store(fk, StoreKind::Module, &codec::encode_module(&module));
+            disk.store(fk, StoreKind::Module, &codec::encode_module(&b.module));
             disk.store(
                 rk,
                 StoreKind::Gamma,
@@ -850,7 +842,7 @@ impl Engine {
         );
         Ok(Computed {
             backend: Backend {
-                module,
+                module: Arc::new(module),
                 env,
                 inline,
                 pa,
@@ -1162,7 +1154,7 @@ impl Engine {
                 break 'fast "inline-involved";
             }
             let t = Instant::now();
-            let mut scratch = b.module.clone();
+            let mut scratch = Module::clone(&b.module);
             match relower_function(&mut scratch, &b.env, def) {
                 Ok(()) => {}
                 Err(RelowerError::Lower(e)) => {
@@ -1255,7 +1247,7 @@ impl Engine {
                 seconds: t.elapsed().as_secs_f64(),
                 cached: false,
             });
-            b.module = scratch;
+            b.module = Arc::new(scratch);
             session.lines = new_lines;
             session.spans = scan_spans(&session.lines);
             session.edits += 1;
@@ -1896,6 +1888,37 @@ def main(int c) {
         assert_eq!(qa.plan_fingerprint, qb.plan_fingerprint);
         assert_eq!(qa.gamma_fingerprint, qb.gamma_fingerprint);
         assert!(e.stats().warm_hit_ratio > 0.0);
+    }
+
+    #[test]
+    fn memory_tier_holds_what_serve_reads_and_shares_the_module() {
+        let mut e = engine(EngineConfig::default());
+        let a = e.analyze(SRC).unwrap();
+        assert_eq!(a.mode, "cold");
+        assert_eq!(e.stats().memory.entries, 3, "module, gamma and plan only");
+        let other = SRC.replace("x * 2", "x * 5");
+        assert_eq!(e.analyze(&other).unwrap().mode, "cold");
+        assert_eq!(e.stats().memory.entries, 6);
+
+        let SessionState::Ready(b) = &e.sessions[&a.session_id].state else {
+            panic!("cold session must be Ready");
+        };
+        let module = b.module.clone();
+        let key = e
+            .opts
+            .frontend_key(source_key(&split_lines(SRC).join("\n")));
+        let Some(Artifact::Module(cached)) = e.cache.lookup(key) else {
+            panic!("cold analyze must cache its module");
+        };
+        assert!(Arc::ptr_eq(&module, &cached), "cache shares, not copies");
+
+        let w = e.analyze(SRC).unwrap();
+        assert_eq!(w.mode, "warm");
+        let SessionState::Warm { module: warm, .. } = &e.sessions[&w.session_id].state else {
+            panic!("second open must be Warm");
+        };
+        assert!(Arc::ptr_eq(&module, warm), "warm open returns the same Arc");
+        assert_eq!(e.stats().memory.entries, 6);
     }
 
     #[test]

@@ -42,7 +42,7 @@ use crate::memssa::{MemSsa, MemVerId};
 
 /// Analysis scope: the paper's `Usher_TL` tracks only top-level variables;
 /// everything else handles address-taken variables through memory SSA.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default, Hash)]
 pub enum VfgMode {
     /// Top-level variables only: loads are unknown (`F`), stores are not
     /// modelled.
@@ -92,7 +92,7 @@ pub enum CheckKind {
 }
 
 /// A registered runtime check (critical operation, Definition 1).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Check {
     /// The virtual check node.
     pub node: u32,
@@ -105,7 +105,7 @@ pub struct Check {
 }
 
 /// Update flavor statistics (Table 1 columns `%SU`, `%WU`, `S`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct VfgStats {
     /// Stores with a unique concrete target (strong updates).
     pub strong_stores: usize,

@@ -30,7 +30,7 @@ use usher_pointer::{Loc, PointerAnalysis};
 pub struct MemVerId(pub u32);
 
 /// What created a memory version.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum MemDefKind {
     /// Version live on function entry (virtual formal parameter).
     FormalIn,
@@ -45,7 +45,7 @@ pub enum MemDefKind {
 }
 
 /// One memory-version definition.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct MemDef {
     /// The location this version belongs to.
     pub loc: Loc,
@@ -54,7 +54,7 @@ pub struct MemDef {
 }
 
 /// An indirect use: `mu(loc)` referencing its reaching definition.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct MuUse {
     /// Location read.
     pub loc: Loc,
@@ -63,7 +63,7 @@ pub struct MuUse {
 }
 
 /// An indirect def: `new := chi(old)`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ChiDef {
     /// Location written.
     pub loc: Loc,
@@ -74,7 +74,7 @@ pub struct ChiDef {
 }
 
 /// A region phi.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct RegionPhi {
     /// Location.
     pub loc: Loc,

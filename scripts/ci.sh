@@ -64,9 +64,10 @@ echo "==> serve smoke"
 # Persistent-service gate (DESIGN.md §11): drive the JSON-lines protocol
 # over stdin — cold analyze, warm re-analyze (the cache must hit), a
 # single-function edit that must take the incremental path and recompute
-# exactly one function, a query, stats with a nonzero warm-hit ratio,
-# and a clean shutdown. Then the serve-bench regression gate: quick-rung
-# trace where incremental edits must beat cold analysis by the floor.
+# exactly one function, a query, stats with a nonzero warm-hit ratio and
+# three memory-tier entries, and a clean shutdown. Then the serve-bench
+# regression gate: quick-rung trace where incremental edits must beat
+# cold analysis by the floor.
 SRV_OUT=$(mktemp)
 printf '%s\n' \
   '{"op":"analyze","source":"def scale(int v) -> int {\n    int bias = 4;\n    if (v) { return v * bias; }\n    return bias;\n}\ndef risky(int c) -> int {\n    int x;\n    if (c) { x = 1; }\n    if (x) { return 1; }\n    return 0;\n}\ndef main(int c) {\n    print(scale(risky(c)));\n}","id":"ci-a1"}' \
@@ -81,6 +82,9 @@ grep -q '"id":"ci-a2".*"mode":"warm"' "$SRV_OUT"
 grep -q '"id":"ci-e1".*"incremental":true,"functions_recomputed":1' "$SRV_OUT"
 grep -q '"id":"ci-q1".*"plan_digest"' "$SRV_OUT"
 grep -q '"id":"ci-s1".*"analyzes_warm":1' "$SRV_OUT"
+# The memory tier holds only what the warm path reads back (module, Γ,
+# plan) for the one cold analysis; a write-only insert would show here.
+grep -q '"id":"ci-s1".*"memory_entries":3[,}]' "$SRV_OUT"
 if grep -q '"warm_hit_ratio":0[,}]' "$SRV_OUT"; then
     echo "error: serve smoke warm-hit ratio must be nonzero" >&2
     exit 1
