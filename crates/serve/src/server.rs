@@ -535,6 +535,10 @@ impl Dispatcher {
                     .u64("analyzes_cold", st.counters.analyzes_cold)
                     .u64("analyzes_warm", st.counters.analyzes_warm)
                     .u64("edits_incremental", st.counters.edits_incremental)
+                    .u64(
+                        "edits_value_flow_unchanged",
+                        st.counters.edits_value_flow_unchanged,
+                    )
                     .u64("edits_fallback", st.counters.edits_fallback)
                     .u64("functions_recomputed", st.counters.functions_recomputed)
                     .u64("user_errors", st.counters.user_errors)
@@ -876,6 +880,8 @@ mod tests {
         let h = d.handle_line("stdin", "{\"op\":\"stats\"}");
         let resp = Json::parse(&h.response).unwrap();
         assert_eq!(field(&resp, "edits_incremental").as_u64(), Some(1));
+        // `x = 1` -> `x = 2` changes only a constant: value flow is kept.
+        assert_eq!(field(&resp, "edits_value_flow_unchanged").as_u64(), Some(1));
 
         let h = d.handle_line("stdin", "{\"op\":\"shutdown\"}");
         assert!(h.shutdown);

@@ -9,7 +9,7 @@
 use crate::build::EdgeKind;
 
 /// A frozen adjacency in compressed-sparse-row form.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Csr {
     /// `offsets[v]..offsets[v + 1]` indexes v's out-edges.
     pub offsets: Vec<u32>,

@@ -8,7 +8,9 @@
 //! take the incremental path and declaration insertions that force the
 //! sound fallback — over generated workload rungs and check the full
 //! fingerprints (not just digests) against `run_config` after every
-//! step.
+//! step. A hand-written sequence interleaves const swaps, which keep the
+//! retained value flow, with edits that pass the pointer gate but change
+//! value flow.
 
 use usher::core::{run_config, Config};
 use usher::driver::{gamma_fingerprint, plan_fingerprint};
@@ -149,6 +151,72 @@ fn edit_sequences_stay_byte_identical_to_cold_analysis() {
         "the trace must exercise the incremental path"
     );
     assert!(total_fall > 0, "the trace must exercise the fallback path");
+}
+
+/// A helper whose edits pass the pointer gate (every operand involved
+/// is a non-pointer with empty points-to sets) but, unlike a const swap,
+/// change value flow. `u` is declared but never assigned.
+const CUTOFF_SRC: &str = "def mix(int a, int b) -> int {
+    int k = 9;
+    int u;
+    int t = a + k;
+    if (t > 4) { return t * 2; }
+    return b;
+}
+def main(int c) {
+    print(mix(c, c + 1));
+}";
+
+#[test]
+fn value_flow_edits_interleaved_with_const_swaps_match_cold_analysis() {
+    let mut e = Engine::new(EngineConfig::default()).expect("engine opens");
+    let sid = e.analyze(CUTOFF_SRC).expect("analyzes").session_id;
+    // (replace, with, expected path). Each step applies to the previous
+    // step's source. `cutoff` keeps the retained VFG, Γ and Opt II
+    // result; `rebuild` is incremental with the VFG rebuilt.
+    let steps = [
+        ("int k = 9;", "int k = 3;", "cutoff"),
+        ("a + k", "b + k", "rebuild"), // int operand swap
+        ("t * 2", "t * 5", "cutoff"),
+        // `+` -> `&` (Opt II folds bitwise ops differently): the pointer
+        // gate compares operators strictly, so this falls back.
+        ("b + k", "b & k", "fallback"),
+        ("int k = 3;", "int k = 8;", "cutoff"),
+        ("b & k", "b & u", "rebuild"), // a constant's flow -> uninitialized local
+        ("t * 5", "t * 6", "cutoff"),
+    ];
+    let mut body = CUTOFF_SRC[..CUTOFF_SRC.find("\ndef main").unwrap()].to_string();
+    for (k, (from, to, expect)) in steps.into_iter().enumerate() {
+        assert!(body.contains(from), "step {k}: {from:?} not in body");
+        body = body.replacen(from, to, 1);
+        let cut0 = e.stats().counters.edits_value_flow_unchanged;
+        let out = e
+            .edit(sid, "mix", &body)
+            .unwrap_or_else(|err| panic!("step {k} ({from} -> {to}) rejected: {err}"));
+        let path = match (
+            out.incremental,
+            e.stats().counters.edits_value_flow_unchanged - cut0,
+        ) {
+            (true, 1) => "cutoff",
+            (true, 0) => "rebuild",
+            _ => "fallback",
+        };
+        assert_eq!(
+            path, expect,
+            "step {k} ({from} -> {to}): fallback reason {:?}",
+            out.fallback_reason
+        );
+        let q = e.query(sid).unwrap();
+        let (pf, gf) = oracle(&e.session_source(sid).unwrap());
+        assert_eq!(
+            q.plan_fingerprint, pf,
+            "step {k} ({from} -> {to}): plan diverged"
+        );
+        assert_eq!(
+            q.gamma_fingerprint, gf,
+            "step {k} ({from} -> {to}): gamma diverged"
+        );
+    }
 }
 
 #[test]
