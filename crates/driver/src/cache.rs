@@ -33,8 +33,9 @@ use crate::fingerprint::plan_fingerprint;
 /// Version tag of the cache entry format. Bump this whenever an
 /// artifact's semantics change in a way old entries must not survive;
 /// entries from another version are evicted on lookup exactly like
-/// corrupt ones.
-pub const CACHE_FORMAT_VERSION: u32 = 1;
+/// corrupt ones. Version 2: a module no longer keeps the objects and
+/// slot variables of the locals `mem2reg` promoted.
+pub const CACHE_FORMAT_VERSION: u32 = 2;
 
 /// One cached stage output.
 #[derive(Clone)]

@@ -35,7 +35,7 @@ use std::fmt;
 use usher_ir::{mem2reg, optimize, run_inline, InlinePolicy, Module, OptLevel};
 
 pub use lower::{
-    lower_program, relower_function, LowerEnv, LowerError, RelowerBlocked, RelowerError,
+    lower_program, relower_function, LowerEnv, LowerError, RelowerBlocked, RelowerError, Relowered,
 };
 pub use parser::ParseError;
 

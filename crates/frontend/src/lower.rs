@@ -13,8 +13,8 @@ use std::collections::HashMap;
 use std::fmt;
 
 use usher_ir::{
-    BinOp, BlockId, Callee, ExtFunc, FuncBuilder, FuncId, Idx, Module, ObjKind, Operand, Type,
-    TypeId, UnOp, VarId,
+    mem2reg_function, BinOp, BlockId, Callee, ExtFunc, FuncBuilder, FuncId, Idx, Inst, Module,
+    ObjId, ObjKind, ObjectData, Operand, Type, TypeId, UnOp, VarId,
 };
 
 use crate::ast::*;
@@ -57,13 +57,27 @@ pub struct LowerEnv {
     pub globals: HashMap<String, (usher_ir::ObjId, TypeId)>,
     /// Function name -> (id, parameter types, return type).
     pub funcs: HashMap<String, (FuncId, Vec<TypeId>, Option<TypeId>)>,
-    /// Per-function `[lo, hi)` ranges in the module object table claimed
-    /// by each body's allocations, indexed by `FuncId`. Globals live
-    /// below every range.
+    /// Per-function `[lo, hi)` ranges in the module object table,
+    /// indexed by `FuncId`: the objects of each body's allocation sites
+    /// that survive `mem2reg` (address-taken locals and heap sites; a
+    /// promoted local is a top-level variable, not an object). Globals
+    /// live below every range, objects cloned by the inliner above it.
+    /// [`lower_program`] returns the ranges of the raw lowering, and
+    /// [`LowerEnv::retire_objects`] carries them past `mem2reg`.
     pub obj_ranges: Vec<(usize, usize)>,
 }
 
 impl LowerEnv {
+    /// Shifts every object range past the retirement of `retired` (old
+    /// ids, ascending, as [`usher_ir::mem2reg_retiring`] reports them),
+    /// so that the ranges describe the compacted table.
+    pub fn retire_objects(&mut self, retired: &[ObjId]) {
+        let shift = |i: usize| i - retired.partition_point(|o| o.index() < i);
+        for r in &mut self.obj_ranges {
+            *r = (shift(r.0), shift(r.1));
+        }
+    }
+
     fn as_env(&self) -> Env<'_> {
         Env {
             struct_ids: &self.struct_ids,
@@ -85,8 +99,8 @@ pub enum RelowerBlocked {
     SignatureChanged,
     /// The new body interned a type the module had never seen.
     NewTypes,
-    /// The new body allocates a different number of objects, which would
-    /// shift every later object id in the module table.
+    /// The new body keeps a different number of objects after `mem2reg`,
+    /// which would shift every later object id in the module table.
     ObjectCountChanged,
 }
 
@@ -242,24 +256,26 @@ pub fn lower_program(prog: &Program) -> Result<(Module, LowerEnv)> {
 }
 
 /// Relowers one function body in place from a fresh definition, leaving
-/// every other function, global, type and object slot of the module
-/// untouched. The new body's allocations are spliced into the exact
-/// object-table range the old body occupied, so a module relowered this
-/// way is structurally identical to a cold lowering of the edited
+/// every other function, global, type and object of the module
+/// untouched. The new body is raw (pre-`mem2reg`) IR, and its objects go
+/// into a temporary tail past the end of the object table; the returned
+/// [`Relowered`] finishes the splice once the caller has inspected the
+/// raw body. A module relowered and promoted this way is structurally
+/// identical to a cold lowering, inlining and `mem2reg` of the edited
 /// source.
 ///
 /// # Errors
 ///
 /// [`RelowerError::Lower`] on a semantic error in the new body;
 /// [`RelowerError::Blocked`] when the edit is not confined to the body
-/// (signature change, new interned types, or a changed allocation
-/// count). On error the module is left in an unspecified state — callers
-/// must operate on a scratch clone.
+/// (signature change or new interned types). On error the module is
+/// left in an unspecified state — callers must operate on a scratch
+/// clone.
 pub fn relower_function(
     m: &mut Module,
     env: &LowerEnv,
     def: &FuncDef,
-) -> std::result::Result<(), RelowerError> {
+) -> std::result::Result<Relowered, RelowerError> {
     let Some((fid, ptys, ret)) = env.funcs.get(&def.name).cloned() else {
         return Err(RelowerError::Blocked(RelowerBlocked::UnknownFunction));
     };
@@ -291,12 +307,7 @@ pub fn relower_function(
         return Err(RelowerError::Blocked(RelowerBlocked::NewTypes));
     }
 
-    // --- Splice the object table: free the old body's slots, keep the
-    // tail (objects of later functions) aside, relower into the gap.
-    let (lo, hi) = env.obj_ranges[fid.index()];
-    let tail: Vec<_> = m.objects.raw()[hi..].to_vec();
-    m.objects.truncate(lo);
-
+    let tail = m.objects.len();
     let env_view = env.as_env();
     let mut lw = Lowerer {
         b: FuncBuilder::new(m, fid),
@@ -310,16 +321,71 @@ pub fn relower_function(
     lw.b.finish();
     lowered.map_err(RelowerError::Lower)?;
 
-    if m.objects.len() != hi {
-        return Err(RelowerError::Blocked(RelowerBlocked::ObjectCountChanged));
-    }
     if m.types.len() != types_before {
         return Err(RelowerError::Blocked(RelowerBlocked::NewTypes));
     }
-    for o in tail {
-        m.objects.push(o);
+    Ok(Relowered { fid, tail })
+}
+
+/// A function body relowered by [`relower_function`] and not yet
+/// promoted: its objects sit in a temporary tail of the object table.
+#[must_use = "the object table holds a temporary tail until `promote` runs"]
+#[derive(Debug)]
+pub struct Relowered {
+    fid: FuncId,
+    /// Table length before the body was lowered: where the tail starts.
+    tail: usize,
+}
+
+impl Relowered {
+    /// Runs `mem2reg_function` on the relowered body, then moves the
+    /// objects that survive it into the function's range, in order, and
+    /// drops the promoted rest of the tail.
+    ///
+    /// # Errors
+    ///
+    /// [`RelowerBlocked::ObjectCountChanged`] when the number of surviving
+    /// objects differs from the size of the function's range. The module
+    /// is then left in an unspecified state, as by [`relower_function`].
+    pub fn promote(
+        self,
+        m: &mut Module,
+        env: &LowerEnv,
+    ) -> std::result::Result<(), RelowerBlocked> {
+        let (_, promoted) = mem2reg_function(m, self.fid);
+        let (lo, hi) = env.obj_ranges[self.fid.index()];
+        let mut tail: Vec<Option<ObjectData>> = m
+            .objects
+            .split_off(self.tail)
+            .into_iter()
+            .map(Some)
+            .collect();
+        // Lowering gives every allocation site its own object, so a
+        // promoted object is named by no remaining `Alloc`.
+        for o in promoted {
+            tail[o.index() - self.tail] = None;
+        }
+        if tail.iter().flatten().count() != hi - lo {
+            return Err(RelowerBlocked::ObjectCountChanged);
+        }
+        let mut remap = vec![ObjId(0); tail.len()];
+        let survivors = tail
+            .into_iter()
+            .enumerate()
+            .filter_map(|(j, o)| Some((j, o?)));
+        for ((j, data), slot) in survivors.zip(lo..hi) {
+            remap[j] = ObjId::from_usize(slot);
+            m.objects[ObjId::from_usize(slot)] = data;
+        }
+        for block in m.funcs[self.fid].blocks.iter_mut() {
+            for inst in &mut block.insts {
+                if let Inst::Alloc { obj, .. } = inst {
+                    *obj = remap[obj.index() - self.tail];
+                }
+            }
+        }
+        Ok(())
     }
-    Ok(())
 }
 
 fn resolve_type(

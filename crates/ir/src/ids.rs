@@ -133,6 +133,15 @@ impl<I: Idx, T> IdxVec<I, T> {
         self.raw.iter_mut()
     }
 
+    /// Keeps only the elements whose index `keep` accepts, in order.
+    pub fn retain_indices(&mut self, mut keep: impl FnMut(I) -> bool) {
+        let mut i = 0;
+        self.raw.retain(|_| {
+            i += 1;
+            keep(I::from_usize(i - 1))
+        });
+    }
+
     /// Borrow by index, if in bounds.
     pub fn get(&self, id: I) -> Option<&T> {
         self.raw.get(id.index())
@@ -148,11 +157,9 @@ impl<I: Idx, T> IdxVec<I, T> {
         &self.raw
     }
 
-    /// Shortens the vector to its first `len` elements. Used by the
-    /// incremental relowering splice, which truncates a function's object
-    /// slots, relowers into them, and re-appends the saved tail.
-    pub fn truncate(&mut self, len: usize) {
-        self.raw.truncate(len);
+    /// Removes and returns the elements from index `at` on.
+    pub fn split_off(&mut self, at: usize) -> Vec<T> {
+        self.raw.split_off(at)
     }
 }
 

@@ -63,7 +63,7 @@ pub use module::{
 };
 pub use opt::{optimize, OptLevel};
 pub use printer::{function as print_function, module as print_module};
-pub use ssa::{mem2reg, mem2reg_function, Mem2RegStats};
+pub use ssa::{mem2reg, mem2reg_function, mem2reg_retiring, Mem2RegStats};
 pub use text::{parse_text, write_text, TextError};
 pub use types::{CellKind, Layout, StructDef, Type, TypeTable};
 pub use verify::{verify, VerifyError};

@@ -201,6 +201,21 @@ impl Inst {
         }
     }
 
+    /// Mutable access to the register defined by this instruction.
+    pub fn dst_mut(&mut self) -> Option<&mut VarId> {
+        match self {
+            Inst::Copy { dst, .. }
+            | Inst::Un { dst, .. }
+            | Inst::Bin { dst, .. }
+            | Inst::Alloc { dst, .. }
+            | Inst::Gep { dst, .. }
+            | Inst::Load { dst, .. }
+            | Inst::Phi { dst, .. } => Some(dst),
+            Inst::Call { dst, .. } => dst.as_mut(),
+            Inst::Store { .. } => None,
+        }
+    }
+
     /// Invokes `f` on every operand read by this instruction.
     pub fn for_each_use(&self, mut f: impl FnMut(Operand)) {
         match self {

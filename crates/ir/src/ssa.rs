@@ -10,13 +10,18 @@
 //! A load that can observe the slot before any store yields
 //! [`Operand::Undef`] — the analogue of LLVM's `undef`, which the
 //! value-flow analysis connects to the root `F`.
-
-use std::collections::HashMap;
+//!
+//! A promoted local leaves no trace: its slot pointer is dropped from the
+//! function's variable table (the survivors are renumbered in order), and
+//! [`mem2reg`] retires its object and compacts the object table in order.
+//! Adding or removing a promotable local therefore shifts no other
+//! object id and no other variable id.
 
 use crate::cfg::Cfg;
 use crate::dom::DomTree;
-use crate::ids::{BlockId, FuncId, IdxVec, VarId};
-use crate::module::{Inst, Module, ObjKind, Operand};
+use crate::fxhash::FxHashMap;
+use crate::ids::{BlockId, FuncId, Idx, IdxVec, ObjId, VarId};
+use crate::module::{Function, Inst, Module, ObjKind, Operand};
 use crate::opt::remove_unreachable_blocks;
 
 /// Statistics from one `mem2reg` run.
@@ -30,27 +35,126 @@ pub struct Mem2RegStats {
     pub undef_reads: usize,
 }
 
-/// Runs `mem2reg` over every function of the module.
+/// Runs `mem2reg` over every function of the module, then retires the
+/// promoted objects (see [`mem2reg_retiring`]).
 pub fn mem2reg(m: &mut Module) -> Mem2RegStats {
+    mem2reg_retiring(m).0
+}
+
+/// [`mem2reg`], additionally returning the ids the retired objects had
+/// before compaction, ascending. An object is retired when its slot was
+/// promoted and no remaining `Alloc` names it; the table is compacted in
+/// order, so the surviving objects keep their relative order, and every
+/// reference to them is rewritten.
+pub fn mem2reg_retiring(m: &mut Module) -> (Mem2RegStats, Vec<ObjId>) {
     let mut total = Mem2RegStats::default();
+    let mut promoted = Vec::new();
     for fid in m.funcs.indices().collect::<Vec<_>>() {
-        let stats = promote_function(m, fid);
+        let (stats, objs) = promote_function(m, fid);
         total.promoted += stats.promoted;
         total.phis_inserted += stats.phis_inserted;
         total.undef_reads += stats.undef_reads;
+        promoted.extend(objs);
     }
-    total
+    (total, retire_objects(m, &promoted))
 }
 
 /// Runs `mem2reg` over a single function. Promotion is per-function (it
 /// reads only the function body and the module's object table), so the
 /// incremental serve path can promote one relowered body and leave every
 /// other function's SSA form untouched.
-pub fn mem2reg_function(m: &mut Module, fid: FuncId) -> Mem2RegStats {
+///
+/// The function's dead slot pointers are dropped and its surviving
+/// variables renumbered in order, as [`mem2reg`] does. The promoted
+/// objects are returned, not retired: they stay in the table with no
+/// `Alloc` naming them, and the caller removes them (the relowering
+/// splice keeps only the survivors of a body's objects).
+pub fn mem2reg_function(m: &mut Module, fid: FuncId) -> (Mem2RegStats, Vec<ObjId>) {
     promote_function(m, fid)
 }
 
-fn promote_function(m: &mut Module, fid: FuncId) -> Mem2RegStats {
+/// Removes the `promoted` objects, compacting the table in order and
+/// rewriting `Alloc` objects, `m.globals` and, when a global moved,
+/// global address operands. Returns the removed objects' old ids,
+/// ascending.
+fn retire_objects(m: &mut Module, promoted: &[ObjId]) -> Vec<ObjId> {
+    let mut retired = promoted.to_vec();
+    retired.sort_unstable();
+    retired.dedup();
+    let Some(&first) = retired.first() else {
+        return retired;
+    };
+    let remap = compaction_map(m.objects.len(), &retired);
+    m.objects.retain_indices(|o| remap[o].is_some());
+    let new_id = |o: ObjId| remap[o].expect("a retired object is named only by its promoted slot");
+    let globals_moved = m.globals.iter().any(|&g| g > first);
+    for g in &mut m.globals {
+        *g = new_id(*g);
+    }
+    let map = |op: Operand| match op {
+        Operand::Global(o) => Operand::Global(new_id(o)),
+        op => op,
+    };
+    for f in m.funcs.iter_mut() {
+        for block in f.blocks.iter_mut() {
+            for inst in &mut block.insts {
+                if let Inst::Alloc { obj, .. } = inst {
+                    *obj = new_id(*obj);
+                }
+                if globals_moved {
+                    inst.map_uses(map);
+                }
+            }
+            if globals_moved {
+                block.term.map_uses(map);
+            }
+        }
+    }
+    retired
+}
+
+/// Old id -> new id once the ascending `dead` ids are removed from a
+/// table of `len` entries and the rest are renumbered in order.
+fn compaction_map<I: Idx>(len: usize, dead: &[I]) -> IdxVec<I, Option<I>> {
+    let mut map = IdxVec::from_elem(None, len);
+    let mut dead = dead.iter().peekable();
+    let mut next = 0;
+    for i in 0..len {
+        let id = I::from_usize(i);
+        if dead.next_if_eq(&&id).is_none() {
+            map[id] = Some(I::from_usize(next));
+            next += 1;
+        }
+    }
+    map
+}
+
+/// Drops the ascending `dead` vars from `f`'s variable table and
+/// renumbers the survivors in order. No instruction may still mention a
+/// dead variable.
+fn drop_vars(f: &mut Function, dead: &[VarId]) {
+    let remap = compaction_map(f.vars.len(), dead);
+    f.vars.retain_indices(|v| remap[v].is_some());
+    let new_id = |v: VarId| remap[v].expect("no instruction names a promoted slot");
+    for p in &mut f.params {
+        *p = new_id(*p);
+    }
+    let map = |op: Operand| match op {
+        Operand::Var(v) => Operand::Var(new_id(v)),
+        op => op,
+    };
+    for block in f.blocks.iter_mut() {
+        for inst in &mut block.insts {
+            if let Some(d) = inst.dst_mut() {
+                *d = new_id(*d);
+            }
+            inst.map_uses(map);
+        }
+        block.term.map_uses(map);
+    }
+}
+
+fn promote_function(m: &mut Module, fid: FuncId) -> (Mem2RegStats, Vec<ObjId>) {
     remove_unreachable_blocks(&mut m.funcs[fid]);
     let mut stats = Mem2RegStats::default();
 
@@ -58,7 +162,7 @@ fn promote_function(m: &mut Module, fid: FuncId) -> Mem2RegStats {
     //    only as a direct load/store address.
     let promotable = find_promotable(m, fid);
     if promotable.is_empty() {
-        return stats;
+        return (stats, Vec::new());
     }
     stats.promoted = promotable.len();
 
@@ -67,7 +171,7 @@ fn promote_function(m: &mut Module, fid: FuncId) -> Mem2RegStats {
     let dt = DomTree::compute(f, &cfg);
 
     // Promo index per pointer var.
-    let promo_of: HashMap<VarId, usize> = promotable
+    let promo_of: FxHashMap<VarId, usize> = promotable
         .iter()
         .enumerate()
         .map(|(i, p)| (p.ptr, i))
@@ -105,7 +209,7 @@ fn promote_function(m: &mut Module, fid: FuncId) -> Mem2RegStats {
 
     // 3. Insert empty phis at iterated dominance frontiers.
     //    phi_slots[bb] maps "position in block's phi prefix" -> slot.
-    let mut phi_slot_at: HashMap<(BlockId, VarId), usize> = HashMap::new();
+    let mut phi_slot_at: FxHashMap<(BlockId, VarId), usize> = FxHashMap::default();
     for (i, slot) in promotable.iter().enumerate() {
         for bb in dt.iterated_frontier(&def_blocks[i]) {
             let dst = f.new_var(format!("{}.phi", slot.name), slot.val_ty);
@@ -194,11 +298,15 @@ fn promote_function(m: &mut Module, fid: FuncId) -> Mem2RegStats {
         }
     }
 
-    stats
+    // 7. The slot pointers are dead now; so are their objects.
+    let ptrs: Vec<VarId> = promotable.iter().map(|p| p.ptr).collect();
+    drop_vars(f, &ptrs);
+    (stats, promotable.into_iter().map(|p| p.obj).collect())
 }
 
 struct PromoSlot {
     ptr: VarId,
+    obj: ObjId,
     name: String,
     val_ty: crate::ids::TypeId,
 }
@@ -206,7 +314,7 @@ struct PromoSlot {
 fn find_promotable(m: &Module, fid: FuncId) -> Vec<PromoSlot> {
     let f = &m.funcs[fid];
     // Candidate scalar stack allocs.
-    let mut cand: HashMap<VarId, PromoSlot> = HashMap::new();
+    let mut cand: FxHashMap<VarId, PromoSlot> = FxHashMap::default();
     for block in f.blocks.iter() {
         for inst in &block.insts {
             if let Inst::Alloc {
@@ -225,6 +333,7 @@ fn find_promotable(m: &Module, fid: FuncId) -> Vec<PromoSlot> {
                         *dst,
                         PromoSlot {
                             ptr: *dst,
+                            obj: *obj,
                             name: o.name.clone(),
                             val_ty,
                         },
@@ -238,7 +347,7 @@ fn find_promotable(m: &Module, fid: FuncId) -> Vec<PromoSlot> {
     }
 
     // Disqualify any candidate whose pointer escapes.
-    let disqualify = |v: VarId, cand: &mut HashMap<VarId, PromoSlot>| {
+    let disqualify = |v: VarId, cand: &mut FxHashMap<VarId, PromoSlot>| {
         cand.remove(&v);
     };
     for block in f.blocks.iter() {
@@ -280,7 +389,7 @@ fn find_promotable(m: &Module, fid: FuncId) -> Vec<PromoSlot> {
 mod tests {
     use super::*;
     use crate::builder::FuncBuilder;
-    use crate::module::{BinOp, Module};
+    use crate::module::{BinOp, Callee, Module};
     use crate::verify::verify;
 
     /// int x; if (c) { x = 1; } return x;  -- phi of (1, Undef)
@@ -363,6 +472,99 @@ mod tests {
         b.finish();
         let stats = mem2reg(&mut m);
         assert_eq!(stats.promoted, 0);
+    }
+
+    #[test]
+    fn promoted_local_leaves_no_object_and_no_var() {
+        // f(n) { a, c escape into h; x is promoted; *g = x + *a; return *c + n; }
+        let mut m = Module::new();
+        let int = m.types.int();
+        let g = m.add_object("g", ObjKind::Global, int, true, false);
+        m.globals.push(g);
+        let fid = m.declare_func("f", Some(int));
+        let hid = m.declare_func("h", None);
+        {
+            let mut b = FuncBuilder::new(&mut m, hid);
+            let ip = m_ptr_int(b.module);
+            let p = b.param("p", ip);
+            b.store(p.into(), Operand::Const(1));
+            b.ret(None);
+            b.finish();
+        }
+        let mut b = FuncBuilder::new(&mut m, fid);
+        let (a, _) = b.alloc("a", ObjKind::Stack(fid), int, false, None);
+        let (x, ox) = b.alloc("x", ObjKind::Stack(fid), int, false, None);
+        let (c, _) = b.alloc("c", ObjKind::Stack(fid), int, false, None);
+        // A parameter numbered after the promoted slot must be renumbered.
+        let n = b.param("n", int);
+        b.store(x.into(), Operand::Const(5));
+        b.call(Callee::Direct(hid), vec![a.into()], None);
+        b.call(Callee::Direct(hid), vec![c.into()], None);
+        let xv = b.load(x.into(), int);
+        let av = b.load(a.into(), int);
+        let s = b.bin(BinOp::Add, xv.into(), av.into());
+        b.store(Operand::Global(g), s.into());
+        let cv = b.load(c.into(), int);
+        let r = b.bin(BinOp::Add, cv.into(), n.into());
+        b.ret(Some(r.into()));
+        b.finish();
+        for (i, v) in m.funcs[fid].vars.iter_mut().enumerate() {
+            v.name = format!("v{i}");
+        }
+        let objects_before = m.objects.clone();
+        let vars_before = m.funcs[fid].vars.clone();
+
+        let (stats, retired) = mem2reg_retiring(&mut m);
+        assert_eq!(stats.promoted, 1);
+        assert_eq!(retired, vec![ox]);
+        assert!(verify(&m).is_ok(), "{:?}", verify(&m));
+
+        // The object table lost exactly `x`; the rest kept their order.
+        let names: Vec<&str> = m.objects.iter().map(|o| o.name.as_str()).collect();
+        assert_eq!(names, ["g", "a", "c"]);
+        let kept: Vec<_> = (objects_before.iter_enumerated())
+            .filter(|(o, _)| *o != ox)
+            .map(|(_, d)| d.clone())
+            .collect();
+        assert_eq!(m.objects.raw(), &kept[..]);
+        assert_eq!(m.globals, vec![g]);
+        // The variable table lost exactly the slot pointer of `x`.
+        let f = &m.funcs[fid];
+        let kept: Vec<_> = (vars_before.iter_enumerated())
+            .filter(|(v, _)| *v != x)
+            .map(|(_, d)| d.clone())
+            .collect();
+        assert_eq!(f.vars.raw(), &kept[..]);
+        assert_eq!(f.vars[f.params[0]].name, format!("v{}", n.index()));
+        // Every reference reads the compacted ids.
+        let insts: Vec<&Inst> = f.blocks.iter().flat_map(|b| &b.insts).collect();
+        let allocs: Vec<(&str, &str)> = (insts.iter())
+            .filter_map(|i| match i {
+                Inst::Alloc { dst, obj, .. } => {
+                    Some((f.vars[*dst].name.as_str(), m.objects[*obj].name.as_str()))
+                }
+                _ => None,
+            })
+            .collect();
+        let slot_name = |v: VarId| format!("v{}", v.index());
+        assert_eq!(
+            allocs,
+            [(slot_name(a).as_str(), "a"), (slot_name(c).as_str(), "c")]
+        );
+        assert!(insts.iter().any(|i| matches!(
+            i,
+            Inst::Store {
+                addr: Operand::Global(o),
+                ..
+            } if m.objects[*o].name == "g"
+        )));
+        assert!(insts.iter().any(|i| matches!(
+            i,
+            Inst::Copy {
+                src: Operand::Const(5),
+                ..
+            }
+        )));
     }
 
     fn m_ptr_int(m: &mut Module) -> crate::ids::TypeId {

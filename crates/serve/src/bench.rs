@@ -162,8 +162,9 @@ struct EditPlan {
 }
 
 /// Builds the next edit for a session: a const swap in the chosen
-/// helper, or (every fifth edit) a declaration insertion that must fall
-/// back to a full recompute.
+/// helper, or (every fifth edit) an address-taken declaration insertion
+/// (`int x = 7; int *p = &x;`), which keeps a new object past `mem2reg`
+/// and so must fall back to a full recompute.
 fn plan_edit(source: &str, pick: usize, edit_no: usize) -> Option<EditPlan> {
     let lines: Vec<String> = source.lines().map(String::from).collect();
     let spans = find_helper_spans(&lines);
@@ -177,7 +178,14 @@ fn plan_edit(source: &str, pick: usize, edit_no: usize) -> Option<EditPlan> {
         let body_lines = &lines[*start..*end];
         if structural {
             let mut new_body: Vec<String> = body_lines.to_vec();
-            new_body.insert(1, format!("    int bench_x{edit_no} = 7;"));
+            // Address-taken, so the local stays an object after
+            // `mem2reg` and the edit must fall back.
+            new_body.insert(
+                1,
+                format!(
+                    "    int bench_x{edit_no} = 7;\n    int *bench_p{edit_no} = &bench_x{edit_no};"
+                ),
+            );
             return Some(EditPlan {
                 func: name.clone(),
                 body: new_body.join("\n"),

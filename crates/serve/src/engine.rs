@@ -15,18 +15,24 @@
 //! is still observably valid:
 //!
 //! - the re-lowering itself refuses signature changes, new interned
-//!   types, unknown functions and allocation-site count changes
-//!   ([`usher_frontend::RelowerBlocked`]);
+//!   types and unknown functions ([`usher_frontend::RelowerBlocked`]);
 //! - the edited function must not participate in inlining: not inlined
 //!   into others before, not an inline target now, and not calling (or
 //!   taking the address of) any function involved in inlining;
+//! - after `mem2reg`, the body must keep as many objects as before
+//!   (`object-count-changed` otherwise). A promoted local is a top-level
+//!   variable and leaves neither an object nor a variable behind, so
+//!   inserting or removing one passes; an address-taken or array local
+//!   does not;
 //! - a structural diff of the old and new post-`mem2reg` bodies must find
 //!   identical instruction variants, identical destinations and identical
 //!   pointer-relevant operands. Operands may differ only where they are
 //!   provably invisible to the points-to solver: non-pointer constants,
 //!   `undef`, or non-pointer variables with empty points-to and
 //!   function-target sets (such operands contribute no constraint edges,
-//!   so swapping them cannot change any points-to set);
+//!   so swapping them cannot change any points-to set). Unary and binary
+//!   operators may differ too: the solver adds no constraint for an
+//!   arithmetic result;
 //! - the function's own allocation sites must keep their kind, type,
 //!   size and field classing (`name` and `zero_init` are exempt — the
 //!   solver ignores both, and `zero_init` only feeds the recomputed
@@ -71,9 +77,9 @@ use usher_frontend::{
     lower_program, parser, relower_function, LowerEnv, RelowerBlocked, RelowerError,
 };
 use usher_ir::{
-    is_inline_target, mem2reg, mem2reg_function, optimize, run_inline_traced, verify, Budget,
-    Callee, FuncId, GepOffset, Idx, InlinePolicy, InlineTrace, Inst, Module, ObjId, Operand,
-    OptLevel, Terminator,
+    is_inline_target, mem2reg_retiring, optimize, run_inline_traced, verify, Budget, Callee,
+    FuncId, GepOffset, Idx, InlinePolicy, InlineTrace, Inst, Module, ObjId, Operand, OptLevel,
+    Terminator,
 };
 use usher_pointer::{PointerAnalysis, SolverStats};
 use usher_vfg::{
@@ -806,7 +812,7 @@ impl Engine {
         };
         // Verification is folded into the Lower and Opt timings, as the
         // driver does, so a cold open's stages account for it.
-        let (mut module, env) = timed!(
+        let (mut module, mut env) = timed!(
             Stage::Lower,
             lower_program(&prog)
                 .map_err(|e| user(e.to_string()))
@@ -816,7 +822,8 @@ impl Engine {
             Stage::Inline,
             run_inline_traced(&mut module, InlinePolicy::default())
         );
-        timed!(Stage::Mem2Reg, mem2reg(&mut module));
+        let (_, retired) = timed!(Stage::Mem2Reg, mem2reg_retiring(&mut module));
+        env.retire_objects(&retired);
         timed!(Stage::Opt, {
             optimize(&mut module, self.opts.opt_level);
             verified(&module)
@@ -1171,8 +1178,8 @@ impl Engine {
             }
             let t = Instant::now();
             let mut scratch = Module::clone(&b.module);
-            match relower_function(&mut scratch, &b.env, def) {
-                Ok(()) => {}
+            let relowered = match relower_function(&mut scratch, &b.env, def) {
+                Ok(r) => r,
                 Err(RelowerError::Lower(e)) => {
                     self.counters.user_errors += 1;
                     return Err(RequestError::new("bad-edit", format!("edit body: {e}")));
@@ -1180,7 +1187,7 @@ impl Engine {
                 Err(RelowerError::Blocked(blocked)) => {
                     break 'fast relower_reason(&blocked);
                 }
-            }
+            };
             stages.push(StageTiming {
                 stage: Stage::Lower,
                 seconds: t.elapsed().as_secs_f64(),
@@ -1193,12 +1200,15 @@ impl Engine {
                 break 'fast "calls-inline-target";
             }
             let t = Instant::now();
-            mem2reg_function(&mut scratch, fid);
+            let promoted = relowered.promote(&mut scratch, &b.env);
             stages.push(StageTiming {
                 stage: Stage::Mem2Reg,
                 seconds: t.elapsed().as_secs_f64(),
                 cached: false,
             });
+            if let Err(blocked) = promoted {
+                break 'fast relower_reason(&blocked);
+            }
             if !function_diff_allows_pa_reuse(&b.module, &scratch, fid, &b.pa) {
                 break 'fast "pointer-structure-changed";
             }
@@ -1672,32 +1682,30 @@ fn function_diff_allows_pa_reuse(
                 (Inst::Copy { dst: d1, src: s1 }, Inst::Copy { dst: d2, src: s2 }) => {
                     d1 == d2 && lax(s1, s2)
                 }
+                // The solver adds no constraint for an arithmetic result
+                // (pointer arithmetic is a gep), so operators may change.
                 (
                     Inst::Un {
-                        dst: d1,
-                        op: o1,
-                        src: s1,
+                        dst: d1, src: s1, ..
                     },
                     Inst::Un {
-                        dst: d2,
-                        op: o2,
-                        src: s2,
+                        dst: d2, src: s2, ..
                     },
-                ) => d1 == d2 && o1 == o2 && lax(s1, s2),
+                ) => d1 == d2 && lax(s1, s2),
                 (
                     Inst::Bin {
                         dst: d1,
-                        op: o1,
                         lhs: l1,
                         rhs: r1,
+                        ..
                     },
                     Inst::Bin {
                         dst: d2,
-                        op: o2,
                         lhs: l2,
                         rhs: r2,
+                        ..
                     },
-                ) => d1 == d2 && o1 == o2 && lax(l1, l2) && lax(r1, r2),
+                ) => d1 == d2 && lax(l1, l2) && lax(r1, r2),
                 (
                     Inst::Alloc {
                         dst: d1,
@@ -1832,7 +1840,9 @@ fn function_diff_allows_pa_reuse(
 }
 
 /// Whether the function's own allocation sites kept their analysis-
-/// relevant shape.
+/// relevant shape. `env.obj_ranges` describes the post-`mem2reg` table,
+/// so the range holds only the objects that survived promotion, on both
+/// sides (the splice has already required their count equal).
 fn object_ranges_compatible(m_old: &Module, m_new: &Module, fid: FuncId, env: &LowerEnv) -> bool {
     let Some(&(lo, hi)) = env.obj_ranges.get(fid.index()) else {
         return true;
@@ -1856,8 +1866,10 @@ fn object_ranges_compatible(m_old: &Module, m_new: &Module, fid: FuncId, env: &L
 
 /// The value-flow early cutoff's shape test: whether the old and new
 /// post-`mem2reg` bodies of `fid` are equal once every integer constant
-/// reads as `0`, and the function's own allocation sites are equal in
-/// full (`zero_init` included, which seeds the VFG).
+/// reads as `0`, and the function's own surviving allocation sites are
+/// equal in full (`zero_init` included, which seeds the VFG). A promoted
+/// local has no object and no variable left, so an unused scalar insert
+/// or removal passes.
 ///
 /// The reuse this licenses is exact, not approximate: no stage before
 /// planning reads a constant's value. The VFG maps every constant to the
@@ -2165,11 +2177,13 @@ def main(int c) {
     fn structural_edit_falls_back_with_reason_and_matches_cold() {
         let mut e = engine(EngineConfig::default());
         let sid = e.analyze(SRC).unwrap().session_id;
-        // New allocation site in the body: object count changes.
+        // A new address-taken local survives `mem2reg` as an object, so
+        // the object count changes. (A promotable local would not.)
         let new_body = "def helper0(int a) -> int {
-    int y;
+    int y = 7;
+    int *q = &y;
     int x = a + 1;
-    if (x) { y = x * 2; return y; }
+    if (x) { return x * 2; }
     return 3;
 }";
         let out = e.edit(sid, "helper0", new_body).unwrap();

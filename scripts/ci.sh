@@ -62,17 +62,18 @@ rm -f "$STR_TC" "$STR_B"
 
 echo "==> serve smoke"
 # Persistent-service gate (DESIGN.md §11): drive the JSON-lines protocol
-# over stdin — cold analyze, warm re-analyze (the cache must hit), a
-# single-function edit that must take the incremental path, recompute
-# exactly one function and keep the retained value flow, a query, stats
-# with a nonzero warm-hit ratio and three memory-tier entries, and a
-# clean shutdown. Then the serve-bench regression gate: quick-rung trace
+# over stdin — cold analyze, warm re-analyze (the cache must hit), two
+# single-function edits (a const swap, then an unused-local insert) that
+# must take the incremental path, recompute exactly one function and
+# keep the retained value flow, a query, stats with a nonzero warm-hit
+# ratio and three memory-tier entries, and a clean shutdown. Then the serve-bench regression gate: quick-rung trace
 # where incremental edits must beat cold analysis by the floor.
 SRV_OUT=$(mktemp)
 printf '%s\n' \
   '{"op":"analyze","source":"def scale(int v) -> int {\n    int bias = 4;\n    if (v) { return v * bias; }\n    return bias;\n}\ndef risky(int c) -> int {\n    int x;\n    if (c) { x = 1; }\n    if (x) { return 1; }\n    return 0;\n}\ndef main(int c) {\n    print(scale(risky(c)));\n}","id":"ci-a1"}' \
   '{"op":"analyze","source":"def scale(int v) -> int {\n    int bias = 4;\n    if (v) { return v * bias; }\n    return bias;\n}\ndef risky(int c) -> int {\n    int x;\n    if (c) { x = 1; }\n    if (x) { return 1; }\n    return 0;\n}\ndef main(int c) {\n    print(scale(risky(c)));\n}","id":"ci-a2"}' \
   '{"op":"edit","session":1,"func":"scale","body":"def scale(int v) -> int {\n    int bias = 9;\n    if (v) { return v * bias; }\n    return bias;\n}","id":"ci-e1"}' \
+  '{"op":"edit","session":1,"func":"scale","body":"def scale(int v) -> int {\n    int bias = 9;\n    int unused = 3;\n    if (v) { return v * bias; }\n    return bias;\n}","id":"ci-e2"}' \
   '{"op":"query","session":1,"id":"ci-q1"}' \
   '{"op":"stats","id":"ci-s1"}' \
   '{"op":"shutdown","id":"ci-z1"}' \
@@ -80,11 +81,15 @@ printf '%s\n' \
 grep -q '"id":"ci-a1".*"mode":"cold"' "$SRV_OUT"
 grep -q '"id":"ci-a2".*"mode":"warm"' "$SRV_OUT"
 grep -q '"id":"ci-e1".*"incremental":true,"functions_recomputed":1' "$SRV_OUT"
+# A promoted local is not an object: inserting an unused one keeps the
+# object table and the post-`mem2reg` body, so it is incremental too.
+grep -q '"id":"ci-e2".*"incremental":true,"functions_recomputed":1' "$SRV_OUT"
 grep -q '"id":"ci-q1".*"plan_digest"' "$SRV_OUT"
 grep -q '"id":"ci-s1".*"analyzes_warm":1' "$SRV_OUT"
-# `bias = 4 -> 9` changes only a constant: the edit must keep the
-# retained value flow (VFG, Γ, Opt II) and re-plan only.
-grep -q '"id":"ci-s1".*"edits_value_flow_unchanged":1[,}]' "$SRV_OUT"
+# `bias = 4 -> 9` changes only a constant and `int unused = 3;` leaves
+# the post-`mem2reg` body as it was: both edits must keep the retained
+# value flow (VFG, Γ, Opt II) and re-plan only.
+grep -q '"id":"ci-s1".*"edits_value_flow_unchanged":2[,}]' "$SRV_OUT"
 # The memory tier holds only what the warm path reads back (module, Γ,
 # plan) for the one cold analysis; a write-only insert would show here.
 grep -q '"id":"ci-s1".*"memory_entries":3[,}]' "$SRV_OUT"

@@ -10,7 +10,8 @@
 //! fingerprints (not just digests) against `run_config` after every
 //! step. A hand-written sequence interleaves const swaps, which keep the
 //! retained value flow, with edits that pass the pointer gate but change
-//! value flow.
+//! value flow; another inserts and removes locals, of which only those
+//! that stay in memory after `mem2reg` force the fallback.
 
 use usher::core::{run_config, Config};
 use usher::driver::{gamma_fingerprint, plan_fingerprint};
@@ -66,8 +67,10 @@ fn const_swap(line: &str) -> Option<String> {
 }
 
 /// Builds edit `k` for the current source: even `k` const-swaps a
-/// helper body (incremental candidate), odd `k` inserts a declaration
-/// (object count changes — must fall back).
+/// helper body (incremental candidate), odd `k` inserts a declaration:
+/// a scalar that `mem2reg` promotes (`k % 4 == 1`, incremental
+/// candidate) or an address-taken one (`k % 4 == 3`, which keeps a new
+/// object — must fall back).
 fn synthesize_edit(source: &str, k: usize) -> Option<(String, String)> {
     let lines: Vec<&str> = source.lines().collect();
     let spans = helper_spans(&lines);
@@ -80,6 +83,9 @@ fn synthesize_edit(source: &str, k: usize) -> Option<(String, String)> {
         if k % 2 == 1 {
             let mut b = body;
             b.insert(1, format!("    int equiv_x{k} = 3;"));
+            if k % 4 == 3 {
+                b.insert(2, format!("    int *equiv_p{k} = &equiv_x{k};"));
+            }
             return Some((name.clone(), b.join("\n")));
         }
         for (j, line) in body.iter().enumerate().skip(1) {
@@ -178,9 +184,10 @@ fn value_flow_edits_interleaved_with_const_swaps_match_cold_analysis() {
         ("int k = 9;", "int k = 3;", "cutoff"),
         ("a + k", "b + k", "rebuild"), // int operand swap
         ("t * 2", "t * 5", "cutoff"),
-        // `+` -> `&` (Opt II folds bitwise ops differently): the pointer
-        // gate compares operators strictly, so this falls back.
-        ("b + k", "b & k", "fallback"),
+        // `+` -> `&` (Opt II folds bitwise ops differently): the solver
+        // adds no constraint for an arithmetic result, so the pointer
+        // gate admits the operator change and the VFG is rebuilt.
+        ("b + k", "b & k", "rebuild"),
         ("int k = 3;", "int k = 8;", "cutoff"),
         ("b & k", "b & u", "rebuild"), // a constant's flow -> uninitialized local
         ("t * 5", "t * 6", "cutoff"),
@@ -206,6 +213,82 @@ fn value_flow_edits_interleaved_with_const_swaps_match_cold_analysis() {
             "step {k} ({from} -> {to}): fallback reason {:?}",
             out.fallback_reason
         );
+        let q = e.query(sid).unwrap();
+        let (pf, gf) = oracle(&e.session_source(sid).unwrap());
+        assert_eq!(
+            q.plan_fingerprint, pf,
+            "step {k} ({from} -> {to}): plan diverged"
+        );
+        assert_eq!(
+            q.gamma_fingerprint, gf,
+            "step {k} ({from} -> {to}): gamma diverged"
+        );
+    }
+}
+
+/// A program whose declaration inserts need no new interned type: it
+/// already has `int *`, `int **` (the slot of `p`), `int[4]` and its
+/// slot pointer.
+const DECL_SRC: &str = "def grow(int a, int b) -> int {
+    int k = 9;
+    int t = a + k;
+    if (t > 4) { return t * 2; }
+    return b;
+}
+def main(int c) {
+    int *p;
+    int table[4];
+    p = malloc(1);
+    *p = grow(c, c + 1);
+    table[0] = *p;
+    print(table[0]);
+}";
+
+#[test]
+fn declaration_inserts_and_removals_match_cold_analysis() {
+    let mut e = Engine::new(EngineConfig::default()).expect("engine opens");
+    let sid = e.analyze(DECL_SRC).expect("analyzes").session_id;
+    // (replace, with, expected path). A promoted local is not an object,
+    // so only a local that stays in memory after `mem2reg` (address
+    // taken, or an array) changes the object count.
+    let steps = [
+        // Unused scalar: the post-`mem2reg` body is unchanged.
+        ("int k = 9;", "int k = 9;\n    int spare = 3;", "cutoff"),
+        // Used scalar: `w` replaces `k`'s read, so the var count holds
+        // but the value flow changes (a constant's flow -> undefined).
+        ("int t = a + k;", "int w;\n    int t = a + w;", "rebuild"),
+        (
+            "int t",
+            "int z = 2;\n    int *zp = &z;\n    int t",
+            "object-count-changed",
+        ),
+        ("int t", "int arr[4];\n    int t", "object-count-changed"),
+        // Removal of a promoted local.
+        ("\n    int spare = 3;", "", "cutoff"),
+        ("t * 2", "t * 7", "cutoff"),
+    ];
+    let mut body = DECL_SRC
+        [DECL_SRC.find("def grow").unwrap()..DECL_SRC.find("\ndef main").unwrap()]
+        .to_string();
+    for (k, (from, to, expect)) in steps.into_iter().enumerate() {
+        assert!(body.contains(from), "step {k}: {from:?} not in body");
+        body = body.replacen(from, to, 1);
+        let cut0 = e.stats().counters.edits_value_flow_unchanged;
+        let out = e
+            .edit(sid, "grow", &body)
+            .unwrap_or_else(|err| panic!("step {k} ({from} -> {to}) rejected: {err}"));
+        let path = match (
+            out.incremental,
+            e.stats().counters.edits_value_flow_unchanged - cut0,
+        ) {
+            (true, 1) => "cutoff",
+            (true, 0) => "rebuild",
+            _ => out.fallback_reason.unwrap_or("fallback"),
+        };
+        assert_eq!(path, expect, "step {k} ({from} -> {to})");
+        if out.incremental {
+            assert_eq!(out.functions_recomputed, 1, "step {k}");
+        }
         let q = e.query(sid).unwrap();
         let (pf, gf) = oracle(&e.session_source(sid).unwrap());
         assert_eq!(
