@@ -13,8 +13,9 @@
 //!   the pipeline suffix each configuration changes;
 //! * per-stage telemetry ([`PipelineReport`]) exportable as JSON lines.
 //!
-//! The CLI, benchmark binaries and examples all route through
-//! [`Pipeline`]; hand-rolled stage wiring lives nowhere else.
+//! The CLI, benchmark binaries, examples and `usher serve` (through
+//! [`Pipeline::run_retained`]) all route through [`Pipeline`];
+//! hand-rolled stage wiring lives nowhere else.
 //!
 //! ```
 //! use usher_driver::{Pipeline, PipelineOptions};
@@ -46,7 +47,10 @@ pub use cache::{artifact_digest, Artifact, ArtifactCache, CacheStats, CACHE_FORM
 pub use fingerprint::{gamma_fingerprint, plan_fingerprint};
 pub use key::KeyWriter;
 pub use options::{GuidedKnobs, PipelineOptions};
-pub use pipeline::{analyze_pointer, DriverError, Job, Pipeline, PipelineRun, SourceInput};
+pub use pipeline::{
+    analyze_pointer, tinyc_source_key, DriverError, Job, Pipeline, PipelineRun, RetainedRun,
+    SourceInput,
+};
 pub use pool::{default_threads, parallel_map, parallel_map_catching};
 pub use report::{
     json_escape, BatchReport, DegradeEvent, PipelineReport, ServeHealth, Stage, StageTiming,

@@ -24,10 +24,10 @@
 //! byte-identical to what an unlimited run produces, so a budgeted run
 //! may both consume and feed the same cache as an unbudgeted one.
 
-use usher_core::Config;
+use usher_core::{Config, GuidedOpts};
 use usher_ir::OptLevel;
 use usher_pointer::PointerStrategy;
-use usher_vfg::VfgMode;
+use usher_vfg::{BuildOpts, VfgMode};
 
 use crate::key::KeyWriter;
 
@@ -52,6 +52,16 @@ pub struct GuidedKnobs {
     /// otherwise the exhaustive resolver runs. Verdicts are byte-equal
     /// to the exhaustive resolver on every node planning consults.
     pub demand: bool,
+}
+
+impl GuidedKnobs {
+    /// The VFG construction options these knobs select.
+    pub fn build_opts(&self) -> BuildOpts {
+        BuildOpts {
+            mode: self.mode,
+            semi_strong: self.semi_strong,
+        }
+    }
 }
 
 impl Default for GuidedKnobs {
@@ -206,6 +216,15 @@ impl PipelineOptions {
             }
         }
         self
+    }
+
+    /// The guided planner's options (`None` for the MSan baseline).
+    pub fn guided_opts(&self) -> Option<GuidedOpts> {
+        self.guided.map(|g| GuidedOpts {
+            opt1: g.opt1,
+            full_memory: g.mode == VfgMode::TlOnly,
+            bit_level: self.bit_level,
+        })
     }
 
     fn opt_level_tag(&self) -> u64 {

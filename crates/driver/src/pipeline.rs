@@ -55,14 +55,17 @@ use std::time::{Duration, Instant};
 
 use usher_core::{
     full_plan_func, guided_plan_with_fallback, redundant_check_elimination_budgeted,
-    resolve_budgeted, resolve_demand, stamp_provenance, Gamma, GuidedOpts, Plan, PlanProvenance,
+    resolve_budgeted, resolve_demand, stamp_provenance, Gamma, Plan, PlanProvenance,
 };
-use usher_frontend::CompileError;
-use usher_ir::{mem2reg, optimize, run_inline, Budget, Exhausted, FuncId, InlinePolicy, Module};
+use usher_frontend::{lower_program, CompileError, LowerEnv};
+use usher_ir::{
+    mem2reg_retiring, optimize, run_inline_traced, Budget, Exhausted, FuncId, InlinePolicy,
+    InlineTrace, Module,
+};
 use usher_pointer::{PointerAnalysis, PointerStrategy};
 use usher_vfg::{
-    build_function_ssa_budgeted, build_with_budgeted, modref_summaries_budgeted, BuildOpts,
-    DemandStats, MemSsa, NodeKind, Vfg, VfgMode,
+    build_function_ssa_budgeted, build_with_budgeted, build_with_tape, modref_summaries_budgeted,
+    DemandStats, MemSsa, ModRef, NodeKind, Vfg, VfgMode, VfgTape,
 };
 
 use crate::cache::{Artifact, ArtifactCache, CacheStats};
@@ -138,15 +141,20 @@ pub enum SourceInput {
     Module(Arc<Module>),
 }
 
+/// The stable content key of a TinyC source text, independent of the
+/// options: the `source_key` argument of every [`PipelineOptions`] key
+/// method for a [`SourceInput::TinyC`] program.
+pub fn tinyc_source_key(src: &str) -> u64 {
+    let mut k = KeyWriter::new("src-tinyc");
+    k.str(src);
+    k.finish()
+}
+
 impl SourceInput {
     /// A stable content key for the program, independent of the options.
     fn source_key(&self) -> u64 {
         match self {
-            SourceInput::TinyC(s) => {
-                let mut k = KeyWriter::new("src-tinyc");
-                k.str(s);
-                k.finish()
-            }
+            SourceInput::TinyC(s) => tinyc_source_key(s),
             SourceInput::IrText(s) => {
                 let mut k = KeyWriter::new("src-uir");
                 k.str(s);
@@ -209,6 +217,25 @@ pub struct PipelineRun {
     pub report: PipelineReport,
 }
 
+/// A [`Pipeline::run_retained`] result: the run plus the state that
+/// re-analysing one edited function against it needs.
+pub struct RetainedRun {
+    /// The run itself. Its artifacts are shared with nothing else, so
+    /// each `Arc` unwraps without a copy.
+    pub run: PipelineRun,
+    /// The lowering environment, with object ranges describing the
+    /// post-`mem2reg` object table.
+    pub env: LowerEnv,
+    /// Which functions took part in inlining.
+    pub inline: InlineTrace,
+    /// The mod/ref summaries memory SSA was built from (`None` when the
+    /// run built no memory SSA).
+    pub modref: Option<ModRef>,
+    /// The VFG's replayable build tape (`None` when the run built no
+    /// VFG).
+    pub tape: Option<VfgTape>,
+}
+
 /// The pipeline driver: the one place stage wiring lives.
 pub struct Pipeline {
     cache: ArtifactCache,
@@ -233,6 +260,12 @@ struct RunCtx<'a> {
     misses: usize,
     degrades: Vec<DegradeEvent>,
     corrupt_recovered: usize,
+    /// Whether the stages keep what a [`RetainedRun`] returns below.
+    retain: bool,
+    env: Option<LowerEnv>,
+    inline: Option<InlineTrace>,
+    modref: Option<ModRef>,
+    tape: Option<VfgTape>,
 }
 
 impl RunCtx<'_> {
@@ -246,6 +279,11 @@ impl RunCtx<'_> {
             misses: 0,
             degrades: Vec::new(),
             corrupt_recovered: 0,
+            retain: false,
+            env: None,
+            inline: None,
+            modref: None,
+            tape: None,
         }
     }
 
@@ -386,7 +424,35 @@ impl Pipeline {
         source: SourceInput,
         options: PipelineOptions,
     ) -> Result<PipelineRun, DriverError> {
-        self.run_inner(name.into(), &source, &options, self.threads)
+        let mut ctx = RunCtx::new(&self.cache, self.use_cache, self.threads);
+        self.run_inner(name.into(), &source, &options, &mut ctx)
+    }
+
+    /// [`Pipeline::run_source`], also returning the state an incremental
+    /// re-analysis of one function needs (see [`RetainedRun`]). The run
+    /// never reads or fills the artifact cache, so its artifacts are its
+    /// own. Only this entry point records a VFG tape.
+    ///
+    /// # Errors
+    ///
+    /// As [`Pipeline::run_source`].
+    pub fn run_retained(
+        &self,
+        name: impl Into<String>,
+        src: &str,
+        options: PipelineOptions,
+    ) -> Result<RetainedRun, DriverError> {
+        let mut ctx = RunCtx::new(&self.cache, false, self.threads);
+        ctx.retain = true;
+        let source = SourceInput::TinyC(src.to_string());
+        let run = self.run_inner(name.into(), &source, &options, &mut ctx)?;
+        Ok(RetainedRun {
+            run,
+            env: ctx.env.expect("an uncached TinyC run lowers its source"),
+            inline: ctx.inline.expect("an uncached TinyC run inlines"),
+            modref: ctx.modref,
+            tape: ctx.tape,
+        })
     }
 
     /// Runs TinyC source; sugar for [`Pipeline::run`].
@@ -443,7 +509,8 @@ impl Pipeline {
         let t = Instant::now();
         let runs: Vec<Result<PipelineRun, DriverError>> =
             parallel_map_catching(self.threads, jobs, |job| {
-                self.run_inner(job.name.clone(), &job.source, &job.options, 1)
+                let mut ctx = RunCtx::new(&self.cache, self.use_cache, 1);
+                self.run_inner(job.name.clone(), &job.source, &job.options, &mut ctx)
             })
             .into_iter()
             .map(|r| match r {
@@ -475,24 +542,23 @@ impl Pipeline {
         name: String,
         source: &SourceInput,
         options: &PipelineOptions,
-        threads: usize,
+        ctx: &mut RunCtx<'_>,
     ) -> Result<PipelineRun, DriverError> {
         let start = Instant::now();
-        let mut ctx = RunCtx::new(&self.cache, self.use_cache, threads);
         let src_key = source.source_key();
         let budget = Budget::new(
             options.budget_steps,
             options.deadline_ms.map(Duration::from_millis),
         );
 
-        let module = self.frontend(&mut ctx, source, options, src_key)?;
+        let module = self.frontend(ctx, source, options, src_key)?;
 
         let (pa, memssa, vfg, gamma, opt2_redirected, plan, demand_stats) = match &options.guided {
             None => {
-                let plan = self.msan_plan(&mut ctx, &module, options, src_key);
+                let plan = self.msan_plan(ctx, &module, options, src_key);
                 (None, None, None, None, 0, plan, None)
             }
-            Some(g) => match self.run_guided(&mut ctx, &module, options, *g, src_key, &budget) {
+            Some(g) => match self.run_guided(ctx, &module, options, *g, src_key, &budget) {
                 Ok(out) => out,
                 Err(GuidedAbort::Hard(e)) => return Err(e),
                 Err(GuidedAbort::Degrade(event)) => {
@@ -510,36 +576,23 @@ impl Pipeline {
             },
         };
 
-        let functions_total = module.funcs.indices().count();
-        let (_, _, functions_degraded) = plan.provenance_counts();
-
-        let report = PipelineReport {
-            workload: name.clone(),
-            config: options.label.clone(),
-            opt_level: format!("{:?}", options.opt_level),
-            stages: ctx.stages,
-            cache_hits: ctx.hits,
-            cache_misses: ctx.misses,
-            total_seconds: start.elapsed().as_secs_f64(),
-            plan_stats: plan.stats,
-            vfg_stats: vfg.as_ref().map(|v| v.stats).unwrap_or_default(),
-            vfg_nodes: vfg.as_ref().map_or(0, |v| v.len()),
-            bot_nodes: gamma.as_ref().map_or(0, |g| g.bot_count()),
+        let mut report =
+            PipelineReport::new(name.clone(), options, std::mem::take(&mut ctx.stages));
+        report.set_artifacts(
+            &module,
+            pa.as_deref(),
+            vfg.as_deref(),
+            gamma.as_deref(),
             opt2_redirected,
-            pointer_strategy: options.pointer_strategy.name().to_string(),
-            solver_stats: pa.as_ref().map(|p| p.stats).unwrap_or_default(),
-            resolve_stats: gamma.as_ref().map(|g| g.stats).unwrap_or_default(),
-            degrade_events: ctx.degrades,
-            functions_degraded,
-            functions_total,
-            demand: demand_stats,
-            budget_spent: budget.spent(),
-            budget_limit: options.budget_steps,
-            cache_corrupt_recovered: ctx.corrupt_recovered,
-            request_id: None,
-            session_id: None,
-            serve_health: None,
-        };
+            &plan,
+        );
+        report.cache_hits = ctx.hits;
+        report.cache_misses = ctx.misses;
+        report.degrade_events = std::mem::take(&mut ctx.degrades);
+        report.demand = demand_stats;
+        report.budget_spent = budget.spent();
+        report.cache_corrupt_recovered = ctx.corrupt_recovered;
+        report.total_seconds = start.elapsed().as_secs_f64();
 
         Ok(PipelineRun {
             name,
@@ -625,7 +678,11 @@ impl Pipeline {
                                 build_memssa_parallel_budgeted(module, &pa, threads, budget)
                             })
                         });
-                        let ms = Arc::new(stage_result(computed, Stage::MemSsa)?);
+                        let (modref, ms) = stage_result(computed, Stage::MemSsa)?;
+                        if ctx.retain {
+                            ctx.modref = Some(modref);
+                        }
+                        let ms = Arc::new(ms);
                         ctx.store(mk, Artifact::MemSsa(ms.clone()));
                         ms
                     }
@@ -643,21 +700,21 @@ impl Pipeline {
             }
             _ => {
                 deadline_gate(budget, Stage::VfgBuild)?;
+                let record = ctx.retain;
                 let computed = ctx.timed(Stage::VfgBuild, |_| {
                     contained(options, Stage::VfgBuild, || {
-                        build_with_budgeted(
-                            module,
-                            &pa,
-                            &memssa,
-                            BuildOpts {
-                                mode: g.mode,
-                                semi_strong: g.semi_strong,
-                            },
-                            budget,
-                        )
+                        if record {
+                            build_with_tape(module, &pa, &memssa, g.build_opts(), budget)
+                                .map(|(v, tape)| (v, Some(tape)))
+                        } else {
+                            build_with_budgeted(module, &pa, &memssa, g.build_opts(), budget)
+                                .map(|v| (v, None))
+                        }
                     })
                 });
-                let v = Arc::new(stage_result(computed, Stage::VfgBuild)?);
+                let (v, tape) = stage_result(computed, Stage::VfgBuild)?;
+                ctx.tape = tape;
+                let v = Arc::new(v);
                 ctx.store(vk, Artifact::Vfg(v.clone()));
                 v
             }
@@ -797,18 +854,13 @@ impl Pipeline {
                 deadline_gate(budget, Stage::Instrument)?;
                 let computed = ctx.timed(Stage::Instrument, |_| {
                     contained(options, Stage::Instrument, || {
-                        let opts = GuidedOpts {
-                            opt1: g.opt1,
-                            full_memory: g.mode == VfgMode::TlOnly,
-                            bit_level: options.bit_level,
-                        };
                         guided_plan_with_fallback(
                             module,
                             &pa,
                             &memssa,
                             &vfg,
                             &gamma,
-                            opts,
+                            options.guided_opts().expect("a guided run"),
                             &fallback,
                             options.label.clone(),
                         )
@@ -868,16 +920,21 @@ impl Pipeline {
                 let prog = ctx
                     .timed(Stage::Parse, |_| usher_frontend::parser::parse(src))
                     .map_err(|e| DriverError::Compile(CompileError::Parse(e)))?;
-                let mut m = ctx.timed(Stage::Lower, |_| {
-                    let m = usher_frontend::lower::lower(&prog).map_err(CompileError::Lower)?;
+                let (mut m, mut env) = ctx.timed(Stage::Lower, |_| {
+                    let (m, env) = lower_program(&prog).map_err(CompileError::Lower)?;
                     usher_ir::verify(&m)
                         .map_err(|errs| CompileError::Verify(format!("{errs:?}")))?;
-                    Ok::<Module, CompileError>(m)
+                    Ok::<(Module, LowerEnv), CompileError>((m, env))
                 })?;
-                ctx.timed(Stage::Inline, |_| {
-                    run_inline(&mut m, InlinePolicy::default())
+                let (_, inline) = ctx.timed(Stage::Inline, |_| {
+                    run_inline_traced(&mut m, InlinePolicy::default())
                 });
-                ctx.timed(Stage::Mem2Reg, |_| mem2reg(&mut m));
+                let (_, retired) = ctx.timed(Stage::Mem2Reg, |_| mem2reg_retiring(&mut m));
+                if ctx.retain {
+                    env.retire_objects(&retired);
+                    ctx.env = Some(env);
+                    ctx.inline = Some(inline);
+                }
                 ctx.timed(Stage::Opt, |_| {
                     optimize(&mut m, options.opt_level);
                     usher_ir::verify(&m).map_err(|errs| CompileError::Verify(format!("{errs:?}")))
@@ -889,8 +946,7 @@ impl Pipeline {
         Ok(module)
     }
 
-    /// The MSan baseline plan: full instrumentation, planned per function
-    /// in parallel and absorbed in deterministic function order.
+    /// The MSan baseline plan ([`full_plan`]), through the cache.
     fn msan_plan(
         &self,
         ctx: &mut RunCtx<'_>,
@@ -904,19 +960,7 @@ impl Pipeline {
             return relabel(p, &options.label);
         }
         let plan = ctx.timed(Stage::Instrument, |c| {
-            let fids: Vec<FuncId> = module.funcs.indices().collect();
-            let parts = parallel_map(c.threads, &fids, |&fid| {
-                full_plan_func(module, fid, options.bit_level)
-            });
-            let mut p = Plan {
-                name: options.label.clone(),
-                ..Default::default()
-            };
-            for part in parts {
-                p.absorb(part);
-            }
-            p.finalize_stats();
-            Arc::new(p)
+            Arc::new(full_plan(module, options, c.threads))
         });
         ctx.store(pk, Artifact::Plan(plan.clone()));
         plan
@@ -1031,10 +1075,9 @@ pub fn analyze_pointer(m: &Module, strategy: PointerStrategy, _threads: usize) -
         .expect("unlimited budget cannot exhaust")
 }
 
-/// The whole-module sound fallback: the full-MSan plan with every
-/// function stamped [`PlanProvenance::FallbackFull`]. Never cached — its
-/// content belongs to the MSan configuration's key, not this one's.
-fn full_fallback_plan(module: &Module, options: &PipelineOptions, threads: usize) -> Arc<Plan> {
+/// Full (MSan) instrumentation, planned per function in parallel and
+/// absorbed in deterministic function order.
+fn full_plan(module: &Module, options: &PipelineOptions, threads: usize) -> Plan {
     let fids: Vec<FuncId> = module.funcs.indices().collect();
     let parts = parallel_map(threads, &fids, |&fid| {
         full_plan_func(module, fid, options.bit_level)
@@ -1046,8 +1089,16 @@ fn full_fallback_plan(module: &Module, options: &PipelineOptions, threads: usize
     for part in parts {
         p.absorb(part);
     }
-    stamp_provenance(&mut p, module, PlanProvenance::FallbackFull);
     p.finalize_stats();
+    p
+}
+
+/// The whole-module sound fallback: the full-MSan plan with every
+/// function stamped [`PlanProvenance::FallbackFull`]. Never cached — its
+/// content belongs to the MSan configuration's key, not this one's.
+fn full_fallback_plan(module: &Module, options: &PipelineOptions, threads: usize) -> Arc<Plan> {
+    let mut p = full_plan(module, options, threads);
+    stamp_provenance(&mut p, module, PlanProvenance::FallbackFull);
     Arc::new(p)
 }
 
@@ -1063,17 +1114,18 @@ fn relabel(p: Arc<Plan>, label: &str) -> Arc<Plan> {
     }
 }
 
-/// Memory SSA with the per-function phase fanned out over the pool. The
-/// interprocedural mod/ref summaries are sequential (they are a
-/// fixed-point over the call graph); each function's versioning is then
-/// independent. The shared budget is charged from every worker; any
-/// exhaustion discards the whole (under-approximating) result.
+/// Memory SSA with the per-function phase fanned out over the pool,
+/// returned with the mod/ref summaries it was built from. The
+/// interprocedural summaries are sequential (they are a fixed-point over
+/// the call graph); each function's versioning is then independent. The
+/// shared budget is charged from every worker; any exhaustion discards
+/// the whole (under-approximating) result.
 fn build_memssa_parallel_budgeted(
     m: &Module,
     pa: &PointerAnalysis,
     threads: usize,
     budget: &Budget,
-) -> Result<MemSsa, Exhausted> {
+) -> Result<(ModRef, MemSsa), Exhausted> {
     let modref = modref_summaries_budgeted(m, pa, budget)?;
     let fids: Vec<FuncId> = m.funcs.indices().collect();
     let per_func = parallel_map(threads, &fids, |&fid| {
@@ -1085,7 +1137,7 @@ fn build_memssa_parallel_budgeted(
             out.funcs.insert(fid, fs);
         }
     }
-    Ok(out)
+    Ok((modref, out))
 }
 
 #[cfg(test)]
@@ -1098,6 +1150,52 @@ mod tests {
         def helper(int a) -> int { int t; if (a > 1) { t = a; } return t; }
         def main(int c) -> int { g = helper(c); print(g); return 0; }
     ";
+
+    /// The serve engine's persistent store is keyed by these values, so a
+    /// change to any of them orphans every store written before it (and
+    /// must bump `CACHE_FORMAT_VERSION` instead of passing silently).
+    #[test]
+    fn tinyc_keys_are_pinned() {
+        let src = "def main() -> int {\n    int x;\n    if (x > 0) { print(1); }\n    return 0;\n}";
+        let sk = tinyc_source_key(src);
+        assert_eq!(sk, SourceInput::TinyC(src.to_string()).source_key());
+        assert_eq!(sk, 0x2f00_3c4d_9563_20b5);
+        let opts = PipelineOptions::from_config(Config::USHER).labelled("serve");
+        let g = opts.guided.unwrap();
+        assert_eq!(opts.frontend_key(sk), 0x889c_559e_50f3_b420);
+        assert_eq!(opts.resolve_key(sk, &g), 0x6bb3_eefc_5776_2f9b);
+        assert_eq!(opts.plan_key(sk), 0xb032_462d_758a_87cc);
+        assert_eq!(crate::CACHE_FORMAT_VERSION, 2);
+    }
+
+    #[test]
+    fn retained_run_matches_a_plain_run_and_keeps_the_splice_state() {
+        let pipe = Pipeline::new().with_threads(1);
+        let opts = PipelineOptions::from_config(Config::USHER);
+        let plain = pipe.run_source("t", SRC, opts.clone()).unwrap();
+        let entries = pipe.cache_stats().entries;
+        let kept = pipe.run_retained("t", SRC, opts).unwrap();
+        assert_eq!(pipe.cache_stats().entries, entries, "fills no cache entry");
+        assert_eq!(
+            crate::fingerprint::plan_fingerprint(&plain.plan),
+            crate::fingerprint::plan_fingerprint(&kept.run.plan),
+        );
+        let stages = |r: &PipelineReport| -> Vec<&'static str> {
+            r.stages.iter().map(|t| t.stage.name()).collect()
+        };
+        assert_eq!(stages(&plain.report), stages(&kept.run.report));
+        assert!(kept.run.report.stages.iter().all(|t| !t.cached));
+        assert_eq!(kept.run.report.cache_hits + kept.run.report.cache_misses, 0);
+        assert!(kept.modref.is_some() && kept.tape.is_some());
+        assert_eq!(kept.tape.unwrap().num_funcs(), kept.run.module.funcs.len());
+        assert!(kept.env.funcs.contains_key("helper"));
+        for a in [
+            Arc::strong_count(kept.run.pa.as_ref().unwrap()),
+            Arc::strong_count(kept.run.vfg.as_ref().unwrap()),
+        ] {
+            assert_eq!(a, 1, "a retained run shares no artifact");
+        }
+    }
 
     #[test]
     fn thread_requests_are_clamped_to_available_parallelism() {

@@ -3,9 +3,12 @@
 
 use std::fmt::Write as _;
 
-use usher_core::{PlanStats, ResolveStats};
-use usher_pointer::SolverStats;
-use usher_vfg::{DemandStats, VfgStats};
+use usher_core::{Gamma, Plan, PlanStats, ResolveStats};
+use usher_ir::Module;
+use usher_pointer::{PointerAnalysis, SolverStats};
+use usher_vfg::{DemandStats, Vfg, VfgStats};
+
+use crate::options::PipelineOptions;
 
 /// A stage of the analysis pipeline, in execution order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -164,11 +167,6 @@ pub struct ServeHealth {
 /// Escapes a string for inclusion in JSON output. Public so every
 /// JSONL-emitting harness (reports, fuzz campaigns) shares one escaper.
 pub fn json_escape(s: &str) -> String {
-    esc(s)
-}
-
-/// Escapes a string for inclusion in JSON output.
-fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -187,13 +185,45 @@ fn esc(s: &str) -> String {
 }
 
 impl PipelineReport {
-    /// Seconds spent in stages that actually ran (cache misses).
-    pub fn computed_seconds(&self) -> f64 {
-        self.stages
-            .iter()
-            .filter(|s| !s.cached)
-            .map(|s| s.seconds)
-            .sum()
+    /// A report on `workload` under `options` with the given stage
+    /// timings; every counter starts at zero.
+    pub fn new(
+        workload: impl Into<String>,
+        options: &PipelineOptions,
+        stages: Vec<StageTiming>,
+    ) -> PipelineReport {
+        PipelineReport {
+            workload: workload.into(),
+            config: options.label.clone(),
+            opt_level: format!("{:?}", options.opt_level),
+            pointer_strategy: options.pointer_strategy.name().to_string(),
+            stages,
+            budget_limit: options.budget_steps,
+            ..PipelineReport::default()
+        }
+    }
+
+    /// Fills the counters that describe a run's artifacts, the one place
+    /// that decides what a report says about them. An analysis the run
+    /// skipped (`None`) leaves its counters at zero.
+    pub fn set_artifacts(
+        &mut self,
+        module: &Module,
+        pa: Option<&PointerAnalysis>,
+        vfg: Option<&Vfg>,
+        gamma: Option<&Gamma>,
+        opt2_redirected: usize,
+        plan: &Plan,
+    ) {
+        self.plan_stats = plan.stats;
+        self.vfg_stats = vfg.map(|v| v.stats).unwrap_or_default();
+        self.vfg_nodes = vfg.map_or(0, Vfg::len);
+        self.bot_nodes = gamma.map_or(0, Gamma::bot_count);
+        self.opt2_redirected = opt2_redirected;
+        self.solver_stats = pa.map(|p| p.stats).unwrap_or_default();
+        self.resolve_stats = gamma.map(|g| g.stats).unwrap_or_default();
+        self.functions_degraded = plan.provenance_counts().2;
+        self.functions_total = module.funcs.len();
     }
 
     /// Renders the report as one JSON object on one line (JSONL record).
@@ -202,15 +232,15 @@ impl PipelineReport {
         let _ = write!(
             s,
             "{{\"workload\":\"{}\",\"config\":\"{}\",\"opt_level\":\"{}\",\"total_seconds\":{:.6},\"cache\":{{\"hits\":{},\"misses\":{}}}",
-            esc(&self.workload),
-            esc(&self.config),
-            esc(&self.opt_level),
+            json_escape(&self.workload),
+            json_escape(&self.config),
+            json_escape(&self.opt_level),
             self.total_seconds,
             self.cache_hits,
             self.cache_misses,
         );
         if let Some(rid) = &self.request_id {
-            let _ = write!(s, ",\"request_id\":\"{}\"", esc(rid));
+            let _ = write!(s, ",\"request_id\":\"{}\"", json_escape(rid));
         }
         if let Some(sid) = self.session_id {
             let _ = write!(s, ",\"session_id\":{sid}");
@@ -249,7 +279,7 @@ impl PipelineReport {
         let _ = write!(
             s,
             ",\"solver\":{{\"strategy\":\"{}\",\"nodes\":{},\"interned_targets\":{},\"pops\":{},\"merges\":{},\"peak_pts_words\":{},\"unify_classes\":{},\"unify_collapsed\":{},\"prefilter_us\":{}}}",
-            esc(&self.pointer_strategy),
+            json_escape(&self.pointer_strategy),
             self.solver_stats.nodes,
             self.solver_stats.interned_targets,
             self.solver_stats.pops,
@@ -308,7 +338,7 @@ impl PipelineReport {
                 if i > 0 { "," } else { "" },
                 e.stage,
                 e.reason,
-                esc(&e.detail),
+                json_escape(&e.detail),
             );
         }
         s.push_str("]}}");

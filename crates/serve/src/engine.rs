@@ -4,8 +4,15 @@
 //! [`ArtifactCache`] in front of an optional on-disk
 //! [`DiskStore`]) and a set of sessions, one per analyzed program.
 //! Requests from any number of protocol clients are serialized onto the
-//! engine; the heavy per-function work inside a cold analysis still fans
-//! out over the driver thread pool.
+//! engine.
+//!
+//! The engine runs no whole-program stage itself. A cold `analyze`, an
+//! edit fallback and a WAL replay all run the driver's retained entry
+//! ([`Pipeline::run_retained`]) in strict mode, which also hands back the
+//! state the incremental path needs. Strict mode turns a deadline, a
+//! contained stage panic or a compile error into an error, never into a
+//! degraded session: `deadline-expired`, `internal-panic` and
+//! `bad-source`/`bad-edit` respectively, with the engine unchanged.
 //!
 //! ## Incremental edits
 //!
@@ -59,32 +66,27 @@
 //! it. The engine's [`ArtifactCache`] is private to it, so its entries
 //! are never seen by a batch [`usher_driver::Pipeline`].
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use usher_core::{
-    guided_plan, redundant_check_elimination, Config, Gamma, GuidedOpts, Plan, PlanProvenance,
-};
+use usher_core::{guided_plan, redundant_check_elimination, Config, Gamma, Plan, PlanProvenance};
 use usher_driver::{
-    default_threads, gamma_fingerprint, parallel_map, plan_fingerprint, Artifact, ArtifactCache,
-    CacheStats, DegradeEvent, GuidedKnobs, KeyWriter, PipelineOptions, PipelineReport, Stage,
-    StageTiming,
+    default_threads, gamma_fingerprint, plan_fingerprint, tinyc_source_key, Artifact,
+    ArtifactCache, CacheStats, DegradeEvent, DriverError, GuidedKnobs, KeyWriter, Pipeline,
+    PipelineOptions, PipelineReport, RetainedRun, Stage, StageTiming,
 };
-use usher_frontend::{
-    lower_program, parser, relower_function, LowerEnv, RelowerBlocked, RelowerError,
-};
+use usher_frontend::{parser, relower_function, LowerEnv, RelowerBlocked, RelowerError};
 use usher_ir::{
-    is_inline_target, mem2reg_retiring, optimize, run_inline_traced, verify, Budget, Callee,
-    FuncId, GepOffset, Idx, InlinePolicy, InlineTrace, Inst, Module, ObjId, Operand, OptLevel,
-    Terminator,
+    is_inline_target, Budget, Callee, FuncId, GepOffset, Idx, InlineTrace, Inst, Module, ObjId,
+    Operand, OptLevel, Terminator,
 };
 use usher_pointer::{PointerAnalysis, SolverStats};
 use usher_vfg::{
-    build_function_ssa, build_with_tape, modref_summaries, rebuild_with_tape, BuildOpts,
-    DemandEngine, MemSsa, ModRef, Vfg, VfgMode, VfgTape,
+    build_function_ssa, rebuild_with_tape, DemandEngine, MemSsa, ModRef, Vfg, VfgTape,
 };
 
 use crate::codec;
@@ -183,7 +185,7 @@ pub struct ReplaySummary {
 pub struct RequestError {
     /// Stable error class: `"unknown-session"`, `"warm-session"`,
     /// `"degraded-session"`, `"bad-check-index"`, `"bad-source"`,
-    /// `"bad-edit"` or `"deadline-expired"`.
+    /// `"bad-edit"`, `"deadline-expired"` or `"internal-panic"`.
     pub kind: &'static str,
     /// Human-readable description.
     pub detail: String,
@@ -370,25 +372,17 @@ struct Session {
 pub struct Engine {
     opts: PipelineOptions,
     knobs: GuidedKnobs,
+    /// Runs every whole-program analysis.
+    pipeline: Pipeline,
     cache: ArtifactCache,
     disk: Option<DiskStore>,
     use_cache: bool,
-    threads: usize,
     sessions: HashMap<u64, Session>,
     next_session: u64,
     counters: Counters,
     last_solver: SolverStats,
     wal: Option<Wal>,
     replay: ReplaySummary,
-}
-
-/// Stable FNV key of a TinyC source text, built the way the driver keys
-/// sources. The engine's cache tiers are its own, so the keys only have
-/// to agree across engine restarts over one store directory.
-fn source_key(src: &str) -> u64 {
-    let mut k = KeyWriter::new("src-tinyc");
-    k.str(src);
-    k.finish()
 }
 
 fn fnv_digest(s: &str) -> u64 {
@@ -401,17 +395,49 @@ fn split_lines(src: &str) -> Vec<String> {
     src.lines().map(String::from).collect()
 }
 
+/// Strips comments from one line the way TinyC's lexer does: `//` runs
+/// to the end of the line, `/* … */` does not nest and may span lines.
+/// `in_block` carries the block-comment state from line to line.
+fn strip_comments<'a>(line: &'a str, in_block: &mut bool) -> Cow<'a, str> {
+    if !*in_block && !line.contains("/*") {
+        return Cow::Borrowed(line.split("//").next().unwrap_or(""));
+    }
+    let mut code = String::new();
+    let mut rest = line;
+    loop {
+        if *in_block {
+            let Some(end) = rest.find("*/") else {
+                return Cow::Owned(code);
+            };
+            rest = &rest[end + 2..];
+            *in_block = false;
+            code.push(' ');
+        }
+        let Some(i) = rest.find("//").into_iter().chain(rest.find("/*")).min() else {
+            code.push_str(rest);
+            return Cow::Owned(code);
+        };
+        code.push_str(&rest[..i]);
+        if rest[i..].starts_with("//") {
+            return Cow::Owned(code);
+        }
+        rest = &rest[i + 2..];
+        *in_block = true;
+    }
+}
+
 /// Scans top-level `def` spans with a brace-depth line scanner.
 ///
 /// TinyC has no string or character literals, so brace counting per line
-/// (minus `//` comments) is exact.
+/// (minus comments) is exact.
 fn scan_spans(lines: &[String]) -> Vec<FnSpan> {
     let mut spans = Vec::new();
     let mut depth: i64 = 0;
     let mut open: Option<(String, usize)> = None;
     let mut opened_brace = false;
+    let mut in_block = false;
     for (i, raw) in lines.iter().enumerate() {
-        let line = raw.split("//").next().unwrap_or("");
+        let line = strip_comments(raw, &mut in_block);
         let trimmed = line.trim_start();
         if depth == 0 && open.is_none() {
             if let Some(rest) = trimmed.strip_prefix("def ") {
@@ -458,18 +484,31 @@ pub fn plan_is_degraded(plan: &Plan) -> bool {
         .any(|p| matches!(p, PlanProvenance::FallbackFull))
 }
 
-struct Computed {
-    backend: Backend,
-    stages: Vec<StageTiming>,
-}
-
-/// Why a full pipeline run stopped: a user-visible error in the source,
-/// or the per-request deadline expiring at a stage boundary. Deadline
-/// aborts leave the engine and the session completely unchanged (the
-/// pipeline works on scratch state until commit).
-enum ComputeError {
-    User(String),
-    Deadline,
+impl Backend {
+    /// Takes over a strict retained run's artifacts. The driver shares
+    /// them with nothing, so every `Arc` unwraps without a copy.
+    fn from_run(r: RetainedRun) -> (Backend, PipelineReport) {
+        fn own<T>(a: Option<Arc<T>>) -> T {
+            Arc::into_inner(a.expect("a strict guided run builds every artifact"))
+                .expect("a retained run shares no artifact")
+        }
+        let run = r.run;
+        let backend = Backend {
+            module: run.module,
+            env: r.env,
+            inline: r.inline,
+            pa: own(run.pa),
+            modref: r.modref.expect("a full-mode run builds memory SSA"),
+            memssa: own(run.memssa),
+            vfg: own(run.vfg),
+            tape: r.tape.expect("a strict guided run builds the VFG"),
+            gamma: run.gamma.expect("a strict guided run resolves"),
+            redirected: run.opt2_redirected,
+            plan: run.plan,
+            demand: None,
+        };
+        (backend, run.report)
+    }
 }
 
 /// An operand the points-to solver provably never looks at: swapping it
@@ -527,10 +566,10 @@ impl Engine {
         let mut engine = Engine {
             opts,
             knobs,
+            pipeline: Pipeline::new().without_cache().with_threads(cfg.threads),
             cache: ArtifactCache::new(),
             disk,
             use_cache: cfg.use_cache,
-            threads: cfg.threads.max(1),
             sessions: HashMap::new(),
             next_session: 1,
             counters: Counters::default(),
@@ -640,7 +679,7 @@ impl Engine {
         let lines = split_lines(src);
         let canon = lines.join("\n");
         let spans = scan_spans(&lines);
-        let sk = source_key(&canon);
+        let sk = tinyc_source_key(&canon);
         let mut state = None;
         if warm {
             match self.warm_probe(sk) {
@@ -660,14 +699,10 @@ impl Engine {
         let state = match state {
             Some(s) => s,
             None => {
-                let computed = match self.full_compute(&canon, &Budget::unlimited()) {
-                    Ok(c) => c,
-                    Err(ComputeError::User(e)) => return Err(e),
-                    Err(ComputeError::Deadline) => unreachable!("unlimited budget"),
-                };
-                self.persist(sk, &computed.backend);
-                self.last_solver = computed.backend.pa.stats;
-                SessionState::Ready(Box::new(computed.backend))
+                let (backend, _) = self.compute(sid, &canon, None).map_err(|e| e.to_string())?;
+                self.persist(sk, &backend);
+                self.last_solver = backend.pa.stats;
+                SessionState::Ready(Box::new(backend))
             }
         };
         self.sessions.insert(
@@ -692,21 +727,6 @@ impl Engine {
     pub fn flush_wal(&mut self) {
         if let Some(w) = &mut self.wal {
             w.sync();
-        }
-    }
-
-    fn build_opts(&self) -> BuildOpts {
-        BuildOpts {
-            mode: self.knobs.mode,
-            semi_strong: self.knobs.semi_strong,
-        }
-    }
-
-    fn guided_opts(&self) -> GuidedOpts {
-        GuidedOpts {
-            opt1: self.knobs.opt1,
-            full_memory: self.knobs.mode == VfgMode::TlOnly,
-            bit_level: self.opts.bit_level,
         }
     }
 
@@ -781,131 +801,46 @@ impl Engine {
 
     // -- full pipeline -------------------------------------------------
 
-    /// Runs the full cold pipeline, mirroring the driver's stage order:
-    /// Parse → Lower → Inline → Mem2Reg → Opt → Pointer → MemSsa →
-    /// VfgBuild → Resolve → Instrument, with per-function memory SSA
-    /// fanned over the driver thread pool. The budget's deadline is
-    /// polled at every stage boundary (the Budget contract: reading the
-    /// clock only between stages); expiry aborts with all scratch state
-    /// discarded.
-    fn full_compute(&self, src: &str, budget: &Budget) -> Result<Computed, ComputeError> {
-        let mut stages = Vec::new();
-        macro_rules! timed {
-            ($stage:expr, $e:expr) => {{
-                let t = Instant::now();
-                let v = $e;
-                stages.push(StageTiming {
-                    stage: $stage,
-                    seconds: t.elapsed().as_secs_f64(),
-                    cached: false,
-                });
-                if budget.deadline_exceeded() {
-                    return Err(ComputeError::Deadline);
-                }
-                v
-            }};
-        }
-        let user = |e: String| ComputeError::User(e);
-        let prog = timed!(Stage::Parse, parser::parse(src)).map_err(|e| user(e.to_string()))?;
-        let verified = |m: &Module| {
-            verify(m).map_err(|errs| user(format!("internal verification failure: {errs:?}")))
-        };
-        // Verification is folded into the Lower and Opt timings, as the
-        // driver does, so a cold open's stages account for it.
-        let (mut module, mut env) = timed!(
-            Stage::Lower,
-            lower_program(&prog)
-                .map_err(|e| user(e.to_string()))
-                .and_then(|(m, env)| verified(&m).map(|()| (m, env)))
-        )?;
-        let (_, inline) = timed!(
-            Stage::Inline,
-            run_inline_traced(&mut module, InlinePolicy::default())
-        );
-        let (_, retired) = timed!(Stage::Mem2Reg, mem2reg_retiring(&mut module));
-        env.retire_objects(&retired);
-        timed!(Stage::Opt, {
-            optimize(&mut module, self.opts.opt_level);
-            verified(&module)
-        })?;
-        let pa = timed!(Stage::Pointer, usher_pointer::analyze(&module));
-        let (modref, memssa) = timed!(Stage::MemSsa, {
-            let modref = modref_summaries(&module, &pa);
-            let fids: Vec<FuncId> = module.funcs.indices().collect();
-            let built = parallel_map(self.threads, &fids, |fid| {
-                build_function_ssa(&module, &pa, *fid, &modref)
-            });
-            let mut ms = MemSsa::default();
-            for (fid, fs) in fids.into_iter().zip(built) {
-                if let Some(fs) = fs {
-                    ms.funcs.insert(fid, fs);
-                }
+    /// Runs the whole pipeline over `src` through the driver's retained
+    /// entry, strict, within the `remaining` deadline. Nothing in the
+    /// engine changes: the caller commits the backend or drops it.
+    fn compute(
+        &self,
+        sid: u64,
+        src: &str,
+        remaining: Option<Duration>,
+    ) -> Result<(Backend, PipelineReport), DriverError> {
+        let ms = remaining.map(|d| d.as_nanos().div_ceil(1_000_000) as u64);
+        let opts = self.opts.clone().strict(true).with_deadline_ms(ms);
+        let run = self
+            .pipeline
+            .run_retained(format!("session-{sid}"), src, opts)?;
+        Ok(Backend::from_run(run))
+    }
+
+    /// Maps a strict driver failure onto the protocol's error kinds:
+    /// `bad` for a program that does not compile (message prefixed with
+    /// `prefix`), `deadline-expired` with the `expired` detail, and
+    /// `internal-panic` for a contained stage panic (or, unreachable with
+    /// no step budget, an exhausted one).
+    fn refuse(
+        &mut self,
+        e: DriverError,
+        bad: &'static str,
+        prefix: &str,
+        expired: &str,
+    ) -> RequestError {
+        match e {
+            DriverError::Compile(e) => {
+                self.counters.user_errors += 1;
+                RequestError::new(bad, format!("{prefix}{e}"))
             }
-            (modref, ms)
-        });
-        let (vfg, tape) = timed!(
-            Stage::VfgBuild,
-            build_with_tape(&module, &pa, &memssa, self.build_opts())
-        );
-        let out = timed!(
-            Stage::Resolve,
-            redundant_check_elimination(&module, &pa, &memssa, &vfg, self.knobs.context_depth)
-        );
-        let plan = timed!(
-            Stage::Instrument,
-            guided_plan(
-                &module,
-                &pa,
-                &memssa,
-                &vfg,
-                &out.gamma,
-                self.guided_opts(),
-                self.opts.label.clone(),
-            )
-        );
-        Ok(Computed {
-            backend: Backend {
-                module: Arc::new(module),
-                env,
-                inline,
-                pa,
-                modref,
-                memssa,
-                vfg,
-                tape,
-                gamma: Arc::new(out.gamma),
-                redirected: out.redirected,
-                plan: Arc::new(plan),
-                demand: None,
-            },
-            stages,
-        })
-    }
-
-    // -- telemetry -----------------------------------------------------
-
-    fn base_report(&self, workload: String, stages: Vec<StageTiming>) -> PipelineReport {
-        PipelineReport {
-            workload,
-            config: self.opts.label.clone(),
-            opt_level: format!("{:?}", self.opts.opt_level),
-            pointer_strategy: self.opts.pointer_strategy.name().to_string(),
-            stages,
-            ..PipelineReport::default()
+            DriverError::DeadlineExceeded { .. } => {
+                self.counters.deadline_expired += 1;
+                RequestError::new("deadline-expired", expired)
+            }
+            e => RequestError::new("internal-panic", e.to_string()),
         }
-    }
-
-    fn fill_backend_stats(report: &mut PipelineReport, b: &Backend) {
-        report.plan_stats = b.plan.stats;
-        report.vfg_stats = b.vfg.stats;
-        report.vfg_nodes = b.vfg.len();
-        report.bot_nodes = b.gamma.bot_count();
-        report.opt2_redirected = b.redirected;
-        report.solver_stats = b.pa.stats;
-        report.resolve_stats = b.gamma.stats;
-        let (_, _, fallback) = b.plan.provenance_counts();
-        report.functions_degraded = fallback;
-        report.functions_total = b.module.funcs.len();
     }
 
     // -- requests ------------------------------------------------------
@@ -939,15 +874,15 @@ impl Engine {
     ///
     /// `"bad-source"` for invalid programs; `"deadline-expired"` when
     /// the remaining deadline ran out before or during the pipeline
-    /// (polled at stage boundaries; the engine is left unchanged).
+    /// (polled at stage boundaries); `"internal-panic"` when a stage
+    /// panicked. The engine is left unchanged in every case.
     pub fn analyze_within(
         &mut self,
         src: &str,
         deadline: Option<Duration>,
     ) -> Result<AnalyzeOutcome, RequestError> {
         let start = Instant::now();
-        let budget = Budget::new(None, deadline);
-        if budget.deadline_exceeded() {
+        if deadline.is_some_and(|d| d.is_zero()) {
             self.counters.deadline_expired += 1;
             return Err(RequestError::new(
                 "deadline-expired",
@@ -957,22 +892,17 @@ impl Engine {
         let lines = split_lines(src);
         let canon = lines.join("\n");
         let spans = scan_spans(&lines);
-        let sk = source_key(&canon);
+        let sk = tinyc_source_key(&canon);
         let mem0 = self.cache.stats();
         let disk0 = self.disk.as_ref().map(|d| d.stats()).unwrap_or_default();
         let sid = self.next_session;
 
-        let (state, mode, stages) = match self.warm_probe(sk) {
+        let (state, mode, mut report) = match self.warm_probe(sk) {
             Some((module, gamma, plan)) => {
                 self.counters.analyzes_warm += 1;
-                if let Some(w) = &mut self.wal {
-                    w.append(&WalRecord::Open {
-                        sid,
-                        warm: true,
-                        edits: 0,
-                        source: canon.clone(),
-                    });
-                }
+                let mut report =
+                    PipelineReport::new(format!("session-{sid}"), &self.opts, Vec::new());
+                report.functions_total = module.funcs.len();
                 (
                     SessionState::Warm {
                         module,
@@ -980,63 +910,51 @@ impl Engine {
                         plan,
                     },
                     "warm",
-                    Vec::new(),
+                    report,
                 )
             }
             None => {
-                let computed = match self.full_compute(&canon, &budget) {
+                let remaining = deadline.map(|d| d.saturating_sub(start.elapsed()));
+                let (backend, report) = match self.compute(sid, &canon, remaining) {
                     Ok(c) => c,
-                    Err(ComputeError::User(e)) => {
-                        self.counters.user_errors += 1;
-                        return Err(RequestError::new("bad-source", e));
-                    }
-                    Err(ComputeError::Deadline) => {
-                        self.counters.deadline_expired += 1;
-                        return Err(RequestError::new(
-                            "deadline-expired",
+                    Err(e) => {
+                        return Err(self.refuse(
+                            e,
+                            "bad-source",
+                            "",
                             "deadline expired during analysis; no session was created",
-                        ));
+                        ))
                     }
                 };
-                // WAL before store persist: a kill between the two
-                // recovers the session by recomputing, whereas the
-                // reverse order would lose an acknowledged session.
-                if let Some(w) = &mut self.wal {
-                    w.append(&WalRecord::Open {
-                        sid,
-                        warm: false,
-                        edits: 0,
-                        source: canon.clone(),
-                    });
-                }
-                self.persist(sk, &computed.backend);
                 self.counters.analyzes_cold += 1;
                 self.counters.pointer_solves += 1;
-                self.last_solver = computed.backend.pa.stats;
-                (
-                    SessionState::Ready(Box::new(computed.backend)),
-                    "cold",
-                    computed.stages,
-                )
+                self.last_solver = backend.pa.stats;
+                (SessionState::Ready(Box::new(backend)), "cold", report)
             }
         };
-        let functions_total = match &state {
-            SessionState::Warm { module, .. } => module.funcs.len(),
-            SessionState::Ready(b) => b.module.funcs.len(),
-        };
+        // WAL before store persist: a kill between the two recovers the
+        // session by recomputing, whereas the reverse order would lose an
+        // acknowledged session.
+        if let Some(w) = &mut self.wal {
+            w.append(&WalRecord::Open {
+                sid,
+                warm: mode == "warm",
+                edits: 0,
+                source: canon,
+            });
+        }
+        if let SessionState::Ready(b) = &state {
+            self.persist(sk, b);
+        }
+        let functions_total = report.functions_total;
 
         self.next_session += 1;
-        let mut report = self.base_report(format!("session-{sid}"), stages);
         let mem1 = self.cache.stats();
         let disk1 = self.disk.as_ref().map(|d| d.stats()).unwrap_or_default();
         report.cache_hits = mem1.hits - mem0.hits + (disk1.hits - disk0.hits) as usize;
         report.cache_misses = mem1.misses - mem0.misses + (disk1.misses - disk0.misses) as usize;
         report.cache_corrupt_recovered = mem1.corrupt_recovered - mem0.corrupt_recovered
             + (disk1.corrupt_recovered - disk0.corrupt_recovered) as usize;
-        report.functions_total = functions_total;
-        if let SessionState::Ready(b) = &state {
-            Self::fill_backend_stats(&mut report, b);
-        }
         report.total_seconds = start.elapsed().as_secs_f64();
         self.sessions.insert(
             sid,
@@ -1074,7 +992,8 @@ impl Engine {
     /// # Errors
     ///
     /// `"unknown-session"`, `"bad-edit"` (malformed or semantically
-    /// invalid body), or `"deadline-expired"`. Every error path leaves
+    /// invalid body), `"deadline-expired"`, or `"internal-panic"` when a
+    /// stage of the fallback recompute panicked. Every error path leaves
     /// the session completely unchanged.
     pub fn edit_within(
         &mut self,
@@ -1084,8 +1003,7 @@ impl Engine {
         deadline: Option<Duration>,
     ) -> Result<EditOutcome, RequestError> {
         let start = Instant::now();
-        let budget = Budget::new(None, deadline);
-        if budget.deadline_exceeded() {
+        if deadline.is_some_and(|d| d.is_zero()) {
             self.counters.deadline_expired += 1;
             return Err(RequestError::new(
                 "deadline-expired",
@@ -1110,11 +1028,7 @@ impl Engine {
                 return Err(RequestError::new("bad-edit", format!("edit body: {e}")));
             }
         };
-        stages.push(StageTiming {
-            stage: Stage::Parse,
-            seconds: t.elapsed().as_secs_f64(),
-            cached: false,
-        });
+        stages.push(ran(Stage::Parse, t));
         if !prog.structs.is_empty() || !prog.globals.is_empty() || prog.funcs.len() != 1 {
             self.counters.user_errors += 1;
             return Err(RequestError::new(
@@ -1152,29 +1066,30 @@ impl Engine {
 
         // Everything the splice phase needs, gathered up front so the
         // mutable session borrow below stays field-local.
-        let bopts = self.build_opts();
-        let gopts = self.guided_opts();
+        let bopts = self.knobs.build_opts();
+        let gopts = self.opts.guided_opts().expect("the serve preset is guided");
         let depth = self.knobs.context_depth;
         let label = self.opts.label.clone();
 
         // Fast path: only for sessions with a retained backend and an
-        // in-place replacement.
-        let fallback_reason: &'static str = 'fast: {
+        // in-place replacement. It yields the edit's report, or the reason
+        // it must fall back.
+        let fast: Result<PipelineReport, &'static str> = 'fast: {
             if appended {
-                break 'fast "new-function";
+                break 'fast Err("new-function");
             }
             let Session {
                 state: SessionState::Ready(b),
                 ..
             } = &self.sessions[&sid]
             else {
-                break 'fast "backend-cold";
+                break 'fast Err("backend-cold");
             };
             let Some(fid) = b.env.funcs.get(func).map(|t| t.0) else {
-                break 'fast "unknown-function";
+                break 'fast Err("unknown-function");
             };
             if b.inline.involved.contains(&fid) {
-                break 'fast "inline-involved";
+                break 'fast Err("inline-involved");
             }
             let t = Instant::now();
             let mut scratch = Module::clone(&b.module);
@@ -1185,35 +1100,27 @@ impl Engine {
                     return Err(RequestError::new("bad-edit", format!("edit body: {e}")));
                 }
                 Err(RelowerError::Blocked(blocked)) => {
-                    break 'fast relower_reason(&blocked);
+                    break 'fast Err(relower_reason(&blocked));
                 }
             };
-            stages.push(StageTiming {
-                stage: Stage::Lower,
-                seconds: t.elapsed().as_secs_f64(),
-                cached: false,
-            });
+            stages.push(ran(Stage::Lower, t));
             if is_inline_target(&scratch, fid) {
-                break 'fast "inline-target";
+                break 'fast Err("inline-target");
             }
             if raw_body_references_involved(&scratch, fid, &b.inline) {
-                break 'fast "calls-inline-target";
+                break 'fast Err("calls-inline-target");
             }
             let t = Instant::now();
             let promoted = relowered.promote(&mut scratch, &b.env);
-            stages.push(StageTiming {
-                stage: Stage::Mem2Reg,
-                seconds: t.elapsed().as_secs_f64(),
-                cached: false,
-            });
+            stages.push(ran(Stage::Mem2Reg, t));
             if let Err(blocked) = promoted {
-                break 'fast relower_reason(&blocked);
+                break 'fast Err(relower_reason(&blocked));
             }
             if !function_diff_allows_pa_reuse(&b.module, &scratch, fid, &b.pa) {
-                break 'fast "pointer-structure-changed";
+                break 'fast Err("pointer-structure-changed");
             }
             if !object_ranges_compatible(&b.module, &scratch, fid, &b.env) {
-                break 'fast "pointer-structure-changed";
+                break 'fast Err("pointer-structure-changed");
             }
 
             // All gates passed: splice. The retained pointer analysis is
@@ -1228,7 +1135,7 @@ impl Engine {
             let value_flow_unchanged = body_equal_up_to_constants(&b.module, &scratch, fid, &b.env);
             #[cfg(debug_assertions)]
             {
-                let mr = modref_summaries(&scratch, &b.pa);
+                let mr = usher_vfg::modref_summaries(&scratch, &b.pa);
                 debug_assert_eq!(mr.mods, b.modref.mods, "gated edit must preserve mod sets");
                 debug_assert_eq!(mr.refs, b.modref.refs, "gated edit must preserve ref sets");
                 if value_flow_unchanged {
@@ -1262,105 +1169,80 @@ impl Engine {
                         b.memssa.funcs.remove(&fid);
                     }
                 }
-                stages.push(StageTiming {
-                    stage: Stage::MemSsa,
-                    seconds: t.elapsed().as_secs_f64(),
-                    cached: false,
-                });
+                stages.push(ran(Stage::MemSsa, t));
                 let t = Instant::now();
                 let (vfg, tape) =
                     rebuild_with_tape(&scratch, &b.pa, &b.memssa, bopts, &b.tape, fid);
                 b.vfg = vfg;
                 b.tape = tape;
-                stages.push(StageTiming {
-                    stage: Stage::VfgBuild,
-                    seconds: t.elapsed().as_secs_f64(),
-                    cached: false,
-                });
+                stages.push(ran(Stage::VfgBuild, t));
                 let t = Instant::now();
                 let out = redundant_check_elimination(&scratch, &b.pa, &b.memssa, &b.vfg, depth);
                 b.gamma = Arc::new(out.gamma);
                 b.redirected = out.redirected;
-                stages.push(StageTiming {
-                    stage: Stage::Resolve,
-                    seconds: t.elapsed().as_secs_f64(),
-                    cached: false,
-                });
+                stages.push(ran(Stage::Resolve, t));
             }
             let t = Instant::now();
             let plan = guided_plan(&scratch, &b.pa, &b.memssa, &b.vfg, &b.gamma, gopts, label);
             b.plan = Arc::new(plan);
-            stages.push(StageTiming {
-                stage: Stage::Instrument,
-                seconds: t.elapsed().as_secs_f64(),
-                cached: false,
-            });
+            stages.push(ran(Stage::Instrument, t));
             b.module = Arc::new(scratch);
-            session.lines = new_lines;
-            session.spans = scan_spans(&session.lines);
-            session.edits += 1;
             self.counters.edits_incremental += 1;
-            self.counters.functions_recomputed += 1;
-            if let Some(w) = &mut self.wal {
-                w.append(&WalRecord::Edit {
-                    sid,
-                    func: func.to_string(),
-                    body: body.to_string(),
+            let mut report = PipelineReport::new(format!("session-{sid}"), &self.opts, stages);
+            report.set_artifacts(
+                &b.module,
+                Some(&b.pa),
+                Some(&b.vfg),
+                Some(&b.gamma),
+                b.redirected,
+                &b.plan,
+            );
+            Ok(report)
+        };
+
+        let (mut report, fallback_reason) = match fast {
+            Ok(report) => (report, None),
+            Err(reason) => {
+                // Sound fallback: full recompute of the edited source,
+                // with the reason recorded (honest provenance, never
+                // silent). A compile error here means the edited program
+                // does not compile as a whole (e.g. a signature change
+                // whose callers were not updated): user error, session
+                // unchanged.
+                let canon = new_lines.join("\n");
+                let remaining = deadline.map(|d| d.saturating_sub(start.elapsed()));
+                let (backend, mut report) = match self.compute(sid, &canon, remaining) {
+                    Ok(c) => c,
+                    Err(e) => return Err(self.refuse(
+                        e,
+                        "bad-edit",
+                        "edit body: ",
+                        "deadline expired during the fallback recompute; the session is unchanged",
+                    )),
+                };
+                self.persist(tinyc_source_key(&canon), &backend);
+                self.counters.pointer_solves += 1;
+                self.counters.edits_fallback += 1;
+                self.last_solver = backend.pa.stats;
+                report.degrade_events.push(DegradeEvent {
+                    stage: "serve-edit",
+                    reason,
+                    detail: format!("full recompute of session {sid} after edit of {func:?}"),
                 });
-            }
-
-            let mut report = self.base_report(format!("session-{sid}"), stages);
-            if let SessionState::Ready(b) = &self.sessions[&sid].state {
-                Self::fill_backend_stats(&mut report, b);
-            }
-            report.total_seconds = start.elapsed().as_secs_f64();
-            return Ok(EditOutcome {
-                incremental: true,
-                fallback_reason: None,
-                functions_recomputed: 1,
-                seconds: start.elapsed().as_secs_f64(),
-                report,
-            });
-        };
-
-        // Sound fallback: full recompute of the edited source, with the
-        // reason recorded (honest provenance, never silent).
-        let canon = new_lines.join("\n");
-        let computed = match self.full_compute(&canon, &budget) {
-            Ok(c) => c,
-            Err(ComputeError::User(e)) => {
-                // The edited program does not compile as a whole (e.g. a
-                // signature change whose callers were not updated): user
-                // error, session unchanged.
-                self.counters.user_errors += 1;
-                return Err(RequestError::new("bad-edit", format!("edit body: {e}")));
-            }
-            Err(ComputeError::Deadline) => {
-                self.counters.deadline_expired += 1;
-                return Err(RequestError::new(
-                    "deadline-expired",
-                    "deadline expired during the fallback recompute; the session \
-                     is unchanged",
-                ));
+                let session = self.sessions.get_mut(&sid).expect("checked above");
+                session.state = SessionState::Ready(Box::new(backend));
+                (report, Some(reason))
             }
         };
-        self.persist(source_key(&canon), &computed.backend);
-        self.counters.pointer_solves += 1;
-        self.last_solver = computed.backend.pa.stats;
-        let functions_recomputed = computed.backend.module.funcs.len();
-        let mut report = self.base_report(format!("session-{sid}"), computed.stages);
-        Self::fill_backend_stats(&mut report, &computed.backend);
-        report.degrade_events.push(DegradeEvent {
-            stage: "serve-edit",
-            reason: fallback_reason,
-            detail: format!("full recompute of session {sid} after edit of {func:?}"),
-        });
+        let functions_recomputed = if fallback_reason.is_some() {
+            report.functions_total
+        } else {
+            1
+        };
         let session = self.sessions.get_mut(&sid).expect("checked above");
-        session.state = SessionState::Ready(Box::new(computed.backend));
         session.lines = new_lines;
         session.spans = scan_spans(&session.lines);
         session.edits += 1;
-        self.counters.edits_fallback += 1;
         self.counters.functions_recomputed += functions_recomputed as u64;
         if let Some(w) = &mut self.wal {
             w.append(&WalRecord::Edit {
@@ -1371,8 +1253,8 @@ impl Engine {
         }
         report.total_seconds = start.elapsed().as_secs_f64();
         Ok(EditOutcome {
-            incremental: false,
-            fallback_reason: Some(fallback_reason),
+            incremental: fallback_reason.is_none(),
+            fallback_reason,
             functions_recomputed,
             seconds: start.elapsed().as_secs_f64(),
             report,
@@ -1467,10 +1349,7 @@ impl Engine {
         deadline: Option<Duration>,
     ) -> Result<QueryUseOutcome, RequestError> {
         let start = Instant::now();
-        let budget = match deadline {
-            Some(d) => Budget::new(None, Some(d)),
-            None => Budget::unlimited(),
-        };
+        let budget = Budget::new(None, deadline);
         if budget.deadline_exceeded() {
             self.counters.deadline_expired += 1;
             return Err(RequestError::new(
@@ -1584,6 +1463,15 @@ impl Engine {
     }
 }
 
+/// The timing of a `stage` that ran from `t` until now.
+fn ran(stage: Stage, t: Instant) -> StageTiming {
+    StageTiming {
+        stage,
+        seconds: t.elapsed().as_secs_f64(),
+        cached: false,
+    }
+}
+
 /// Maps a [`RelowerBlocked`] gate onto its static fallback-reason name.
 fn relower_reason(b: &RelowerBlocked) -> &'static str {
     match b {
@@ -1598,34 +1486,22 @@ fn relower_reason(b: &RelowerBlocked) -> &'static str {
 /// address of, any function involved in inlining. Such edits could change
 /// what the inliner would have done on a cold run, so they fall back.
 fn raw_body_references_involved(m: &Module, fid: FuncId, inline: &InlineTrace) -> bool {
-    let f = &m.funcs[fid];
     let mut found = false;
-    for block in f.blocks.iter() {
+    let mut visit = |op: Operand| {
+        found |= matches!(op, Operand::Func(g) if inline.involved.contains(&g));
+    };
+    for block in m.funcs[fid].blocks.iter() {
         for inst in &block.insts {
-            inst.for_each_use(|op| {
-                if let Operand::Func(g) = op {
-                    if inline.involved.contains(&g) {
-                        found = true;
-                    }
-                }
-            });
+            inst.for_each_use(&mut visit);
             if let Inst::Call {
                 callee: Callee::Direct(g),
                 ..
             } = inst
             {
-                if inline.involved.contains(g) {
-                    found = true;
-                }
+                visit(Operand::Func(*g));
             }
         }
-        block.term.for_each_use(|op| {
-            if let Operand::Func(g) = op {
-                if inline.involved.contains(&g) {
-                    found = true;
-                }
-            }
-        });
+        block.term.for_each_use(&mut visit);
     }
     found
 }
@@ -1920,7 +1796,13 @@ fn body_equal_up_to_constants(m_old: &Module, m_new: &Module, fid: FuncId, env: 
 /// edited module must reproduce exactly the retained memory SSA, graph,
 /// Γ and redirection count that the cutoff reuses.
 #[cfg(debug_assertions)]
-fn debug_assert_value_flow_reuse(m: &Module, b: &Backend, opts: BuildOpts, fid: FuncId, k: usize) {
+fn debug_assert_value_flow_reuse(
+    m: &Module,
+    b: &Backend,
+    opts: usher_vfg::BuildOpts,
+    fid: FuncId,
+    k: usize,
+) {
     let fs = build_function_ssa(m, &b.pa, fid, &b.modref);
     match (&fs, b.memssa.funcs.get(&fid)) {
         (None, None) => {}
@@ -2019,6 +1901,57 @@ def main(int c) {
         let (pf, gf) = oracle(SRC);
         assert_eq!(q.plan_fingerprint, pf, "serve plan must equal run_config");
         assert_eq!(q.gamma_fingerprint, gf, "serve gamma must equal run_config");
+        // A cold open is a driver run: the same stages in the same order.
+        let batch = Pipeline::new()
+            .run_source("t", SRC, e.opts.clone())
+            .expect("compiles");
+        let stages = |r: &PipelineReport| -> Vec<(&'static str, bool)> {
+            r.stages
+                .iter()
+                .map(|t| (t.stage.name(), t.cached))
+                .collect()
+        };
+        assert_eq!(stages(&out.report), stages(&batch.report));
+        assert!(out.report.stages.iter().all(|t| !t.cached));
+    }
+
+    #[test]
+    fn contained_stage_panics_refuse_the_request_and_change_nothing() {
+        let mut e = engine(EngineConfig::default());
+        e.opts.inject_panic = Some("resolve".to_string());
+        let err = e.analyze_within(SRC, None).unwrap_err();
+        assert_eq!(err.kind, "internal-panic", "{}", err.detail);
+        assert!(err.detail.contains("injected"), "{}", err.detail);
+        assert_eq!(e.stats().sessions, 0, "no session may be created");
+
+        e.opts.inject_panic = None;
+        let sid = e.analyze(SRC).unwrap().session_id;
+        let before = e.query(sid).unwrap();
+        let src_before = e.session_source(sid).unwrap();
+        e.opts.inject_panic = Some("resolve".to_string());
+        // An address-taken local forces the fallback recompute.
+        let body = "def helper0(int a) -> int {
+    int y = 7;
+    int *q = &y;
+    int x = a + 1;
+    if (x) { return x * 2; }
+    return 3;
+}";
+        let err = e.edit_within(sid, "helper0", body, None).unwrap_err();
+        assert_eq!(err.kind, "internal-panic", "{}", err.detail);
+        let after = e.query(sid).unwrap();
+        assert_eq!(after.plan_digest, before.plan_digest);
+        assert_eq!(after.gamma_digest, before.gamma_digest);
+        assert_eq!(after.edits, 0);
+        assert_eq!(e.session_source(sid).unwrap(), src_before);
+
+        e.opts.inject_panic = None;
+        let out = e.edit_within(sid, "helper0", body, None).unwrap();
+        assert_eq!(out.fallback_reason, Some("object-count-changed"));
+        let q = e.query(sid).unwrap();
+        let (pf, gf) = oracle(&e.session_source(sid).unwrap());
+        assert_eq!(q.plan_fingerprint, pf);
+        assert_eq!(q.gamma_fingerprint, gf);
     }
 
     #[test]
@@ -2051,7 +1984,7 @@ def main(int c) {
         let module = b.module.clone();
         let key = e
             .opts
-            .frontend_key(source_key(&split_lines(SRC).join("\n")));
+            .frontend_key(tinyc_source_key(&split_lines(SRC).join("\n")));
         let Some(Artifact::Module(cached)) = e.cache.lookup(key) else {
             panic!("cold analyze must cache its module");
         };
@@ -2531,5 +2464,21 @@ def main(int c) {
         assert_eq!(spans.len(), 2);
         assert_eq!((spans[0].start, spans[0].end), (0, 1));
         assert_eq!((spans[1].start, spans[1].end), (1, 2));
+    }
+
+    #[test]
+    fn span_scanner_skips_block_comments() {
+        let src = "/* def f() -> int {
+def f() -> int { return 2; }
+*/
+def f() -> int { /* } */ return 1; }
+/**/ def g() { print(1); } // def h() {
+/*/ { */ def h() { print(2); }";
+        let spans = scan_spans(&split_lines(src));
+        let got: Vec<(&str, usize, usize)> = spans
+            .iter()
+            .map(|s| (s.name.as_str(), s.start, s.end))
+            .collect();
+        assert_eq!(got, [("f", 3, 4), ("g", 4, 5), ("h", 5, 6)]);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! `usher serve` — a persistent, incremental analysis service.
 //!
-//! The crate wires three pieces together:
+//! The crate wires four pieces together:
 //!
 //! - a JSON-lines request protocol ([`json`], [`server`]) served over
 //!   stdin and an optional Unix socket to many concurrent clients;
@@ -15,7 +15,10 @@
 //!   memory-SSA and VFG slice and splices it into retained module state,
 //!   falling back soundly (and observably) to a full recompute whenever
 //!   the edit could change signatures, globals, inlining or the shape of
-//!   the points-to solution;
+//!   the points-to solution. Every full analysis (cold open, fallback,
+//!   WAL replay) is a strict run of the driver's
+//!   [`usher_driver::Pipeline::run_retained`]; serve runs no
+//!   whole-program stage of its own;
 //! - crash safety and overload resilience: a checksummed session WAL
 //!   ([`wal`]) replayed on startup to reconstruct sessions
 //!   byte-identically after a kill, bounded-queue load shedding with

@@ -599,22 +599,23 @@ pub fn build_with_budgeted(
     Ok(b.finish(opts.mode))
 }
 
-/// Builds the VFG and records a replayable per-function tape of the
-/// construction alongside it.
+/// [`build_with_budgeted`], additionally recording a replayable
+/// per-function tape of the construction alongside the graph.
 pub fn build_with_tape(
     m: &Module,
     pa: &PointerAnalysis,
     ms: &MemSsa,
     opts: BuildOpts,
-) -> (Vfg, VfgTape) {
+    budget: &Budget,
+) -> Result<(Vfg, VfgTape), Exhausted> {
     let mut b = Builder::new(m, ms);
     let mut funcs = Vec::with_capacity(m.funcs.len());
     for fid in m.funcs.indices() {
         funcs.push(std::sync::Arc::new(record_function(
-            &mut b, m, pa, ms, fid, opts,
-        )));
+            &mut b, m, pa, ms, fid, opts, budget,
+        )?));
     }
-    (b.finish(opts.mode), VfgTape { funcs, opts })
+    Ok((b.finish(opts.mode), VfgTape { funcs, opts }))
 }
 
 /// Rebuilds the VFG after an edit confined to `dirty`'s body: every
@@ -642,9 +643,9 @@ pub fn rebuild_with_tape(
     let mut funcs = Vec::with_capacity(m.funcs.len());
     for fid in m.funcs.indices() {
         if fid == dirty {
-            funcs.push(std::sync::Arc::new(record_function(
-                &mut b, m, pa, ms, fid, opts,
-            )));
+            let live = record_function(&mut b, m, pa, ms, fid, opts, &Budget::unlimited())
+                .expect("unlimited budgets never exhaust");
+            funcs.push(std::sync::Arc::new(live));
         } else {
             replay_function(&mut b, m, pa, ms, fid, opts, &tape.funcs[fid.index()]);
             funcs.push(std::sync::Arc::clone(&tape.funcs[fid.index()]));
@@ -660,16 +661,16 @@ fn record_function(
     ms: &MemSsa,
     fid: FuncId,
     opts: BuildOpts,
-) -> FuncTape {
+    budget: &Budget,
+) -> Result<FuncTape, Exhausted> {
     let before = b.stats;
     b.rec = Some(Vec::new());
-    traverse_function(b, m, pa, ms, fid, opts, &Budget::unlimited())
-        .expect("unlimited budgets never exhaust");
+    traverse_function(b, m, pa, ms, fid, opts, budget)?;
     let ops = b.rec.take().unwrap_or_default();
-    FuncTape {
+    Ok(FuncTape {
         ops,
         stats: stats_delta(&b.stats, &before),
-    }
+    })
 }
 
 fn replay_function(

@@ -247,7 +247,8 @@ mod tests {
         let ms = build_memssa(&m, &pa);
         let opts = BuildOpts::default();
         let plain = build::build_with(&m, &pa, &ms, opts);
-        let (taped, tape) = build_with_tape(&m, &pa, &ms, opts);
+        let (taped, tape) =
+            build_with_tape(&m, &pa, &ms, opts, &usher_ir::Budget::unlimited()).unwrap();
         let same = |a: &Vfg, b: &Vfg, tag: &str| {
             assert_eq!(a.nodes, b.nodes, "{tag}: nodes");
             assert_eq!(a.deps.offsets, b.deps.offsets, "{tag}: dep offsets");

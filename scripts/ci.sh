@@ -66,9 +66,12 @@ echo "==> serve smoke"
 # single-function edits (a const swap, then an unused-local insert) that
 # must take the incremental path, recompute exactly one function and
 # keep the retained value flow, a query, stats with a nonzero warm-hit
-# ratio and three memory-tier entries, and a clean shutdown. Then the serve-bench regression gate: quick-rung trace
+# ratio and three memory-tier entries, and a clean shutdown. The cold
+# open runs the driver's pipeline, so its stderr telemetry record must
+# list the driver's stages in order, and no record may carry a contained
+# stage panic. Then the serve-bench regression gate: quick-rung trace
 # where incremental edits must beat cold analysis by the floor.
-SRV_OUT=$(mktemp)
+SRV_OUT=$(mktemp) && SRV_ERR=$(mktemp)
 printf '%s\n' \
   '{"op":"analyze","source":"def scale(int v) -> int {\n    int bias = 4;\n    if (v) { return v * bias; }\n    return bias;\n}\ndef risky(int c) -> int {\n    int x;\n    if (c) { x = 1; }\n    if (x) { return 1; }\n    return 0;\n}\ndef main(int c) {\n    print(scale(risky(c)));\n}","id":"ci-a1"}' \
   '{"op":"analyze","source":"def scale(int v) -> int {\n    int bias = 4;\n    if (v) { return v * bias; }\n    return bias;\n}\ndef risky(int c) -> int {\n    int x;\n    if (c) { x = 1; }\n    if (x) { return 1; }\n    return 0;\n}\ndef main(int c) {\n    print(scale(risky(c)));\n}","id":"ci-a2"}' \
@@ -77,8 +80,13 @@ printf '%s\n' \
   '{"op":"query","session":1,"id":"ci-q1"}' \
   '{"op":"stats","id":"ci-s1"}' \
   '{"op":"shutdown","id":"ci-z1"}' \
-  | ./target/release/usher serve > "$SRV_OUT" 2>/dev/null
+  | ./target/release/usher serve > "$SRV_OUT" 2> "$SRV_ERR"
 grep -q '"id":"ci-a1".*"mode":"cold"' "$SRV_OUT"
+grep -q '"request_id":"ci-a1".*"stages":\[{"stage":"parse"[^]]*{"stage":"lower"[^]]*{"stage":"inline"[^]]*{"stage":"mem2reg"[^]]*{"stage":"opt"[^]]*{"stage":"pointer"[^]]*{"stage":"memssa"[^]]*{"stage":"vfg"[^]]*{"stage":"resolve"[^]]*{"stage":"instrument"' "$SRV_ERR"
+if grep -q '"reason":"stage-panic"' "$SRV_ERR"; then
+    echo "error: serve smoke telemetry carries a contained stage panic" >&2
+    exit 1
+fi
 grep -q '"id":"ci-a2".*"mode":"warm"' "$SRV_OUT"
 grep -q '"id":"ci-e1".*"incremental":true,"functions_recomputed":1' "$SRV_OUT"
 # A promoted local is not an object: inserting an unused one keeps the
@@ -103,7 +111,7 @@ if grep -q '"ok":false' "$SRV_OUT"; then
     exit 1
 fi
 grep -q '"op":"shutdown"' "$SRV_OUT"
-rm -f "$SRV_OUT"
+rm -f "$SRV_OUT" "$SRV_ERR"
 ./target/release/usher serve-bench --quick > /dev/null
 
 echo "==> crash-safety smoke"

@@ -350,3 +350,69 @@ fn no_cache_and_cached_engines_agree() {
     assert_eq!(qa.plan_fingerprint, qb.plan_fingerprint);
     assert_eq!(qa.gamma_fingerprint, qb.gamma_fingerprint);
 }
+
+/// A program with a commented-out copy of its helper and a block comment
+/// holding an unbalanced `{`. Only the live `def`s are functions, so an
+/// edit must land on the live copy.
+const COMMENTED_SRC: &str = "/* The first draft, kept for reference:
+def check(int x) -> int {
+    int y;
+    if (x) { y = 1; }
+    if (y) { return 1; }
+    return 0;
+}
+*/
+def check(int x) -> int {
+    int y;
+    if (x) { y = 1; }
+    if (y) { return 1; }
+    return 0;
+}
+/* TODO: wrap the call below in { a guard */
+def main(int c) {
+    int z = c;
+    print(check(z));
+}";
+
+#[test]
+fn edits_skip_block_comments_and_match_cold_analysis() {
+    let mut e = Engine::new(EngineConfig::default()).expect("engine opens");
+    let sid = e.analyze(COMMENTED_SRC).expect("analyzes").session_id;
+    let draft = &COMMENTED_SRC[..COMMENTED_SRC.find("*/").unwrap() + 2];
+    let check_body = "def check(int x) -> int {
+    int y = 0;
+    if (x) { y = 1; }
+    if (y) { return 1; }
+    return 0;
+}";
+    // Making `z` address-taken adds an object: a fallback recompute from
+    // the session source.
+    let main_body = "def main(int c) {
+    int z = c;
+    int *p = &z;
+    print(check(*p));
+}";
+    for (k, (func, body, incremental)) in [("check", check_body, true), ("main", main_body, false)]
+        .into_iter()
+        .enumerate()
+    {
+        let out = e
+            .edit(sid, func, body)
+            .unwrap_or_else(|err| panic!("step {k} ({func}) rejected: {err}"));
+        assert_eq!(
+            out.incremental, incremental,
+            "step {k} ({func}): fallback reason {:?}",
+            out.fallback_reason
+        );
+        let source = e.session_source(sid).unwrap();
+        assert!(
+            source.starts_with(draft),
+            "step {k}: the draft comment changed"
+        );
+        assert!(source.contains(body), "step {k}: the edit did not land");
+        let q = e.query(sid).unwrap();
+        let (pf, gf) = oracle(&source);
+        assert_eq!(q.plan_fingerprint, pf, "step {k} ({func}): plan diverged");
+        assert_eq!(q.gamma_fingerprint, gf, "step {k} ({func}): gamma diverged");
+    }
+}
