@@ -18,7 +18,7 @@ use usher_ir::{
 use usher_pointer::PointerAnalysis;
 use usher_vfg::{CheckKind, EdgeKind, MemDefKind, MemSsa, NodeKind, Vfg};
 
-use crate::mfc::mfc;
+use crate::mfc::{mfc, MfcScratch};
 use crate::resolve::Gamma;
 
 /// Where a shadow operation reads from.
@@ -557,6 +557,7 @@ pub fn guided_plan_with_fallback(
         arg_sh_done: HashSet::new(),
         top_mem_done: HashSet::new(),
         work: Vec::new(),
+        mfc_scratch: MfcScratch::default(),
     };
 
     if opts.full_memory {
@@ -683,6 +684,7 @@ struct Generator<'a> {
     arg_sh_done: HashSet<(Site, usize)>,
     top_mem_done: HashSet<u32>,
     work: Vec<u32>,
+    mfc_scratch: MfcScratch,
 }
 
 impl<'a> Generator<'a> {
@@ -1048,7 +1050,13 @@ impl<'a> Generator<'a> {
         if !self.opts.opt1 {
             return false;
         }
-        let closure = mfc(self.m, self.vfg, node, !self.opts.bit_level);
+        let closure = mfc(
+            self.m,
+            self.vfg,
+            node,
+            !self.opts.bit_level,
+            &mut self.mfc_scratch,
+        );
         if closure.folded == 0 {
             return false;
         }

@@ -37,7 +37,7 @@ pub use instrument::{
     stamp_provenance, GuidedOpts, Plan, PlanProvenance, PlanStats, ShadowOp, ShadowSrc,
 };
 pub use merge::{access_equivalence_classes, resolve_merged, MergeStats};
-pub use mfc::{mfc, Mfc};
+pub use mfc::{mfc, Mfc, MfcScratch};
 pub use opt2::{
     redundant_check_elimination, redundant_check_elimination_budgeted,
     redundant_check_elimination_reference, Opt2Outcome, Opt2Result,

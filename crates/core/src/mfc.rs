@@ -7,8 +7,6 @@
 //! parameters (the variable itself becomes a source). The result is a DAG
 //! with `x` as the sink; `Gamma(x) = Top` iff every source is `Top`.
 
-use std::collections::HashSet;
-
 use usher_ir::{Inst, Module};
 use usher_vfg::{NodeKind, Vfg};
 
@@ -16,13 +14,56 @@ use usher_vfg::{NodeKind, Vfg};
 #[derive(Clone, Debug, Default)]
 pub struct Mfc {
     /// Every top-level node in the closure (including the sink and the
-    /// top-level sources).
-    pub nodes: HashSet<u32>,
+    /// top-level sources), each once, in discovery order.
+    pub nodes: Vec<u32>,
     /// Nodes where folding stopped: loads, phis, calls, parameters (all
     /// members of `nodes`), plus possibly the roots `T`/`F`.
     pub sources: Vec<u32>,
     /// Number of interior (folded-through) nodes, excluding the sink.
     pub folded: usize,
+}
+
+/// A set of VFG nodes that clears in O(1): a stamp per node, and the
+/// members are the nodes stamped with the current epoch. Repeated walks
+/// over one graph reuse it instead of building a hash set each.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct NodeMarks {
+    stamp: Vec<u32>,
+    epoch: u32,
+}
+
+impl NodeMarks {
+    /// Empties the set and sizes it for node ids below `n`.
+    pub fn clear(&mut self, n: usize) {
+        if self.stamp.len() < n {
+            self.stamp.resize(n, 0);
+        }
+        if self.epoch == u32::MAX {
+            self.stamp.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+    }
+
+    /// Adds `v`; returns whether it was absent.
+    pub fn insert(&mut self, v: u32) -> bool {
+        let s = &mut self.stamp[v as usize];
+        let fresh = *s != self.epoch;
+        *s = self.epoch;
+        fresh
+    }
+
+    /// Whether `v` is in the set.
+    pub fn contains(&self, v: u32) -> bool {
+        self.stamp[v as usize] == self.epoch
+    }
+}
+
+/// Scratch state for [`mfc`], reused across the walks of one caller.
+#[derive(Clone, Debug, Default)]
+pub struct MfcScratch {
+    seen: NodeMarks,
+    work: Vec<(u32, bool)>,
 }
 
 /// Looks up the defining instruction of a top-level node.
@@ -40,10 +81,20 @@ pub fn def_inst<'m>(m: &'m Module, vfg: &Vfg, node: u32) -> Option<&'m Inst> {
 /// `fold_bitwise` mirrors the paper's bit-level precision caveat
 /// (Section 4.1): in bit-level shadow mode, bitwise operations are not
 /// folded because per-bit shadows do not compose as a plain conjunction.
-pub fn mfc(m: &Module, vfg: &Vfg, x_node: u32, fold_bitwise: bool) -> Mfc {
+/// `scratch` holds the walk's visited set and stack; a caller that walks
+/// many closures passes the same one each time.
+pub fn mfc(
+    m: &Module,
+    vfg: &Vfg,
+    x_node: u32,
+    fold_bitwise: bool,
+    scratch: &mut MfcScratch,
+) -> Mfc {
     let mut out = Mfc::default();
-    let mut work = vec![(x_node, true)];
-    let mut seen: HashSet<u32> = HashSet::new();
+    let MfcScratch { seen, work } = scratch;
+    seen.clear(vfg.len());
+    work.clear();
+    work.push((x_node, true));
 
     while let Some((v, is_sink)) = work.pop() {
         if !seen.insert(v) {
@@ -62,7 +113,7 @@ pub fn mfc(m: &Module, vfg: &Vfg, x_node: u32, fold_bitwise: bool) -> Mfc {
                 continue;
             }
         }
-        out.nodes.insert(v);
+        out.nodes.push(v);
         let foldable = match def_inst(m, vfg, v) {
             Some(Inst::Copy { .. }) | Some(Inst::Un { .. }) | Some(Inst::Gep { .. }) => true,
             Some(Inst::Bin { op, .. }) => fold_bitwise || !op.is_bitwise(),
@@ -132,7 +183,7 @@ mod tests {
                  return z;
              }",
         );
-        let f = mfc(&m, &g, sink, true);
+        let f = mfc(&m, &g, sink, true, &mut MfcScratch::default());
         assert!(f.folded >= 2, "x and y fold: {f:?}");
         assert_eq!(f.sources, vec![g.t_root]);
     }
@@ -146,7 +197,7 @@ mod tests {
                  return x;
              }",
         );
-        let f = mfc(&m, &g, sink, true);
+        let f = mfc(&m, &g, sink, true, &mut MfcScratch::default());
         // Sources: the two loads of ga/gb.
         let tl_sources: Vec<u32> = f
             .sources
@@ -165,7 +216,7 @@ mod tests {
                  return u + 1;
              }",
         );
-        let f = mfc(&m, &g, sink, true);
+        let f = mfc(&m, &g, sink, true, &mut MfcScratch::default());
         assert!(f.sources.contains(&g.f_root), "{f:?}");
     }
 
@@ -178,8 +229,8 @@ mod tests {
                  return x + 1;
              }",
         );
-        let value_mode = mfc(&m, &g, sink, true);
-        let bit_mode = mfc(&m, &g, sink, false);
+        let value_mode = mfc(&m, &g, sink, true, &mut MfcScratch::default());
+        let bit_mode = mfc(&m, &g, sink, false, &mut MfcScratch::default());
         // In bit-level mode the `&` result is a source, not folded.
         assert!(
             bit_mode.folded < value_mode.folded,
@@ -193,7 +244,7 @@ mod tests {
             "int g0;
              def main() -> int { return g0; }",
         );
-        let f = mfc(&m, &g, sink, true);
+        let f = mfc(&m, &g, sink, true, &mut MfcScratch::default());
         assert!(f.sources.contains(&sink), "{f:?}");
         assert_eq!(f.folded, 0);
     }

@@ -22,11 +22,11 @@
 
 use std::collections::{HashMap, HashSet};
 
-use usher_ir::{Budget, Cfg, DomTree, FuncId, FxHashSet, Inst, Module, Operand, Site};
+use usher_ir::{Budget, Cfg, DomTree, FuncId, FxHashSet, IdxVec, Inst, Module, Operand, Site};
 use usher_pointer::PointerAnalysis;
 use usher_vfg::{Csr, MemSsa, NodeKind, RefVfg, Vfg};
 
-use crate::mfc::mfc;
+use crate::mfc::{mfc, MfcScratch, NodeMarks};
 use crate::resolve::{resolve_condensed_budgeted, resolve_graph, Gamma};
 
 /// The result of running Opt II.
@@ -91,19 +91,21 @@ pub fn redundant_check_elimination_budgeted(
     k: usize,
     budget: &Budget,
 ) -> Opt2Outcome {
-    let mut redirected: HashSet<u32> = HashSet::new();
+    // `redirected[r]`: `r` lost at least one dependence edge. It doubles
+    // as the resolution filter's cheap first test, so the `removed`
+    // probe runs only for the users edges of redirected nodes.
+    let mut redirected: Vec<bool> = vec![false; vfg.len()];
+    let mut redirected_count = 0usize;
     // Removed dependence edges `(r, t)`, matched kind-blind like the
     // reference's `remove_edge`.
     let mut removed: FxHashSet<(u32, u32)> = FxHashSet::default();
     let mut discovery_complete = true;
 
     // Dominator trees per function, computed lazily.
-    let mut dts: HashMap<FuncId, DomTree> = HashMap::new();
-    let dt_of = |f: FuncId| -> DomTree {
-        let func = &m.funcs[f];
-        let cfg = Cfg::compute(func);
-        DomTree::compute(func, &cfg)
-    };
+    let mut dts: IdxVec<FuncId, Option<DomTree>> = m.funcs.iter().map(|_| None).collect();
+    // `ax` as a set (the closure's nodes plus the loaded versions).
+    let mut in_ax = NodeMarks::default();
+    let mut scratch = MfcScratch::default();
 
     'discovery: for check in &vfg.checks {
         if !budget.charge(1) {
@@ -119,13 +121,18 @@ pub fn redundant_check_elimination_budgeted(
 
         // x-bar: the MFC, extended with concrete locations read by loads
         // inside it (Algorithm 1, line 4).
-        let closure = mfc(m, vfg, x_node, true);
+        let closure = mfc(m, vfg, x_node, true, &mut scratch);
         if !budget.charge(closure.nodes.len() as u64) {
             discovery_complete = false;
             break 'discovery;
         }
-        let mut ax: HashSet<u32> = closure.nodes.clone();
+        in_ax.clear(vfg.len());
         for &n in &closure.nodes {
+            in_ax.insert(n);
+        }
+        let mut ax = closure.nodes;
+        for i in 0..ax.len() {
+            let n = ax[i];
             let Some(site) = vfg.def_site[n as usize] else {
                 continue;
             };
@@ -140,7 +147,9 @@ pub fn redundant_check_elimination_budgeted(
             for mu in mus {
                 if pa.is_concrete(mu.loc) {
                     if let Some(mn) = vfg.mem(f, mu.def) {
-                        ax.insert(mn);
+                        if in_ax.insert(mn) {
+                            ax.push(mn);
+                        }
                     }
                 }
             }
@@ -148,8 +157,11 @@ pub fn redundant_check_elimination_budgeted(
 
         // R_x: nodes outside the closure that depend on it, whose defining
         // statement is dominated by the check.
-        dts.entry(check.site.func)
-            .or_insert_with(|| dt_of(check.site.func));
+        let f = check.site.func;
+        let dt = &*dts[f].get_or_insert_with(|| {
+            let func = &m.funcs[f];
+            DomTree::compute(func, &Cfg::compute(func))
+        });
         for &t in &ax {
             for (r, _) in vfg.users.edges(t) {
                 if !budget.charge(1) {
@@ -161,30 +173,36 @@ pub fn redundant_check_elimination_budgeted(
                     discovery_complete = false;
                     break 'discovery;
                 }
-                if ax.contains(&r) || r == check.node {
+                if in_ax.contains(r) || r == check.node {
                     continue;
                 }
                 let Some(r_site) = vfg.def_site[r as usize] else {
                     continue;
                 };
-                if r_site.func != check.site.func {
+                if r_site.func != f {
                     continue;
                 }
-                let dt = &dts[&check.site.func];
                 if dominates_site(dt, check.site, r_site) {
                     removed.insert((r, t));
-                    redirected.insert(r);
+                    if !redirected[r as usize] {
+                        redirected[r as usize] = true;
+                        redirected_count += 1;
+                    }
                 }
             }
         }
     }
 
-    let (gamma, resolved) =
-        resolve_condensed_budgeted(vfg, k, |user, node| removed.contains(&(user, node)), budget);
+    let (gamma, resolved) = resolve_condensed_budgeted(
+        vfg,
+        k,
+        |user, node| redirected[user as usize] && removed.contains(&(user, node)),
+        budget,
+    );
     Opt2Outcome {
         result: Opt2Result {
             gamma,
-            redirected: redirected.len(),
+            redirected: redirected_count,
         },
         resolved,
         discovery_complete,

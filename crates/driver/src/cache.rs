@@ -61,14 +61,14 @@ fn hash_str(h: &mut FxHasher, s: &str) {
 
 /// Hashes a map's entries in key order, so equal maps digest equally
 /// whatever their iteration order.
-fn hash_sorted<K: Ord + Hash, V: Hash>(h: &mut FxHasher, map: &HashMap<K, V>) {
+fn hash_sorted<K: Ord + Hash, V: Hash, S>(h: &mut FxHasher, map: &HashMap<K, V, S>) {
     let mut entries: Vec<_> = map.iter().collect();
     entries.sort_unstable_by_key(|(k, _)| *k);
     entries.hash(h);
 }
 
 /// Hashes a set's members in order.
-fn hash_sorted_set<T: Ord + Hash>(h: &mut FxHasher, set: &HashSet<T>) {
+fn hash_sorted_set<T: Ord + Hash, S>(h: &mut FxHasher, set: &HashSet<T, S>) {
     let mut members: Vec<_> = set.iter().collect();
     members.sort_unstable();
     members.hash(h);

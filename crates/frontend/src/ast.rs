@@ -137,8 +137,13 @@ pub enum StmtKind {
         then_body: Vec<Stmt>,
         else_body: Vec<Stmt>,
     },
-    /// `while (cond) { .. }`
-    While { cond: Expr, body: Vec<Stmt> },
+    /// `while (cond) { .. }`, and the `for` loop it desugars: `step`
+    /// runs after the body and on `continue`.
+    While {
+        cond: Expr,
+        body: Vec<Stmt>,
+        step: Option<Box<Stmt>>,
+    },
     /// `return e?;`
     Return(Option<Expr>),
     /// `break;`

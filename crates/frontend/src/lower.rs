@@ -388,6 +388,21 @@ impl Relowered {
     }
 }
 
+/// Whether `body` has a `continue` of its own loop (one inside a nested
+/// loop continues that loop instead).
+fn continues(body: &[Stmt]) -> bool {
+    body.iter().any(|s| match &s.kind {
+        StmtKind::Continue => true,
+        StmtKind::If {
+            then_body,
+            else_body,
+            ..
+        } => continues(then_body) || continues(else_body),
+        StmtKind::Block(b) => continues(b),
+        _ => false,
+    })
+}
+
 fn resolve_type(
     m: &mut Module,
     struct_ids: &HashMap<String, usher_ir::StructId>,
@@ -570,7 +585,7 @@ impl<'m, 'p> Lowerer<'m, 'p> {
                 self.b.set_block(join);
                 Ok(())
             }
-            StmtKind::While { cond, body } => {
+            StmtKind::While { cond, body, step } => {
                 let header = self.b.new_block();
                 let body_bb = self.b.new_block();
                 let exit = self.b.new_block();
@@ -579,9 +594,26 @@ impl<'m, 'p> Lowerer<'m, 'p> {
                 let c = self.lower_expr(cond)?;
                 self.b.br(c.op, body_bb, exit);
                 self.b.set_block(body_bb);
-                self.loops.push((header, exit));
+                // A `for` step runs after the body, outside its scope. It
+                // follows the body in the body's last block, unless the
+                // body continues: then the step gets a block of its own
+                // for `continue` to jump to.
+                let latch = match step {
+                    Some(_) if continues(body) => self.b.new_block(),
+                    _ => header,
+                };
+                self.loops.push((latch, exit));
                 self.lower_block(body)?;
                 self.loops.pop();
+                if let Some(step) = step {
+                    if latch != header {
+                        if !self.b.is_terminated() {
+                            self.b.jmp(latch);
+                        }
+                        self.b.set_block(latch);
+                    }
+                    self.lower_stmt(step)?;
+                }
                 if !self.b.is_terminated() {
                     self.b.jmp(header);
                 }

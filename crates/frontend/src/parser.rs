@@ -80,12 +80,16 @@ impl Parser {
         self.toks[self.pos].line
     }
 
+    /// Consumes the current token. The parser never looks back, so the
+    /// token is moved out (an identifier's string is not copied); the
+    /// final `Eof` is never consumed and stays in place.
     fn bump(&mut self) -> Tok {
-        let t = self.toks[self.pos].tok.clone();
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
+            std::mem::replace(&mut self.toks[self.pos - 1].tok, Tok::Eof)
+        } else {
+            self.toks[self.pos].tok.clone()
         }
-        t
     }
 
     fn eat(&mut self, t: &Tok) -> bool {
@@ -331,7 +335,11 @@ impl Parser {
                 let cond = self.expr()?;
                 self.expect(&Tok::RParen)?;
                 let body = self.block()?;
-                StmtKind::While { cond, body }
+                StmtKind::While {
+                    cond,
+                    body,
+                    step: None,
+                }
             }
             Tok::KwFor => self.for_stmt()?,
             Tok::KwReturn => {
@@ -409,10 +417,8 @@ impl Parser {
     }
 
     /// `for (init; cond; step) body` desugars to
-    /// `{ init; while (cond) { body; step; } }`, with `continue` jumping
-    /// to the step (handled in lowering via a marker — here we desugar
-    /// directly, which is adequate because TinyC workloads do not use
-    /// `continue` inside `for`).
+    /// `{ init; while (cond) { body } }` with the loop's `step` set;
+    /// lowering runs the step after the body and on `continue`.
     fn for_stmt(&mut self) -> Result<StmtKind, ParseError> {
         let line = self.line();
         self.expect(&Tok::KwFor)?;
@@ -450,12 +456,13 @@ impl Parser {
             })
         };
         self.expect(&Tok::RParen)?;
-        let mut body = self.block()?;
-        if let Some(s) = step {
-            body.push(s);
-        }
+        let body = self.block()?;
         let w = Stmt {
-            kind: StmtKind::While { cond, body },
+            kind: StmtKind::While {
+                cond,
+                body,
+                step: step.map(Box::new),
+            },
             line,
         };
         Ok(match init {
@@ -479,115 +486,31 @@ impl Parser {
     // ---- expressions ---------------------------------------------------
 
     fn expr(&mut self) -> Result<Expr, ParseError> {
-        self.nested(Self::logic_or)
+        self.nested(|p| p.binary(1))
     }
 
-    fn logic_or(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.logic_and()?;
-        while self.peek() == &Tok::OrOr {
-            let line = self.line();
-            self.bump();
-            let rhs = self.logic_and()?;
-            lhs = Expr {
-                kind: ExprKind::Logic(LogicOp::Or, Box::new(lhs), Box::new(rhs)),
-                line,
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn logic_and(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.bit_or()?;
-        while self.peek() == &Tok::AndAnd {
-            let line = self.line();
-            self.bump();
-            let rhs = self.bit_or()?;
-            lhs = Expr {
-                kind: ExprKind::Logic(LogicOp::And, Box::new(lhs), Box::new(rhs)),
-                line,
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn bin_level(
-        &mut self,
-        ops: &[(Tok, AstBinOp)],
-        next: fn(&mut Self) -> Result<Expr, ParseError>,
-    ) -> Result<Expr, ParseError> {
-        let mut lhs = next(self)?;
-        'outer: loop {
-            for (t, op) in ops {
-                if self.peek() == t {
-                    let line = self.line();
-                    self.bump();
-                    let rhs = next(self)?;
-                    lhs = Expr {
-                        kind: ExprKind::Binary(*op, Box::new(lhs), Box::new(rhs)),
-                        line,
-                    };
-                    continue 'outer;
-                }
+    /// Precedence climbing over the binary operators, all of them
+    /// left-associative: after an operator of strength `s`, the right
+    /// operand takes only operators stronger than `s`. This builds the
+    /// same tree as one recursive function per precedence level, in one
+    /// call per operand instead of one per level.
+    fn binary(&mut self, min: u8) -> Result<Expr, ParseError> {
+        let mut lhs = self.unary()?;
+        while let Some((strength, op)) = infix(self.peek()) {
+            if strength < min {
+                break;
             }
-            break;
+            let line = self.line();
+            self.bump();
+            let rhs = self.binary(strength + 1)?;
+            let (l, r) = (Box::new(lhs), Box::new(rhs));
+            let kind = match op {
+                Infix::Logic(op) => ExprKind::Logic(op, l, r),
+                Infix::Binary(op) => ExprKind::Binary(op, l, r),
+            };
+            lhs = Expr { kind, line };
         }
         Ok(lhs)
-    }
-
-    fn bit_or(&mut self) -> Result<Expr, ParseError> {
-        self.bin_level(&[(Tok::Pipe, AstBinOp::BitOr)], Self::bit_xor)
-    }
-
-    fn bit_xor(&mut self) -> Result<Expr, ParseError> {
-        self.bin_level(&[(Tok::Caret, AstBinOp::BitXor)], Self::bit_and)
-    }
-
-    fn bit_and(&mut self) -> Result<Expr, ParseError> {
-        self.bin_level(&[(Tok::Amp, AstBinOp::BitAnd)], Self::equality)
-    }
-
-    fn equality(&mut self) -> Result<Expr, ParseError> {
-        self.bin_level(
-            &[(Tok::EqEq, AstBinOp::Eq), (Tok::NotEq, AstBinOp::Ne)],
-            Self::relational,
-        )
-    }
-
-    fn relational(&mut self) -> Result<Expr, ParseError> {
-        self.bin_level(
-            &[
-                (Tok::Lt, AstBinOp::Lt),
-                (Tok::Le, AstBinOp::Le),
-                (Tok::Gt, AstBinOp::Gt),
-                (Tok::Ge, AstBinOp::Ge),
-            ],
-            Self::shift,
-        )
-    }
-
-    fn shift(&mut self) -> Result<Expr, ParseError> {
-        self.bin_level(
-            &[(Tok::Shl, AstBinOp::Shl), (Tok::Shr, AstBinOp::Shr)],
-            Self::additive,
-        )
-    }
-
-    fn additive(&mut self) -> Result<Expr, ParseError> {
-        self.bin_level(
-            &[(Tok::Plus, AstBinOp::Add), (Tok::Minus, AstBinOp::Sub)],
-            Self::multiplicative,
-        )
-    }
-
-    fn multiplicative(&mut self) -> Result<Expr, ParseError> {
-        self.bin_level(
-            &[
-                (Tok::Star, AstBinOp::Mul),
-                (Tok::Slash, AstBinOp::Div),
-                (Tok::Percent, AstBinOp::Rem),
-            ],
-            Self::unary,
-        )
     }
 
     fn unary(&mut self) -> Result<Expr, ParseError> {
@@ -713,6 +636,40 @@ impl Parser {
         };
         Ok(Expr { kind, line })
     }
+}
+
+/// A binary operator token's node kind.
+enum Infix {
+    Logic(LogicOp),
+    Binary(AstBinOp),
+}
+
+/// The binary operator `t` denotes, if any, with its strength: higher
+/// binds tighter, from `||` (1) to the multiplicative operators (10).
+fn infix(t: &Tok) -> Option<(u8, Infix)> {
+    use AstBinOp::*;
+    let (strength, op) = match t {
+        Tok::OrOr => (1, Infix::Logic(LogicOp::Or)),
+        Tok::AndAnd => (2, Infix::Logic(LogicOp::And)),
+        Tok::Pipe => (3, Infix::Binary(BitOr)),
+        Tok::Caret => (4, Infix::Binary(BitXor)),
+        Tok::Amp => (5, Infix::Binary(BitAnd)),
+        Tok::EqEq => (6, Infix::Binary(Eq)),
+        Tok::NotEq => (6, Infix::Binary(Ne)),
+        Tok::Lt => (7, Infix::Binary(Lt)),
+        Tok::Le => (7, Infix::Binary(Le)),
+        Tok::Gt => (7, Infix::Binary(Gt)),
+        Tok::Ge => (7, Infix::Binary(Ge)),
+        Tok::Shl => (8, Infix::Binary(Shl)),
+        Tok::Shr => (8, Infix::Binary(Shr)),
+        Tok::Plus => (9, Infix::Binary(Add)),
+        Tok::Minus => (9, Infix::Binary(Sub)),
+        Tok::Star => (10, Infix::Binary(Mul)),
+        Tok::Slash => (10, Infix::Binary(Div)),
+        Tok::Percent => (10, Infix::Binary(Rem)),
+        _ => return None,
+    };
+    Some((strength, op))
 }
 
 #[cfg(test)]

@@ -5,7 +5,21 @@
 //! than the table operations themselves. This is the classic
 //! multiply-rotate word hash (as popularized by the Firefox/rustc
 //! "fx" hash): one rotate, one xor and one multiply per input word.
+//!
+//! Where it applies (DESIGN.md §7): the pointer solver and call graph,
+//! `mem2reg`, memory SSA (`FuncMemSsa`, `MemSsa::funcs`, `ModRef`), the
+//! VFG builder and demand engine, Opt II and the MFC walk. Where an id
+//! space is dense (one slot per function, variable or node), a vector
+//! or bitset replaces the map altogether, as in Opt II's dominator trees
+//! and the verifier's defined-register set.
+//!
 //! Not DoS-resistant — use only on keys the analysis itself created.
+//! Keys derived from outside input keep SipHash: `usher serve` compiles
+//! untrusted source, so the maps keyed by source identifiers (the
+//! lowering environment and scopes) stay on std's randomly keyed hasher.
+//! The frozen reference implementations are never optimized, this
+//! hasher included: they are the baselines the equivalence suites
+//! compare against.
 //!
 //! Hash values must never leak into output ordering: any map/set using
 //! this hasher must be drained through an explicit sort (or into an

@@ -5,11 +5,10 @@
 //! phi incomings that do not match predecessors, and `Unreachable`
 //! terminators surviving in reachable code.
 
-use std::collections::HashSet;
 use std::fmt;
 
 use crate::cfg::Cfg;
-use crate::ids::{BlockId, FuncId, Idx, VarId};
+use crate::ids::{BlockId, FuncId, Idx};
 use crate::module::{Callee, Function, Inst, Module, Operand, Terminator};
 
 /// A verifier finding.
@@ -62,9 +61,22 @@ fn verify_function(m: &Module, fid: FuncId, f: &Function, errors: &mut Vec<Verif
         };
     }
 
-    // Single definition per register.
-    let mut defined: HashSet<VarId> = f.params.iter().copied().collect();
-    if defined.len() != f.params.len() {
+    // Single definition per register. `defined` is a bitset over var
+    // indices, sized to also cover an out-of-range parameter so the
+    // duplicate-parameter check sees every register.
+    let nbits = f
+        .params
+        .iter()
+        .map(|p| p.index() + 1)
+        .max()
+        .unwrap_or(0)
+        .max(f.vars.len());
+    let mut defined = VarBits::new(nbits);
+    let mut duplicate_param = false;
+    for p in &f.params {
+        duplicate_param |= !defined.insert(p.index());
+    }
+    if duplicate_param {
         err!("duplicate parameter registers");
     }
     for (bb, block) in f.blocks.iter_enumerated() {
@@ -72,7 +84,7 @@ fn verify_function(m: &Module, fid: FuncId, f: &Function, errors: &mut Vec<Verif
             if let Some(d) = inst.dst() {
                 if d.index() >= f.vars.len() {
                     err!("{bb}: def of out-of-range var {d}");
-                } else if !defined.insert(d) {
+                } else if !defined.insert(d.index()) {
                     err!("{bb}: second definition of {d}");
                 }
             }
@@ -88,7 +100,7 @@ fn verify_function(m: &Module, fid: FuncId, f: &Function, errors: &mut Vec<Verif
                     func: fid,
                     message: format!("{bb}: use of out-of-range var {v}"),
                 });
-            } else if !defined.contains(&v) {
+            } else if !defined.contains(v.index()) {
                 errs.push(VerifyError {
                     func: fid,
                     message: format!("{bb}: use of never-defined var {v}"),
@@ -114,6 +126,7 @@ fn verify_function(m: &Module, fid: FuncId, f: &Function, errors: &mut Vec<Verif
         Operand::Const(_) | Operand::Undef => {}
     };
 
+    let mut inc: Vec<BlockId> = Vec::new();
     for (bb, block) in f.blocks.iter_enumerated() {
         for inst in &block.insts {
             inst.for_each_use(|op| check_operand(op, bb, errors));
@@ -147,8 +160,17 @@ fn verify_function(m: &Module, fid: FuncId, f: &Function, errors: &mut Vec<Verif
                     }
                 }
                 Inst::Phi { incomings, .. } if cfg.is_reachable(bb) => {
-                    let preds: HashSet<BlockId> = cfg.preds[bb].iter().copied().collect();
-                    let inc: HashSet<BlockId> = incomings.iter().map(|(b, _)| *b).collect();
+                    // No set per phi: the incoming blocks are sorted into
+                    // one per-function scratch buffer, and `cfg.preds[bb]`
+                    // is already sorted (blocks are scanned in order; a
+                    // block that branches here on both edges appears twice
+                    // in a row), so both sides are searched by bisection.
+                    let preds = &cfg.preds[bb];
+                    debug_assert!(preds.windows(2).all(|w| w[0] <= w[1]));
+                    inc.clear();
+                    inc.extend(incomings.iter().map(|(b, _)| *b));
+                    inc.sort_unstable();
+                    inc.dedup();
                     if inc.len() != incomings.len() {
                         errors.push(VerifyError {
                             func: fid,
@@ -158,15 +180,18 @@ fn verify_function(m: &Module, fid: FuncId, f: &Function, errors: &mut Vec<Verif
                     // Every incoming must be an actual predecessor; every
                     // reachable predecessor must appear.
                     for b in &inc {
-                        if !preds.contains(b) {
+                        if preds.binary_search(b).is_err() {
                             errors.push(VerifyError {
                                 func: fid,
                                 message: format!("{bb}: phi incoming from non-predecessor {b}"),
                             });
                         }
                     }
-                    for p in &preds {
-                        if cfg.is_reachable(*p) && !inc.contains(p) {
+                    for (i, p) in preds.iter().enumerate() {
+                        if (i == 0 || preds[i - 1] != *p)
+                            && cfg.is_reachable(*p)
+                            && inc.binary_search(p).is_err()
+                        {
                             errors.push(VerifyError {
                                 func: fid,
                                 message: format!("{bb}: phi missing incoming for predecessor {p}"),
@@ -201,9 +226,31 @@ fn verify_function(m: &Module, fid: FuncId, f: &Function, errors: &mut Vec<Verif
     }
 }
 
+/// A fixed-size bitset over variable indices.
+struct VarBits(Vec<u64>);
+
+impl VarBits {
+    fn new(n: usize) -> VarBits {
+        VarBits(vec![0; n.div_ceil(64)])
+    }
+
+    /// Sets bit `i`; returns whether it was clear.
+    fn insert(&mut self, i: usize) -> bool {
+        let (w, bit) = (i / 64, 1u64 << (i % 64));
+        let fresh = self.0[w] & bit == 0;
+        self.0[w] |= bit;
+        fresh
+    }
+
+    fn contains(&self, i: usize) -> bool {
+        self.0[i / 64] & (1u64 << (i % 64)) != 0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::VarId;
     use crate::module::{Block, Module, Operand};
 
     fn empty_main() -> Module {
@@ -282,6 +329,88 @@ mod tests {
         f.blocks[b].term = Terminator::Ret(None);
         let errs = verify(&m).unwrap_err();
         assert!(errs.iter().any(|e| e.message.contains("non-predecessor")));
+    }
+
+    #[test]
+    fn rejects_duplicate_parameters() {
+        let mut m = empty_main();
+        let int = m.types.int();
+        let f = &mut m.funcs[FuncId(0)];
+        let p = f.new_var("p", int);
+        f.params = vec![p, p];
+        let errs = verify(&m).unwrap_err();
+        assert!(errs
+            .iter()
+            .any(|e| e.message == "duplicate parameter registers"));
+    }
+
+    #[test]
+    fn rejects_def_of_out_of_range_var() {
+        let mut m = empty_main();
+        let f = &mut m.funcs[FuncId(0)];
+        f.blocks[f.entry].insts.push(Inst::Copy {
+            dst: VarId(7),
+            src: Operand::Const(1),
+        });
+        let errs = verify(&m).unwrap_err();
+        assert!(errs
+            .iter()
+            .any(|e| e.message.contains("def of out-of-range var")));
+    }
+
+    /// `entry -> {a, b} -> join`, with `join` starting with `phi`.
+    fn diamond_with_phi(
+        incomings: impl FnOnce(BlockId, BlockId) -> Vec<(BlockId, Operand)>,
+    ) -> Module {
+        let mut m = empty_main();
+        let int = m.types.int();
+        let f = &mut m.funcs[FuncId(0)];
+        let v = f.new_var("v", int);
+        let (a, b, join) = (f.new_block(), f.new_block(), f.new_block());
+        f.blocks[f.entry].term = Terminator::Br {
+            cond: Operand::Const(1),
+            then_bb: a,
+            else_bb: b,
+        };
+        f.blocks[a].term = Terminator::Jmp(join);
+        f.blocks[b].term = Terminator::Jmp(join);
+        f.blocks[join].insts.push(Inst::Phi {
+            dst: v,
+            incomings: incomings(a, b),
+        });
+        f.blocks[join].term = Terminator::Ret(None);
+        m
+    }
+
+    #[test]
+    fn accepts_well_formed_phi() {
+        let m = diamond_with_phi(|a, b| vec![(a, Operand::Const(1)), (b, Operand::Const(2))]);
+        assert!(verify(&m).is_ok());
+    }
+
+    #[test]
+    fn rejects_phi_with_duplicate_incoming_blocks() {
+        let m = diamond_with_phi(|a, b| {
+            vec![
+                (a, Operand::Const(1)),
+                (b, Operand::Const(2)),
+                (a, Operand::Const(3)),
+            ]
+        });
+        let errs = verify(&m).unwrap_err();
+        assert!(errs
+            .iter()
+            .any(|e| e.message.contains("phi with duplicate incoming blocks")));
+    }
+
+    #[test]
+    fn rejects_phi_missing_a_reachable_predecessor() {
+        let m = diamond_with_phi(|a, _| vec![(a, Operand::Const(1))]);
+        let errs = verify(&m).unwrap_err();
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert!(errs[0]
+            .message
+            .contains("phi missing incoming for predecessor"));
     }
 
     #[test]

@@ -27,12 +27,11 @@
 //!   exactly Figure 6;
 //! * **weak** — everything else (`rho_m -> y`, `rho_m -> rho_n`).
 
-use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use usher_ir::{
-    Budget, Callee, Cfg, DomTree, Exhausted, ExtFunc, FuncId, GepOffset, Idx, Inst, Module,
-    Operand, Site, Terminator, VarId,
+    Budget, Callee, Cfg, DomTree, Exhausted, ExtFunc, FuncId, FxHashMap, GepOffset, Idx, Inst,
+    Module, Operand, Site, Terminator, VarId,
 };
 use usher_pointer::{Loc, PointerAnalysis};
 
@@ -729,14 +728,19 @@ fn traverse_function(
 
     // Allocation chis per location, for semi-strong lookups:
     // loc -> [(site, old version at the alloc)].
-    let mut alloc_chis: HashMap<Loc, Vec<(Site, MemVerId)>> = HashMap::new();
+    let mut alloc_chis: FxHashMap<Loc, Vec<(Site, MemVerId)>> = FxHashMap::default();
     if let Some(fs) = fs {
-        let mut chi_sites: Vec<Site> = fs.chis.keys().copied().collect();
-        chi_sites.sort_unstable();
-        for site in chi_sites {
-            for c in &fs.chis[&site] {
-                if matches!(fs.def(c.new).kind, crate::memssa::MemDefKind::Alloc(_)) {
-                    alloc_chis.entry(c.loc).or_default().push((site, c.old));
+        // Only allocations carry alloc chis; visit them in site order.
+        for (bb, block) in func.blocks.iter_enumerated() {
+            for (idx, inst) in block.insts.iter().enumerate() {
+                if !matches!(inst, Inst::Alloc { .. }) {
+                    continue;
+                }
+                let site = Site::new(fid, bb, idx);
+                for c in fs.chis.get(&site).into_iter().flatten() {
+                    if matches!(fs.def(c.new).kind, crate::memssa::MemDefKind::Alloc(_)) {
+                        alloc_chis.entry(c.loc).or_default().push((site, c.old));
+                    }
                 }
             }
         }
@@ -828,7 +832,7 @@ fn build_inst(
     inst: &Inst,
     opts: BuildOpts,
     dt: &DomTree,
-    alloc_chis: &HashMap<Loc, Vec<(Site, MemVerId)>>,
+    alloc_chis: &FxHashMap<Loc, Vec<(Site, MemVerId)>>,
 ) {
     let full = opts.mode == VfgMode::Full;
     let fs = ms.funcs.get(&fid);

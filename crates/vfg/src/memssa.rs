@@ -17,11 +17,9 @@
 //! dangling read of a dead frame resolves to the "no prior definition"
 //! version, which the VFG maps to a fresh, dependency-free node.
 
-use std::collections::{HashMap, HashSet};
-
 use usher_ir::{
-    BlockId, Budget, Callee, Cfg, DomTree, Exhausted, ExtFunc, FuncId, Idx, Inst, Module, ObjKind,
-    Site, Terminator,
+    BlockId, Budget, Callee, Cfg, DomTree, Exhausted, ExtFunc, FuncId, FxHashMap, FxHashSet, Idx,
+    IdxVec, Inst, Module, ObjKind, Site, Terminator,
 };
 use usher_pointer::{Loc, PointerAnalysis};
 
@@ -90,21 +88,21 @@ pub struct FuncMemSsa {
     /// All versions, indexed by [`MemVerId`].
     pub defs: Vec<MemDef>,
     /// `mu` lists per load / call site.
-    pub mus: HashMap<Site, Vec<MuUse>>,
+    pub mus: FxHashMap<Site, Vec<MuUse>>,
     /// `chi` lists per store / alloc / call site.
-    pub chis: HashMap<Site, Vec<ChiDef>>,
+    pub chis: FxHashMap<Site, Vec<ChiDef>>,
     /// Region phis per block (at block head).
-    pub phis: HashMap<BlockId, Vec<RegionPhi>>,
+    pub phis: FxHashMap<BlockId, Vec<RegionPhi>>,
     /// Virtual output parameters at each `ret` block: `(loc, final
     /// version)`; only locations in the function's mod summary appear.
-    pub ret_mus: HashMap<BlockId, Vec<MuUse>>,
+    pub ret_mus: FxHashMap<BlockId, Vec<MuUse>>,
     /// The formal-in version of every versioned location.
-    pub formal_in: HashMap<Loc, MemVerId>,
+    pub formal_in: FxHashMap<Loc, MemVerId>,
     /// Locations in the function's ref+mod summary (its virtual
     /// parameters); formal-ins outside this set have no callers' flow.
-    pub summary_in: HashSet<Loc>,
+    pub summary_in: FxHashSet<Loc>,
     /// Locations in the mod summary (virtual output parameters).
-    pub summary_out: HashSet<Loc>,
+    pub summary_out: FxHashSet<Loc>,
 }
 
 impl FuncMemSsa {
@@ -118,7 +116,7 @@ impl FuncMemSsa {
 #[derive(Clone, Debug, Default)]
 pub struct MemSsa {
     /// Per-function results.
-    pub funcs: HashMap<FuncId, FuncMemSsa>,
+    pub funcs: FxHashMap<FuncId, FuncMemSsa>,
 }
 
 /// Whole-program mod/ref summaries: the sequential prefix of memory-SSA
@@ -128,9 +126,9 @@ pub struct MemSsa {
 #[derive(Clone, Debug, Default)]
 pub struct ModRef {
     /// Locations each function (transitively) may modify.
-    pub mods: HashMap<FuncId, HashSet<Loc>>,
+    pub mods: IdxVec<FuncId, FxHashSet<Loc>>,
     /// Locations each function (transitively) may read.
-    pub refs: HashMap<FuncId, HashSet<Loc>>,
+    pub refs: IdxVec<FuncId, FxHashSet<Loc>>,
 }
 
 /// Computes the [`ModRef`] summaries for every function.
@@ -150,12 +148,10 @@ pub fn modref_summaries_budgeted(
     pa: &PointerAnalysis,
     budget: &Budget,
 ) -> Result<ModRef, Exhausted> {
-    let mut mods: HashMap<FuncId, HashSet<Loc>> = HashMap::new();
-    let mut refs: HashMap<FuncId, HashSet<Loc>> = HashMap::new();
-    for f in m.funcs.indices() {
-        mods.insert(f, HashSet::new());
-        refs.insert(f, HashSet::new());
-    }
+    let mut mods: IdxVec<FuncId, FxHashSet<Loc>> =
+        m.funcs.iter().map(|_| Default::default()).collect();
+    let mut refs: IdxVec<FuncId, FxHashSet<Loc>> =
+        m.funcs.iter().map(|_| Default::default()).collect();
     // Direct effects.
     for (fid, func) in m.funcs.iter_enumerated() {
         for (_bb, block) in func.blocks.iter_enumerated() {
@@ -163,20 +159,20 @@ pub fn modref_summaries_budgeted(
                 match inst {
                     Inst::Load { addr, .. } => {
                         for l in pa.pts_operand(fid, *addr) {
-                            refs.get_mut(&fid).expect("init above").insert(l);
+                            refs[fid].insert(l);
                         }
                     }
                     Inst::Store { addr, .. } => {
                         for l in pa.pts_operand(fid, *addr) {
-                            mods.get_mut(&fid).expect("init above").insert(l);
+                            mods[fid].insert(l);
                             // The old version is merged on weak updates,
                             // which reads it.
-                            refs.get_mut(&fid).expect("init above").insert(l);
+                            refs[fid].insert(l);
                         }
                     }
                     Inst::Alloc { obj, .. } => {
                         for l in pa.all_fields(*obj) {
-                            mods.get_mut(&fid).expect("init above").insert(l);
+                            mods[fid].insert(l);
                         }
                     }
                     _ => {}
@@ -195,23 +191,21 @@ pub fn modref_summaries_budgeted(
                 for site in sites {
                     for &g in pa.call_graph.callees_of(site) {
                         budget.try_charge(1)?;
-                        let callee_mods: Vec<Loc> = mods[&g]
+                        let callee_mods: Vec<Loc> = mods[g]
                             .iter()
                             .copied()
                             .filter(|l| visible_outside(m, g, *l))
                             .collect();
-                        let callee_refs: Vec<Loc> = refs[&g]
+                        let callee_refs: Vec<Loc> = refs[g]
                             .iter()
                             .copied()
                             .filter(|l| visible_outside(m, g, *l))
                             .collect();
-                        let fm = mods.get_mut(&f).expect("init above");
                         for l in callee_mods {
-                            changed |= fm.insert(l);
+                            changed |= mods[f].insert(l);
                         }
-                        let fr = refs.get_mut(&f).expect("init above");
                         for l in callee_refs {
-                            changed |= fr.insert(l);
+                            changed |= refs[f].insert(l);
                         }
                     }
                 }
@@ -293,35 +287,42 @@ fn build_function(
     m: &Module,
     pa: &PointerAnalysis,
     fid: FuncId,
-    mods: &HashMap<FuncId, HashSet<Loc>>,
-    refs: &HashMap<FuncId, HashSet<Loc>>,
+    mods: &IdxVec<FuncId, FxHashSet<Loc>>,
+    refs: &IdxVec<FuncId, FxHashSet<Loc>>,
     budget: &Budget,
 ) -> Result<FuncMemSsa, Exhausted> {
     let func = &m.funcs[fid];
     let cfg = Cfg::compute(func);
     let dt = DomTree::compute(func, &cfg);
     let mut fs = FuncMemSsa {
-        summary_in: refs[&fid].union(&mods[&fid]).copied().collect(),
-        summary_out: mods[&fid].clone(),
+        summary_in: refs[fid].union(&mods[fid]).copied().collect(),
+        summary_out: mods[fid].clone(),
         ..Default::default()
     };
 
     // --- Which locations does this function version, and where are the
-    // defs? (mu/chi placement decisions, before numbering.)
-    #[derive(Default)]
+    // defs? (mu/chi placement decisions, before numbering.) A location is
+    // named by its index in `versioned` from here on, so the renaming
+    // walk indexes vectors instead of hashing locations.
     struct SiteEffects {
-        mus: Vec<Loc>,
-        chis: Vec<Loc>,
+        idx: usize,
+        mus: Vec<u32>,
+        chis: Vec<u32>,
     }
-    let mut effects: HashMap<Site, SiteEffects> = HashMap::new();
+    // Per block, in instruction order: the sites with a mu or a chi.
+    let mut effects: IdxVec<BlockId, Vec<SiteEffects>> =
+        func.blocks.iter().map(|_| Vec::new()).collect();
     let mut versioned: Vec<Loc> = Vec::new();
-    let mut versioned_set: HashSet<Loc> = HashSet::new();
-    let mut def_blocks: HashMap<Loc, Vec<BlockId>> = HashMap::new();
+    let mut loc_idx: FxHashMap<Loc, u32> = FxHashMap::default();
+    // Per versioned location: the blocks that define it.
+    let mut def_blocks: Vec<Vec<BlockId>> = Vec::new();
 
-    let note = |l: Loc, versioned: &mut Vec<Loc>, versioned_set: &mut HashSet<Loc>| {
-        if versioned_set.insert(l) {
+    // Interns a location in discovery order.
+    let mut note = |l: Loc| -> u32 {
+        *loc_idx.entry(l).or_insert_with(|| {
             versioned.push(l);
-        }
+            versioned.len() as u32 - 1
+        })
     };
 
     for (bb, block) in func.blocks.iter_enumerated() {
@@ -331,37 +332,23 @@ fn build_function(
         for (idx, inst) in block.insts.iter().enumerate() {
             budget.try_charge(1)?;
             let site = Site::new(fid, bb, idx);
-            match inst {
+            let (mus, chis): (Vec<Loc>, Vec<Loc>) = match inst {
                 Inst::Load { addr, .. } => {
                     let mut locs = pa.pts_operand(fid, *addr);
                     locs.sort_unstable();
                     locs.dedup();
-                    for &l in &locs {
-                        note(l, &mut versioned, &mut versioned_set);
-                    }
-                    effects.entry(site).or_default().mus = locs;
+                    (locs, Vec::new())
                 }
                 Inst::Store { addr, .. } => {
                     let mut locs = pa.pts_operand(fid, *addr);
                     locs.sort_unstable();
                     locs.dedup();
-                    for &l in &locs {
-                        note(l, &mut versioned, &mut versioned_set);
-                        def_blocks.entry(l).or_default().push(bb);
-                    }
-                    effects.entry(site).or_default().chis = locs;
+                    (Vec::new(), locs)
                 }
-                Inst::Alloc { obj, .. } => {
-                    let locs = pa.all_fields(*obj);
-                    for &l in &locs {
-                        note(l, &mut versioned, &mut versioned_set);
-                        def_blocks.entry(l).or_default().push(bb);
-                    }
-                    effects.entry(site).or_default().chis = locs;
-                }
+                Inst::Alloc { obj, .. } => (Vec::new(), pa.all_fields(*obj)),
                 Inst::Call { callee, .. } => {
-                    let mut mu_locs: HashSet<Loc> = HashSet::new();
-                    let mut chi_locs: HashSet<Loc> = HashSet::new();
+                    let mut mu_locs: FxHashSet<Loc> = FxHashSet::default();
+                    let mut chi_locs: FxHashSet<Loc> = FxHashSet::default();
                     match callee {
                         Callee::External(ExtFunc::Free) => {
                             // free neither defines nor reads contents.
@@ -369,12 +356,12 @@ fn build_function(
                         Callee::External(_) => {}
                         _ => {
                             for &g in pa.call_graph.callees_of(site) {
-                                for &l in &refs[&g] {
+                                for &l in &refs[g] {
                                     if visible_outside(m, g, l) {
                                         mu_locs.insert(l);
                                     }
                                 }
-                                for &l in &mods[&g] {
+                                for &l in &mods[g] {
                                     if visible_outside(m, g, l) {
                                         chi_locs.insert(l);
                                     }
@@ -382,30 +369,30 @@ fn build_function(
                             }
                         }
                     }
-                    if mu_locs.is_empty() && chi_locs.is_empty() {
-                        continue;
-                    }
                     let mut mus: Vec<Loc> = mu_locs.into_iter().collect();
                     let mut chis: Vec<Loc> = chi_locs.into_iter().collect();
                     mus.sort_unstable();
                     chis.sort_unstable();
-                    for &l in mus.iter().chain(chis.iter()) {
-                        note(l, &mut versioned, &mut versioned_set);
-                    }
-                    for &l in &chis {
-                        def_blocks.entry(l).or_default().push(bb);
-                    }
-                    let e = effects.entry(site).or_default();
-                    e.mus = mus;
-                    e.chis = chis;
+                    (mus, chis)
                 }
-                _ => {}
+                _ => continue,
+            };
+            if mus.is_empty() && chis.is_empty() {
+                continue;
             }
+            let mus: Vec<u32> = mus.into_iter().map(&mut note).collect();
+            let chis: Vec<u32> = chis.into_iter().map(&mut note).collect();
+            for &li in &chis {
+                if def_blocks.len() <= li as usize {
+                    def_blocks.resize_with(li as usize + 1, Vec::new);
+                }
+                def_blocks[li as usize].push(bb);
+            }
+            effects[bb].push(SiteEffects { idx, mus, chis });
         }
     }
 
     // --- Version numbering.
-    let loc_idx: HashMap<Loc, usize> = versioned.iter().enumerate().map(|(i, l)| (*l, i)).collect();
     let new_def = |fs: &mut FuncMemSsa, loc: Loc, kind: MemDefKind| -> MemVerId {
         let id = MemVerId(fs.defs.len() as u32);
         fs.defs.push(MemDef { loc, kind });
@@ -423,26 +410,35 @@ fn build_function(
     // Phi placement at iterated dominance frontiers; entry is a def block
     // for every loc (the formal-in). Iterate locs in discovery order, not
     // map order, so version numbering and per-block phi order are stable.
-    let mut phi_at: HashMap<(BlockId, usize), MemVerId> = HashMap::new();
-    for l in &versioned {
-        let Some(blocks) = def_blocks.get(l) else {
+    // `phi_locs[bb]` lists the location index of each of `bb`'s phis.
+    let mut phi_locs: IdxVec<BlockId, Vec<u32>> = func.blocks.iter().map(|_| Vec::new()).collect();
+    for (li, blocks) in def_blocks.iter_mut().enumerate() {
+        if blocks.is_empty() {
             continue;
-        };
-        let li = loc_idx[l];
-        let mut dbs = blocks.clone();
-        dbs.push(func.entry);
-        dbs.sort_unstable();
-        dbs.dedup();
-        for bb in dt.iterated_frontier(&dbs) {
+        }
+        let l = &versioned[li];
+        blocks.push(func.entry);
+        blocks.sort_unstable();
+        blocks.dedup();
+        for bb in dt.iterated_frontier(blocks) {
             let v = new_def(&mut fs, *l, MemDefKind::Phi(bb));
             fs.phis.entry(bb).or_default().push(RegionPhi {
                 loc: *l,
                 def: v,
                 incomings: Vec::new(),
             });
-            phi_at.insert((bb, li), v);
+            phi_locs[bb].push(li as u32);
         }
     }
+
+    // The virtual outputs every return reports: the versioned locations
+    // of the mod summary, in location order.
+    let mut ret_locs: Vec<(Loc, u32)> = fs
+        .summary_out
+        .iter()
+        .filter_map(|l| loc_idx.get(l).map(|&li| (*l, li)))
+        .collect();
+    ret_locs.sort_unstable();
 
     // --- Renaming over the dominator tree.
     let mut visited = vec![false; func.blocks.len()];
@@ -455,41 +451,39 @@ fn build_function(
         budget.try_charge(1 + func.blocks[bb].insts.len() as u64)?;
 
         if let Some(phis) = fs.phis.get(&bb) {
-            for p in phis {
-                cur[loc_idx[&p.loc]] = p.def;
+            for (p, &li) in phis.iter().zip(&phi_locs[bb]) {
+                cur[li as usize] = p.def;
             }
         }
 
-        for (idx, inst) in func.blocks[bb].insts.iter().enumerate() {
-            let site = Site::new(fid, bb, idx);
-            let Some(e) = effects.get(&site) else {
-                continue;
-            };
+        for e in &effects[bb] {
+            let site = Site::new(fid, bb, e.idx);
             // mus first (they read the pre-state).
             if !e.mus.is_empty() {
                 let mus: Vec<MuUse> = e
                     .mus
                     .iter()
-                    .map(|l| MuUse {
-                        loc: *l,
-                        def: cur[loc_idx[l]],
+                    .map(|&li| MuUse {
+                        loc: versioned[li as usize],
+                        def: cur[li as usize],
                     })
                     .collect();
                 fs.mus.insert(site, mus);
             }
             if !e.chis.is_empty() {
-                let kind = match inst {
+                let kind = match func.blocks[bb].insts[e.idx] {
                     Inst::Alloc { .. } => MemDefKind::Alloc(site),
                     Inst::Store { .. } => MemDefKind::StoreChi(site),
                     Inst::Call { .. } => MemDefKind::CallChi(site),
                     _ => unreachable!("chi only on alloc/store/call"),
                 };
                 let mut chis = Vec::with_capacity(e.chis.len());
-                for l in &e.chis {
-                    let old = cur[loc_idx[l]];
-                    let new = new_def(&mut fs, *l, kind);
-                    cur[loc_idx[l]] = new;
-                    chis.push(ChiDef { loc: *l, new, old });
+                for &li in &e.chis {
+                    let loc = versioned[li as usize];
+                    let old = cur[li as usize];
+                    let new = new_def(&mut fs, loc, kind);
+                    cur[li as usize] = new;
+                    chis.push(ChiDef { loc, new, old });
                 }
                 fs.chis.insert(site, chis);
             }
@@ -497,24 +491,21 @@ fn build_function(
 
         // Virtual output parameters at returns.
         if let Terminator::Ret(_) = func.blocks[bb].term {
-            let mut outs: Vec<MuUse> = fs
-                .summary_out
+            let outs: Vec<MuUse> = ret_locs
                 .iter()
-                .filter(|l| loc_idx.contains_key(l))
-                .map(|l| MuUse {
-                    loc: *l,
-                    def: cur[loc_idx[l]],
+                .map(|&(loc, li)| MuUse {
+                    loc,
+                    def: cur[li as usize],
                 })
                 .collect();
-            outs.sort_by_key(|mu| mu.loc);
             fs.ret_mus.insert(bb, outs);
         }
 
         // Fill successor phis.
         for &succ in &cfg.succs[bb] {
             if let Some(phis) = fs.phis.get_mut(&succ) {
-                for p in phis {
-                    p.incomings.push((bb, cur[loc_idx[&p.loc]]));
+                for (p, &li) in phis.iter_mut().zip(&phi_locs[succ]) {
+                    p.incomings.push((bb, cur[li as usize]));
                 }
             }
         }

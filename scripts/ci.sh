@@ -18,6 +18,13 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "==> cargo test -q --offline"
 cargo test -q --offline --workspace
 
+echo "==> perfbench smoke"
+# The benchmark's own tests: a --tiny run of every workload, traced and
+# untraced, with every correctness oracle (plan determinism, the
+# fingerprint checks, the serve responses). A nondeterministic plan or
+# a broken oracle fails here, before any benchmark run.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> fuzz smoke"
 # A fixed, deterministic differential campaign across the static/dynamic
 # soundness boundary (plus a fuel-fault and a front-end havoc pass).

@@ -2,10 +2,13 @@
 //! TinyC -> IR -> O0+IM -> pointer analysis -> memory SSA -> VFG ->
 //! resolution -> instrumentation -> interpretation.
 
+use std::hash::Hasher;
+
 use usher::core::{run_config, Config};
-use usher::ir::OptLevel;
+use usher::driver::{plan_fingerprint, Pipeline, PipelineOptions, CACHE_FORMAT_VERSION};
+use usher::ir::{write_text, FxHasher, OptLevel};
 use usher::runtime::{run, RunOptions};
-use usher::workloads::{all_workloads, workload, Scale};
+use usher::workloads::{all_workloads, generate, ladder_config, workload, Scale};
 
 fn opts() -> RunOptions {
     RunOptions::default()
@@ -193,4 +196,112 @@ fn analysis_is_deterministic() {
     let ra = run(&m, Some(&a.plan), &opts());
     let rb = run(&m, Some(&b.plan), &opts());
     assert_eq!(ra.counters, rb.counters);
+}
+
+/// Digest of `bytes` under the in-repo fx hash.
+fn fx_digest(bytes: &[u8]) -> u64 {
+    let mut h = FxHasher::default();
+    h.write(bytes);
+    h.finish()
+}
+
+/// Pins what a cold `Config::USHER` run outputs: digests of the module's
+/// IR text and of the plan fingerprint, on generated programs with 16, 64
+/// and 131 helpers and on one SPEC-modelled program. A change meant to
+/// speed the pipeline up must leave every pin as it is. A change that is
+/// meant to alter the output updates these pins and bumps
+/// `CACHE_FORMAT_VERSION` together, so no stale cache entry survives it.
+#[test]
+fn cold_output_is_pinned() {
+    let mut programs: Vec<(String, String)> = [(23, 16, 10), (53, 64, 12), (131, 131, 14)]
+        .into_iter()
+        .map(|(seed, helpers, stmts)| {
+            let src = generate(seed, ladder_config(helpers, stmts));
+            (format!("gen-{seed}-h{helpers}"), src)
+        })
+        .collect();
+    let gap = workload("254.gap", Scale::TEST).unwrap();
+    programs.push((gap.name.to_string(), gap.source));
+    let pipe = Pipeline::new().with_threads(2);
+    let got: Vec<(String, u64, u64)> = programs
+        .iter()
+        .map(|(name, src)| {
+            let run = pipe
+                .run_source(
+                    name.clone(),
+                    src,
+                    PipelineOptions::from_config(Config::USHER),
+                )
+                .expect(name);
+            let ir = fx_digest(write_text(&run.module).as_bytes());
+            let plan = fx_digest(plan_fingerprint(&run.plan).as_bytes());
+            (name.clone(), ir, plan)
+        })
+        .collect();
+    let want = [
+        ("gen-23-h16", 0xd5db_a4c6_a7bf_e46c, 0xd86d_349f_78f8_538a),
+        ("gen-53-h64", 0xc835_fea8_4025_45b9, 0x7788_0c4c_6c82_e779),
+        ("gen-131-h131", 0x6944_f382_ef82_b882, 0x0572_f821_b817_bb55),
+        ("254.gap", 0x31c0_9f3a_870d_37cd, 0x79b4_8d3e_8eed_3761),
+    ];
+    let want: Vec<(String, u64, u64)> = want
+        .into_iter()
+        .map(|(name, ir, plan)| (name.to_string(), ir, plan))
+        .collect();
+    assert_eq!(got, want);
+    assert_eq!(CACHE_FORMAT_VERSION, 2);
+}
+
+/// `continue` in a `for` runs the step before the next test; it used to
+/// jump straight back to the test, skip the step and loop forever. The
+/// step also used to run in the body's scope.
+#[test]
+fn continue_in_a_for_loop_runs_the_step() {
+    let src = "def main() -> int {
+        int s = 0;
+        for (int i = 0; i < 3; i = i + 1) {
+            if (i == 1) { continue; }
+            s = s + 1;
+        }
+        print(s);
+        return 0;
+    }";
+    let m = usher::frontend::compile_o0im(src).unwrap();
+    let r = run(&m, None, &opts());
+    assert_eq!(r.trap, None);
+    assert_eq!(r.trace, vec![2]);
+    // A `continue` of an inner loop continues that loop, and the outer
+    // `for` still steps after the inner loop's `continue`.
+    let nested = "def main() -> int {
+        int s = 0;
+        for (int i = 0; i < 4; i = i + 1) {
+            for (int j = 0; j < 3; j = j + 1) {
+                if (j == 1) { continue; }
+                s = s + 10;
+            }
+            if (i == 2) { continue; }
+            s = s + 1;
+        }
+        print(s);
+        return 0;
+    }";
+    let m = usher::frontend::compile_o0im(nested).unwrap();
+    let r = run(&m, None, &opts());
+    assert_eq!(r.trap, None);
+    assert_eq!(r.trace, vec![83]);
+    // The step is outside the body's scope: a body local that shadows the
+    // loop variable leaves the step's `i` alone.
+    let shadow = "def main() -> int {
+        int s = 0;
+        for (int i = 0; i < 3; i = i + 1) {
+            int i = 7;
+            s = s + i;
+        }
+        print(s);
+        return 0;
+    }";
+    let m = usher::frontend::compile_o0im(shadow).unwrap();
+    let r = run(&m, None, &opts());
+    assert_eq!(r.trap, None);
+    assert_eq!(r.trace, vec![21]);
 }
