@@ -7,8 +7,11 @@
 //! * `figure10` — execution-time slowdowns per configuration (Figure 10);
 //! * `figure11` — static shadow propagations / checks vs MSan (Figure 11);
 //! * `optlevels` — the `-O1`/`-O2` comparison (Section 4.6);
-//! * `ablation` — the design-choice ablation;
-//! * std-only wall-clock benches in `benches/`.
+//! * `ablation` — the design-choice ablation.
+//!
+//! End-to-end timing lives in `perfbench/` and the timing regression
+//! gates in `tests/perf_gates.rs`; this crate regenerates the paper's
+//! numbers.
 //!
 //! All static analysis routes through the [`usher_driver::Pipeline`], so
 //! the five configurations of one workload share the compiled module (and

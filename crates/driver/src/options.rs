@@ -90,8 +90,8 @@ pub struct PipelineOptions {
     pub bit_level: bool,
     /// Which pointer-analysis solver runs the pointer stage: the
     /// production solver (the default) or the frozen reference oracle,
-    /// which differential harnesses (`usher fuzz --fault
-    /// strategy-diverge`, `stage_bench`) select here. Both produce
+    /// which the differential fuzz mode (`usher fuzz --fault
+    /// strategy-diverge`) selects here. Both produce
     /// byte-identical results (enforced by the representation-equivalence
     /// suite), but their `SolverStats` counters differ, so the strategy
     /// **is** part of the pointer cache key (and only that key —

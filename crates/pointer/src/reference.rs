@@ -1,8 +1,9 @@
 //! The original `BTreeSet`-based Andersen solver, retained verbatim as
 //! the equivalence baseline for the bitmap solver in [`crate::andersen`].
 //!
-//! It is the "before" side of `scripts/bench.sh` and the oracle for the
-//! representation-equivalence property tests: both solvers must produce
+//! It is the baseline of the pointer timing gate in `tests/perf_gates.rs`
+//! and the oracle for the representation-equivalence property tests:
+//! both solvers must produce
 //! identical [`PointerAnalysis`] tables (up to the shared finalization in
 //! `andersen::finish_analysis`). Keep its semantics frozen — fixes and
 //! optimizations go into the bitmap solver only.

@@ -129,8 +129,8 @@ pub struct Handled {
     pub shutdown: bool,
 }
 
-/// Shared request dispatcher: every transport (stdin, socket, bench,
-/// tests) funnels through here.
+/// Shared request dispatcher: every transport (stdin, socket, tests)
+/// funnels through here.
 pub struct Dispatcher {
     engine: Mutex<Engine>,
     seq: AtomicU64,
@@ -225,7 +225,8 @@ impl Dispatcher {
         })
     }
 
-    /// Direct engine access (used by `serve-bench` and tests).
+    /// Direct engine access, for tests that read engine state behind the
+    /// protocol (session sources, counters).
     pub fn engine(&self) -> &Mutex<Engine> {
         &self.engine
     }
@@ -1095,6 +1096,79 @@ mod tests {
         let resp = Json::parse(&d.handle_line("stdin", "{\"op\":\"stats\"}").response).unwrap();
         assert_eq!(field(&resp, "ok").as_bool(), Some(true));
         assert_eq!(field(&resp, "requests_shed").as_u64(), Some(1));
+    }
+
+    /// Overload burst: client threads that a barrier releases together
+    /// each volley race a `max_queue = 1` dispatcher. Each client honors
+    /// `retry_after_ms` with bounded exponential backoff and
+    /// deterministic jitter (the discipline `examples/serve_client.rs`
+    /// implements), and every request must eventually succeed. The test
+    /// holds the engine through the first volley until a request has
+    /// been shed: the one admitted request waits on the lock with the
+    /// only slot, so the others' first attempts must be refused.
+    #[test]
+    fn overload_burst_sheds_and_every_request_eventually_succeeds() {
+        const CLIENTS: usize = 4;
+        const VOLLEYS: usize = 8;
+        let cfg = ServerConfig {
+            max_queue: 1,
+            wal_enabled: false,
+            ..ServerConfig::default()
+        };
+        let d = Arc::new(Dispatcher::new(&cfg).unwrap());
+        let req = {
+            let mut w = ObjWriter::new();
+            w.str("op", "analyze").str("source", SRC);
+            w.finish()
+        };
+        // One cold analyze up front so the burst contends on warm opens.
+        let resp = Json::parse(&d.handle_line("stdin", &req).response).unwrap();
+        assert_eq!(field(&resp, "ok").as_bool(), Some(true));
+
+        let engine = d.engine().lock().unwrap();
+        let barrier = Arc::new(std::sync::Barrier::new(CLIENTS));
+        let handles: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                let (d, barrier, req) = (d.clone(), barrier.clone(), req.clone());
+                std::thread::spawn(move || {
+                    let mut shed = 0u64;
+                    for v in 0..VOLLEYS {
+                        barrier.wait();
+                        let mut attempt = 0u64;
+                        loop {
+                            let h = d.handle_line(&format!("burst-{c}"), &req);
+                            let resp = Json::parse(&h.response).unwrap();
+                            if field(&resp, "ok").as_bool() == Some(true) {
+                                break;
+                            }
+                            assert_eq!(
+                                field(&resp, "error_kind").as_str(),
+                                Some("overloaded"),
+                                "client {c} volley {v}: {resp:?}"
+                            );
+                            shed += 1;
+                            assert!(attempt < 20, "client {c} volley {v} never admitted");
+                            let hint = field(&resp, "retry_after_ms").as_u64().unwrap();
+                            let base = (hint.min(10) << attempt.min(4)).max(1);
+                            let jitter = (c as u64 * 7 + v as u64 * 3 + attempt) % (base / 2 + 1);
+                            std::thread::sleep(Duration::from_millis(base + jitter));
+                            attempt += 1;
+                        }
+                    }
+                    shed
+                })
+            })
+            .collect();
+        while d.requests_shed.load(Ordering::SeqCst) == 0 {
+            std::thread::yield_now();
+        }
+        drop(engine);
+        let shed: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
+        assert!(shed > 0);
+        assert_eq!(shed, d.requests_shed.load(Ordering::SeqCst));
+        assert_eq!(d.inflight(), 0);
+        let st = d.engine().lock().unwrap().stats();
+        assert_eq!(st.counters.analyzes_warm, (CLIENTS * VOLLEYS) as u64);
     }
 
     #[test]

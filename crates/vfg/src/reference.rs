@@ -7,7 +7,8 @@
 //! byte for byte. The representation-equivalence suite builds every
 //! workload through both generations and asserts the frozen graph
 //! ([`RefVfg::freeze`]) is structurally identical to the CSR-first one;
-//! `scripts/bench.sh` uses this builder for its "before" timings.
+//! the VFG timing gate in `tests/perf_gates.rs` times this builder as
+//! its baseline.
 //! Semantics are frozen; do not optimize.
 
 use std::collections::HashMap;

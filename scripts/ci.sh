@@ -76,8 +76,8 @@ echo "==> serve smoke"
 # ratio and three memory-tier entries, and a clean shutdown. The cold
 # open runs the driver's pipeline, so its stderr telemetry record must
 # list the driver's stages in order, and no record may carry a contained
-# stage panic. Then the serve-bench regression gate: quick-rung trace
-# where incremental edits must beat cold analysis by the floor.
+# stage panic. The incremental-vs-cold speedup floor is a timing gate in
+# tests/perf_gates.rs (see "perf gates" below).
 SRV_OUT=$(mktemp) && SRV_ERR=$(mktemp)
 printf '%s\n' \
   '{"op":"analyze","source":"def scale(int v) -> int {\n    int bias = 4;\n    if (v) { return v * bias; }\n    return bias;\n}\ndef risky(int c) -> int {\n    int x;\n    if (c) { x = 1; }\n    if (x) { return 1; }\n    return 0;\n}\ndef main(int c) {\n    print(scale(risky(c)));\n}","id":"ci-a1"}' \
@@ -119,7 +119,6 @@ if grep -q '"ok":false' "$SRV_OUT"; then
 fi
 grep -q '"op":"shutdown"' "$SRV_OUT"
 rm -f "$SRV_OUT" "$SRV_ERR"
-./target/release/usher serve-bench --quick > /dev/null
 
 echo "==> crash-safety smoke"
 # Crash-safe serve gate (DESIGN.md §14): the serve-chaos fuzz campaign
@@ -214,7 +213,21 @@ DMD_TC=$(mktemp) && DMD_JSON=$(mktemp)
 grep -q '"demand":{"queries":' "$DMD_JSON"
 rm -f "$DMD_TC" "$DMD_JSON"
 
-echo "==> bench smoke"
-sh scripts/bench.sh --quick
+echo "==> perf gates"
+# Timing regression gates (tests/perf_gates.rs), ignored in debug builds
+# and run here in release: the prefilter pointer solve and the condensed
+# VFG build + resolve must not be slower than their frozen references, a
+# cold demand query must stay a small fraction of a cold resolve, and
+# incremental serve edits must beat a cold analyze by 1.5x. Each gate
+# prints `gate <name>: measured <x>, bound <y>`, so this log records the
+# margins. The step fails unless the summary reports `0 ignored`: a
+# release run must never skip a gate.
+GATES_OUT=$(mktemp)
+cargo test --release --offline --test perf_gates -- --test-threads=1 --nocapture | tee "$GATES_OUT"
+if ! grep -q '^test result: ok\..* 0 ignored' "$GATES_OUT"; then
+    echo "error: perf gates did not all run in the release build" >&2
+    exit 1
+fi
+rm -f "$GATES_OUT"
 
 echo "==> CI OK"

@@ -6,9 +6,9 @@
 //! condensed definedness resolver, once with the retained reference
 //! implementations (adjacency-list [`usher::vfg::RefVfg`], visited-state
 //! walk, clone-and-mutate Opt II) — and everything downstream is
-//! compared: points-to sets, call graph, concreteness, the resolved
-//! `Gamma`, Opt II redirections, and the final instrumentation plans
-//! (guided, Opt I, Opt II, and TL variants).
+//! compared: points-to sets, call graph, concreteness, the frozen VFG's
+//! structure, the resolved `Gamma`, Opt II redirections, and the final
+//! instrumentation plans (guided, Opt I, Opt II, and TL variants).
 //!
 //! Random inputs come from the repo's own deterministic workload
 //! generator, so the suite needs no external property-testing crate.
@@ -116,8 +116,15 @@ fn check_module(m: &Module, tag: &str) {
         let g_new = build(m, &pa_new, &ms_new, mode);
         let rg_old = build_reference(m, &pa_old, &ms_old, mode);
         assert_eq!(g_new.len(), rg_old.len(), "{tag}: VFG size");
-        // Frozen reference graph (CSR form) for plan construction.
+        // Frozen reference graph (CSR form) for plan construction; it
+        // must equal the CSR-first build structurally.
         let g_old = rg_old.freeze();
+        assert_eq!(g_new.nodes, g_old.nodes, "{tag}: node interning order");
+        assert_eq!(g_new.deps, g_old.deps, "{tag}: dependence CSR");
+        assert_eq!(g_new.users, g_old.users, "{tag}: user CSR");
+        assert_eq!(g_new.checks, g_old.checks, "{tag}: checks");
+        assert_eq!(g_new.def_site, g_old.def_site, "{tag}: def sites");
+        assert_eq!(g_new.stats, g_old.stats, "{tag}: store-kind stats");
 
         let gamma_new = resolve(&g_new, CONTEXT_DEPTH);
         let gamma_old = resolve_reference(&rg_old, CONTEXT_DEPTH);
@@ -199,7 +206,8 @@ fn generations_agree_on_larger_workloads() {
 
 #[test]
 fn generations_agree_on_the_small_ladder_rungs() {
-    // The exact programs the benchmark harness times, fully checked.
+    // The rungs the timing gates in tests/perf_gates.rs measure (and
+    // one more), fully checked.
     for &(seed, helpers, stmts) in &SEED_LADDER[..3] {
         let src = generate(seed, ladder_config(helpers, stmts));
         let m = compile_o0im(&src).expect("ladder rungs compile");

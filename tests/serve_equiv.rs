@@ -19,84 +19,15 @@ use usher::frontend::compile_o0im;
 use usher::serve::{Engine, EngineConfig};
 use usher::workloads::{generate, ladder_config, SEED_LADDER};
 
+mod common;
+use common::synthesize_edit;
+
 /// Cold-oracle fingerprints for a source: full pipeline, no serve.
 fn oracle(src: &str) -> (String, String) {
     let m = compile_o0im(src).expect("oracle compiles");
     let out = run_config(&m, Config::USHER);
     let gamma = out.gamma.expect("guided config resolves");
     (plan_fingerprint(&out.plan), gamma_fingerprint(&gamma))
-}
-
-/// `helper*` spans as `(name, start, end)` line ranges.
-fn helper_spans(lines: &[&str]) -> Vec<(String, usize, usize)> {
-    let mut spans = Vec::new();
-    let mut depth = 0i64;
-    let mut open: Option<(String, usize)> = None;
-    for (i, line) in lines.iter().enumerate() {
-        let code = line.split("//").next().unwrap_or("");
-        if depth == 0 {
-            if let Some(rest) = code.trim_start().strip_prefix("def ") {
-                let name: String = rest
-                    .chars()
-                    .take_while(|c| c.is_alphanumeric() || *c == '_')
-                    .collect();
-                if name.starts_with("helper") {
-                    open = Some((name, i));
-                }
-            }
-        }
-        depth += code.matches('{').count() as i64;
-        depth -= code.matches('}').count() as i64;
-        if depth == 0 {
-            if let Some((name, start)) = open.take() {
-                spans.push((name, start, i + 1));
-            }
-        }
-    }
-    spans
-}
-
-fn const_swap(line: &str) -> Option<String> {
-    let eq = line.rfind(" = ")?;
-    let digits = line[eq + 3..].trim_end().strip_suffix(';')?;
-    if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
-        return None;
-    }
-    let n: u64 = digits.parse().ok()?;
-    Some(format!("{} = {};", &line[..eq], (n + 11) % 89 + 1))
-}
-
-/// Builds edit `k` for the current source: even `k` const-swaps a
-/// helper body (incremental candidate), odd `k` inserts a declaration:
-/// a scalar that `mem2reg` promotes (`k % 4 == 1`, incremental
-/// candidate) or an address-taken one (`k % 4 == 3`, which keeps a new
-/// object — must fall back).
-fn synthesize_edit(source: &str, k: usize) -> Option<(String, String)> {
-    let lines: Vec<&str> = source.lines().collect();
-    let spans = helper_spans(&lines);
-    if spans.is_empty() {
-        return None;
-    }
-    for off in 0..spans.len() {
-        let (name, start, end) = &spans[(k * 7 + off) % spans.len()];
-        let body: Vec<String> = lines[*start..*end].iter().map(|s| s.to_string()).collect();
-        if k % 2 == 1 {
-            let mut b = body;
-            b.insert(1, format!("    int equiv_x{k} = 3;"));
-            if k % 4 == 3 {
-                b.insert(2, format!("    int *equiv_p{k} = &equiv_x{k};"));
-            }
-            return Some((name.clone(), b.join("\n")));
-        }
-        for (j, line) in body.iter().enumerate().skip(1) {
-            if let Some(s) = const_swap(line) {
-                let mut b = body.clone();
-                b[j] = s;
-                return Some((name.clone(), b.join("\n")));
-            }
-        }
-    }
-    None
 }
 
 /// Replays `edits` synthesized edits on one rung, checking full

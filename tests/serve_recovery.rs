@@ -14,6 +14,9 @@ use usher::serve::wal::WAL_HEADER;
 use usher::serve::{Engine, EngineConfig, WalRecord};
 use usher::workloads::{generate, ladder_config};
 
+mod common;
+use common::synthesize_edit;
+
 /// Unique scratch store directory per test.
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("usher-recovery-{}-{tag}", std::process::id()));
@@ -29,73 +32,6 @@ fn disk_cfg(dir: &Path) -> EngineConfig {
     }
 }
 
-/// `helper*` spans as `(name, start, end)` line ranges.
-fn helper_spans(lines: &[&str]) -> Vec<(String, usize, usize)> {
-    let mut spans = Vec::new();
-    let mut depth = 0i64;
-    let mut open: Option<(String, usize)> = None;
-    for (i, line) in lines.iter().enumerate() {
-        let code = line.split("//").next().unwrap_or("");
-        if depth == 0 {
-            if let Some(rest) = code.trim_start().strip_prefix("def ") {
-                let name: String = rest
-                    .chars()
-                    .take_while(|c| c.is_alphanumeric() || *c == '_')
-                    .collect();
-                if name.starts_with("helper") {
-                    open = Some((name, i));
-                }
-            }
-        }
-        depth += code.matches('{').count() as i64;
-        depth -= code.matches('}').count() as i64;
-        if depth == 0 {
-            if let Some((name, start)) = open.take() {
-                spans.push((name, start, i + 1));
-            }
-        }
-    }
-    spans
-}
-
-fn const_swap(line: &str) -> Option<String> {
-    let eq = line.rfind(" = ")?;
-    let digits = line[eq + 3..].trim_end().strip_suffix(';')?;
-    if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
-        return None;
-    }
-    let n: u64 = digits.parse().ok()?;
-    Some(format!("{} = {};", &line[..eq], (n + 11) % 89 + 1))
-}
-
-/// Builds edit `k`: even `k` const-swaps a helper body (incremental
-/// candidate), odd `k` inserts a declaration (forces the fallback) —
-/// the same trace shape `tests/serve_equiv.rs` replays.
-fn synthesize_edit(source: &str, k: usize) -> Option<(String, String)> {
-    let lines: Vec<&str> = source.lines().collect();
-    let spans = helper_spans(&lines);
-    if spans.is_empty() {
-        return None;
-    }
-    for off in 0..spans.len() {
-        let (name, start, end) = &spans[(k * 7 + off) % spans.len()];
-        let body: Vec<String> = lines[*start..*end].iter().map(|s| s.to_string()).collect();
-        if k % 2 == 1 {
-            let mut b = body;
-            b.insert(1, format!("    int recov_x{k} = 3;"));
-            return Some((name.clone(), b.join("\n")));
-        }
-        for (j, line) in body.iter().enumerate().skip(1) {
-            if let Some(s) = const_swap(line) {
-                let mut b = body.clone();
-                b[j] = s;
-                return Some((name.clone(), b.join("\n")));
-            }
-        }
-    }
-    None
-}
-
 fn fingerprints(e: &mut Engine, sid: u64) -> (String, String, u64) {
     let q = e.query(sid).expect("session queries");
     (q.plan_fingerprint, q.gamma_fingerprint, q.edits)
@@ -103,22 +39,31 @@ fn fingerprints(e: &mut Engine, sid: u64) -> (String, String, u64) {
 
 /// The kill-and-restart property: for every prefix length of the edit
 /// trace, dropping the engine without shutdown and restarting on the
-/// same store reconstructs the session byte-identically.
+/// same store reconstructs the session byte-identically. The longest
+/// prefix ends in an address-taken declaration insert, so replay covers
+/// a fallback edit as well as incremental ones.
 #[test]
 fn any_edit_prefix_survives_kill_and_restart() {
+    const LONGEST: usize = 4;
     let src = generate(11, ladder_config(8, 8));
-    for prefix in 0..=3usize {
+    for prefix in 0..=LONGEST {
         let dir = scratch(&format!("prefix-{prefix}"));
         let (sid, want, want_src) = {
             let mut a = Engine::new(disk_cfg(&dir)).expect("engine A opens");
             let sid = a.analyze(&src).expect("analyzes").session_id;
+            let mut fallbacks = 0;
             for k in 0..prefix {
                 let source = a.session_source(sid).unwrap();
                 let Some((func, body)) = synthesize_edit(&source, k) else {
                     continue;
                 };
-                a.edit(sid, &func, &body)
+                let out = a
+                    .edit(sid, &func, &body)
                     .unwrap_or_else(|e| panic!("prefix {prefix} edit {k} rejected: {e}"));
+                fallbacks += usize::from(!out.incremental);
+            }
+            if prefix == LONGEST {
+                assert!(fallbacks > 0, "the longest trace must take a fallback");
             }
             let want = fingerprints(&mut a, sid);
             (sid, want, a.session_source(sid).unwrap())
