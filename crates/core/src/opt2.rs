@@ -22,7 +22,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use usher_ir::{Budget, Cfg, DomTree, FuncId, FxHashSet, IdxVec, Inst, Module, Operand, Site};
+use usher_ir::{Budget, Cfg, DomTree, FuncId, FxHashSet, Inst, Module, ModuleCfgs, Operand, Site};
 use usher_pointer::PointerAnalysis;
 use usher_vfg::{Csr, MemSsa, NodeKind, RefVfg, Vfg};
 
@@ -64,7 +64,8 @@ impl Opt2Outcome {
     }
 }
 
-/// Runs Algorithm 1 and re-resolves definedness with context depth `k`.
+/// Runs Algorithm 1 and re-resolves definedness with context depth `k`,
+/// computing the dominator trees of the functions that own checks.
 pub fn redundant_check_elimination(
     m: &Module,
     pa: &PointerAnalysis,
@@ -72,13 +73,15 @@ pub fn redundant_check_elimination(
     vfg: &Vfg,
     k: usize,
 ) -> Opt2Result {
-    let out = redundant_check_elimination_budgeted(m, pa, ms, vfg, k, &Budget::unlimited());
+    let cfgs = ModuleCfgs::new(m);
+    let out = redundant_check_elimination_budgeted(m, pa, ms, vfg, &cfgs, k, &Budget::unlimited());
     debug_assert!(out.is_complete(), "unlimited budgets never exhaust");
     out.result
 }
 
-/// Budgeted Opt II. Charges the discovery loop per check, per closure
-/// node and per examined user edge; resolution continues on the same
+/// Budgeted Opt II over the shared `cfgs` (the dominance test reads
+/// their dominator trees). Charges the discovery loop per check, per
+/// closure node and per examined user edge; resolution continues on the same
 /// budget through the anytime engine. Stopping discovery early keeps the
 /// redirections found so far — each check's removals stand on their own
 /// (running Opt II on a subset of checks is just a weaker Opt II), so
@@ -88,6 +91,7 @@ pub fn redundant_check_elimination_budgeted(
     pa: &PointerAnalysis,
     ms: &MemSsa,
     vfg: &Vfg,
+    cfgs: &ModuleCfgs,
     k: usize,
     budget: &Budget,
 ) -> Opt2Outcome {
@@ -101,8 +105,6 @@ pub fn redundant_check_elimination_budgeted(
     let mut removed: FxHashSet<(u32, u32)> = FxHashSet::default();
     let mut discovery_complete = true;
 
-    // Dominator trees per function, computed lazily.
-    let mut dts: IdxVec<FuncId, Option<DomTree>> = m.funcs.iter().map(|_| None).collect();
     // `ax` as a set (the closure's nodes plus the loaded versions).
     let mut in_ax = NodeMarks::default();
     let mut scratch = MfcScratch::default();
@@ -158,10 +160,7 @@ pub fn redundant_check_elimination_budgeted(
         // R_x: nodes outside the closure that depend on it, whose defining
         // statement is dominated by the check.
         let f = check.site.func;
-        let dt = &*dts[f].get_or_insert_with(|| {
-            let func = &m.funcs[f];
-            DomTree::compute(func, &Cfg::compute(func))
-        });
+        let dt = &cfgs.get(m, f).dom;
         for &t in &ax {
             for (r, _) in vfg.users.edges(t) {
                 if !budget.charge(1) {

@@ -59,8 +59,8 @@ use usher_core::{
 };
 use usher_frontend::{lower_program, CompileError, LowerEnv};
 use usher_ir::{
-    mem2reg_retiring, optimize, run_inline_traced, Budget, Exhausted, FuncId, InlinePolicy,
-    InlineTrace, Module,
+    mem2reg_retiring, optimize, run_inline_traced, verify_with, Budget, Exhausted, FuncId,
+    InlinePolicy, InlineTrace, Module, ModuleCfgs,
 };
 use usher_pointer::{PointerAnalysis, PointerStrategy};
 use usher_vfg::{
@@ -234,6 +234,9 @@ pub struct RetainedRun {
     /// The VFG's replayable build tape (`None` when the run built no
     /// VFG).
     pub tape: Option<VfgTape>,
+    /// The module's shared CFGs and dominator trees, as the stages left
+    /// them.
+    pub cfgs: ModuleCfgs,
 }
 
 /// The pipeline driver: the one place stage wiring lives.
@@ -266,6 +269,7 @@ struct RunCtx<'a> {
     inline: Option<InlineTrace>,
     modref: Option<ModRef>,
     tape: Option<VfgTape>,
+    cfgs: Option<ModuleCfgs>,
 }
 
 impl RunCtx<'_> {
@@ -284,6 +288,7 @@ impl RunCtx<'_> {
             inline: None,
             modref: None,
             tape: None,
+            cfgs: None,
         }
     }
 
@@ -452,6 +457,7 @@ impl Pipeline {
             inline: ctx.inline.expect("an uncached TinyC run inlines"),
             modref: ctx.modref,
             tape: ctx.tape,
+            cfgs: ctx.cfgs.expect("a retained run keeps its CFGs"),
         })
     }
 
@@ -498,7 +504,8 @@ impl Pipeline {
         options: &PipelineOptions,
     ) -> Result<Arc<Module>, DriverError> {
         let mut ctx = RunCtx::new(&self.cache, self.use_cache, self.threads);
-        self.frontend(&mut ctx, source, options, source.source_key())
+        let (module, _) = self.frontend(&mut ctx, source, options, source.source_key())?;
+        Ok(module)
     }
 
     /// Runs a batch of jobs across the worker pool (one job per worker at
@@ -551,14 +558,14 @@ impl Pipeline {
             options.deadline_ms.map(Duration::from_millis),
         );
 
-        let module = self.frontend(ctx, source, options, src_key)?;
+        let (module, cfgs) = self.frontend(ctx, source, options, src_key)?;
 
         let (pa, memssa, vfg, gamma, opt2_redirected, plan, demand_stats) = match &options.guided {
             None => {
                 let plan = self.msan_plan(ctx, &module, options, src_key);
                 (None, None, None, None, 0, plan, None)
             }
-            Some(g) => match self.run_guided(ctx, &module, options, *g, src_key, &budget) {
+            Some(g) => match self.run_guided(ctx, &module, &cfgs, options, *g, src_key, &budget) {
                 Ok(out) => out,
                 Err(GuidedAbort::Hard(e)) => return Err(e),
                 Err(GuidedAbort::Degrade(event)) => {
@@ -593,6 +600,9 @@ impl Pipeline {
         report.budget_spent = budget.spent();
         report.cache_corrupt_recovered = ctx.corrupt_recovered;
         report.total_seconds = start.elapsed().as_secs_f64();
+        if ctx.retain {
+            ctx.cfgs = Some(cfgs);
+        }
 
         Ok(PipelineRun {
             name,
@@ -615,11 +625,12 @@ impl Pipeline {
     /// cannot soundly continue, instrument the whole module fully"; the
     /// per-function path (resolution exhaustion with full coverage
     /// attribution) is handled internally and does not abort.
-    #[allow(clippy::type_complexity)]
+    #[allow(clippy::type_complexity, clippy::too_many_arguments)]
     fn run_guided(
         &self,
         ctx: &mut RunCtx<'_>,
         module: &Arc<Module>,
+        cfgs: &ModuleCfgs,
         options: &PipelineOptions,
         g: GuidedKnobs,
         src_key: u64,
@@ -675,7 +686,7 @@ impl Pipeline {
                         let computed = ctx.timed(Stage::MemSsa, |c| {
                             let threads = c.threads;
                             contained(options, Stage::MemSsa, || {
-                                build_memssa_parallel_budgeted(module, &pa, threads, budget)
+                                build_memssa_parallel_budgeted(module, &pa, cfgs, threads, budget)
                             })
                         });
                         let (modref, ms) = stage_result(computed, Stage::MemSsa)?;
@@ -703,11 +714,12 @@ impl Pipeline {
                 let record = ctx.retain;
                 let computed = ctx.timed(Stage::VfgBuild, |_| {
                     contained(options, Stage::VfgBuild, || {
+                        let opts = g.build_opts();
                         if record {
-                            build_with_tape(module, &pa, &memssa, g.build_opts(), budget)
+                            build_with_tape(module, &pa, &memssa, cfgs, opts, budget)
                                 .map(|(v, tape)| (v, Some(tape)))
                         } else {
-                            build_with_budgeted(module, &pa, &memssa, g.build_opts(), budget)
+                            build_with_budgeted(module, &pa, &memssa, cfgs, opts, budget)
                                 .map(|v| (v, None))
                         }
                     })
@@ -753,6 +765,7 @@ impl Pipeline {
                                 &pa,
                                 &memssa,
                                 &vfg,
+                                cfgs,
                                 g.context_depth,
                                 budget,
                             );
@@ -896,26 +909,37 @@ impl Pipeline {
 
     /// The frontend super-stage: parse/lower/inline/mem2reg/opt, cached as
     /// one compiled-module artifact but timed per substage.
+    ///
+    /// It also returns the module's shared CFGs and dominator trees, the
+    /// only ones the guided stages read. A TinyC compile fills every
+    /// entry in its post-optimization verify; a module from the cache or
+    /// the caller starts with none, and each entry is computed on first
+    /// use.
     fn frontend(
         &self,
         ctx: &mut RunCtx<'_>,
         source: &SourceInput,
         options: &PipelineOptions,
         src_key: u64,
-    ) -> Result<Arc<Module>, DriverError> {
+    ) -> Result<(Arc<Module>, ModuleCfgs), DriverError> {
         if let SourceInput::Module(m) = source {
-            return Ok(m.clone());
+            return Ok((m.clone(), ModuleCfgs::new(m)));
         }
         let fk = options.frontend_key(src_key);
         if let Some(Artifact::Module(m)) = ctx.lookup(fk) {
             ctx.record_frontend_cached(source);
-            return Ok(m);
+            let cfgs = ModuleCfgs::new(&m);
+            return Ok((m, cfgs));
         }
-        let module = match source {
+        let (module, cfgs) = match source {
             SourceInput::Module(_) => unreachable!("handled above"),
-            SourceInput::IrText(text) => Arc::new(ctx.timed(Stage::Parse, |_| {
-                usher_ir::parse_text(text).map_err(|e| DriverError::Text(e.to_string()))
-            })?),
+            SourceInput::IrText(text) => {
+                let m = ctx.timed(Stage::Parse, |_| {
+                    usher_ir::parse_text(text).map_err(|e| DriverError::Text(e.to_string()))
+                })?;
+                let cfgs = ModuleCfgs::new(&m);
+                (Arc::new(m), cfgs)
+            }
             SourceInput::TinyC(src) => {
                 let prog = ctx
                     .timed(Stage::Parse, |_| usher_frontend::parser::parse(src))
@@ -935,15 +959,18 @@ impl Pipeline {
                     ctx.env = Some(env);
                     ctx.inline = Some(inline);
                 }
-                ctx.timed(Stage::Opt, |_| {
+                let cfgs = ctx.timed(Stage::Opt, |_| {
                     optimize(&mut m, options.opt_level);
-                    usher_ir::verify(&m).map_err(|errs| CompileError::Verify(format!("{errs:?}")))
+                    let cfgs = ModuleCfgs::new(&m);
+                    verify_with(&m, &cfgs)
+                        .map_err(|errs| CompileError::Verify(format!("{errs:?}")))?;
+                    Ok::<ModuleCfgs, CompileError>(cfgs)
                 })?;
-                Arc::new(m)
+                (Arc::new(m), cfgs)
             }
         };
         ctx.store(fk, Artifact::Module(module.clone()));
-        Ok(module)
+        Ok((module, cfgs))
     }
 
     /// The MSan baseline plan ([`full_plan`]), through the cache.
@@ -1123,13 +1150,14 @@ fn relabel(p: Arc<Plan>, label: &str) -> Arc<Plan> {
 fn build_memssa_parallel_budgeted(
     m: &Module,
     pa: &PointerAnalysis,
+    cfgs: &ModuleCfgs,
     threads: usize,
     budget: &Budget,
 ) -> Result<(ModRef, MemSsa), Exhausted> {
     let modref = modref_summaries_budgeted(m, pa, budget)?;
     let fids: Vec<FuncId> = m.funcs.indices().collect();
     let per_func = parallel_map(threads, &fids, |&fid| {
-        build_function_ssa_budgeted(m, pa, fid, &modref, budget)
+        build_function_ssa_budgeted(m, pa, fid, cfgs, &modref, budget)
     });
     let mut out = MemSsa::default();
     for (fid, fs) in fids.into_iter().zip(per_func) {

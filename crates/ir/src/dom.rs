@@ -4,20 +4,20 @@
 //! (an allocation site must dominate the store), and by Opt II's redundant
 //! check elimination (a check must dominate the redirected definition).
 
-use crate::cfg::Cfg;
+use crate::cfg::{BlockLists, Cfg};
 use crate::ids::{BlockId, Idx, IdxVec};
 use crate::module::Function;
 
 /// Dominator information for one function.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DomTree {
     /// Immediate dominator of each reachable block (entry maps to itself);
     /// `None` for unreachable blocks.
     pub idom: IdxVec<BlockId, Option<BlockId>>,
-    /// Dominator-tree children.
-    pub children: IdxVec<BlockId, Vec<BlockId>>,
+    /// Dominator-tree children, in reverse postorder.
+    pub children: BlockLists,
     /// Dominance frontier of each block.
-    pub frontier: IdxVec<BlockId, Vec<BlockId>>,
+    pub frontier: BlockLists,
     /// Preorder interval [in, out] on the dominator tree for O(1)
     /// `dominates` queries.
     tin: IdxVec<BlockId, u32>,
@@ -56,17 +56,15 @@ impl DomTree {
             }
         }
 
-        let mut children: IdxVec<BlockId, Vec<BlockId>> = IdxVec::from_elem(Vec::new(), n);
-        for &bb in &cfg.rpo {
-            if bb != f.entry {
-                if let Some(d) = idom[bb] {
-                    children[d].push(bb);
-                }
-            }
-        }
+        let tree_edges = (cfg.rpo.iter())
+            .filter(|&&bb| bb != f.entry)
+            .filter_map(|&bb| idom[bb].map(|d| (d, bb)));
+        let children = BlockLists::from_pairs(n, tree_edges);
 
-        // Dominance frontiers.
-        let mut frontier: IdxVec<BlockId, Vec<BlockId>> = IdxVec::from_elem(Vec::new(), n);
+        // Dominance frontiers: `(runner, join)` pairs, each recorded once
+        // (`last[runner]` is the join it was last recorded for).
+        let mut frontier_pairs: Vec<(BlockId, BlockId)> = Vec::new();
+        let mut last: IdxVec<BlockId, Option<BlockId>> = IdxVec::from_elem(None, n);
         for &bb in &cfg.rpo {
             if cfg.preds[bb].len() >= 2 {
                 let target = idom[bb];
@@ -76,8 +74,9 @@ impl DomTree {
                     }
                     let mut runner = p;
                     while Some(runner) != target {
-                        if !frontier[runner].contains(&bb) {
-                            frontier[runner].push(bb);
+                        if last[runner] != Some(bb) {
+                            last[runner] = Some(bb);
+                            frontier_pairs.push((runner, bb));
                         }
                         let up = idom[runner].expect("reachable block has idom");
                         if up == runner {
@@ -88,6 +87,7 @@ impl DomTree {
                 }
             }
         }
+        let frontier = BlockLists::from_pairs(n, frontier_pairs.iter().copied());
 
         // Preorder intervals for `dominates`.
         let mut tin = IdxVec::from_elem(0u32, n);
@@ -133,29 +133,69 @@ impl DomTree {
     }
 
     /// Iterated dominance frontier of a set of definition blocks — the phi
-    /// placement set of minimal SSA.
-    pub fn iterated_frontier(&self, defs: &[BlockId]) -> Vec<BlockId> {
-        let mut result: Vec<BlockId> = Vec::new();
-        let mut in_result = vec![false; self.idom.len()];
-        let mut work: Vec<BlockId> = defs.to_vec();
-        let mut queued = vec![false; self.idom.len()];
+    /// placement set of minimal SSA — into `out` (cleared first), sorted.
+    /// One `scratch` serves every query on a function: each query costs
+    /// the frontier edges it walks, not the block count.
+    pub fn iterated_frontier(
+        &self,
+        defs: &[BlockId],
+        scratch: &mut IdfScratch,
+        out: &mut Vec<BlockId>,
+    ) {
+        let epoch = scratch.next_epoch(self.idom.len());
+        let IdfScratch {
+            in_result,
+            queued,
+            work,
+            ..
+        } = scratch;
+        out.clear();
+        work.clear();
         for &d in defs {
-            queued[d.index()] = true;
+            if queued[d.index()] != epoch {
+                queued[d.index()] = epoch;
+                work.push(d);
+            }
         }
         while let Some(bb) = work.pop() {
             for &fb in &self.frontier[bb] {
-                if !in_result[fb.index()] {
-                    in_result[fb.index()] = true;
-                    result.push(fb);
-                    if !queued[fb.index()] {
-                        queued[fb.index()] = true;
+                if in_result[fb.index()] != epoch {
+                    in_result[fb.index()] = epoch;
+                    out.push(fb);
+                    if queued[fb.index()] != epoch {
+                        queued[fb.index()] = epoch;
                         work.push(fb);
                     }
                 }
             }
         }
-        result.sort();
-        result
+        out.sort_unstable();
+    }
+}
+
+/// Reusable scratch for [`DomTree::iterated_frontier`]: per-block
+/// epoch stamps, so starting a query is O(1) rather than clearing two
+/// block-sized vectors.
+#[derive(Clone, Debug, Default)]
+pub struct IdfScratch {
+    in_result: Vec<u32>,
+    queued: Vec<u32>,
+    work: Vec<BlockId>,
+    epoch: u32,
+}
+
+impl IdfScratch {
+    /// Starts a query over `nblocks` blocks and returns its stamp.
+    fn next_epoch(&mut self, nblocks: usize) -> u32 {
+        if self.in_result.len() < nblocks || self.epoch == u32::MAX {
+            self.in_result.clear();
+            self.in_result.resize(nblocks, 0);
+            self.queued.clear();
+            self.queued.resize(nblocks, 0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        self.epoch
     }
 }
 
@@ -266,10 +306,13 @@ mod tests {
         let cfg = Cfg::compute(&f);
         let dt = DomTree::compute(&f, &cfg);
         // A def in block 1 needs phis at 3 and (via 3's redefinition) at 6.
-        let idf = dt.iterated_frontier(&[BlockId(1)]);
+        // One scratch serves both queries.
+        let mut scratch = IdfScratch::default();
+        let mut idf = Vec::new();
+        dt.iterated_frontier(&[BlockId(1)], &mut scratch, &mut idf);
         assert_eq!(idf, vec![BlockId(3)]);
-        let idf2 = dt.iterated_frontier(&[BlockId(1), BlockId(4)]);
-        assert_eq!(idf2, vec![BlockId(3), BlockId(6)]);
+        dt.iterated_frontier(&[BlockId(1), BlockId(4)], &mut scratch, &mut idf);
+        assert_eq!(idf, vec![BlockId(3), BlockId(6)]);
     }
 
     #[test]

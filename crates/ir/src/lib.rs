@@ -50,8 +50,8 @@ pub mod verify;
 
 pub use budget::{Budget, Exhausted};
 pub use builder::FuncBuilder;
-pub use cfg::Cfg;
-pub use dom::DomTree;
+pub use cfg::{BlockLists, Cfg, FuncCfg, ModuleCfgs};
+pub use dom::{DomTree, IdfScratch};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use ids::{BlockId, FuncId, Idx, IdxVec, ObjId, StructId, TypeId, VarId};
 pub use inline::{
@@ -66,4 +66,4 @@ pub use printer::{function as print_function, module as print_module};
 pub use ssa::{mem2reg, mem2reg_function, mem2reg_retiring, Mem2RegStats};
 pub use text::{parse_text, write_text, TextError};
 pub use types::{CellKind, Layout, StructDef, Type, TypeTable};
-pub use verify::{verify, VerifyError};
+pub use verify::{verify, verify_with, VerifyError};

@@ -73,9 +73,15 @@ pub fn optimize(m: &mut Module, level: OptLevel) {
 /// Removes blocks unreachable from the entry, compacting ids and fixing
 /// phi incomings. Returns whether anything changed.
 pub fn remove_unreachable_blocks(f: &mut Function) -> bool {
+    prune_unreachable(f).is_none()
+}
+
+/// [`remove_unreachable_blocks`], returning `f`'s CFG when nothing was
+/// removed (it is still current) and `None` when blocks were removed.
+pub(crate) fn prune_unreachable(f: &mut Function) -> Option<Cfg> {
     let cfg = Cfg::compute(f);
     if cfg.rpo.len() == f.blocks.len() {
-        return false;
+        return Some(cfg);
     }
     // Old -> new id map.
     let mut remap: IdxVec<BlockId, Option<BlockId>> = IdxVec::from_elem(None, f.blocks.len());
@@ -102,7 +108,7 @@ pub fn remove_unreachable_blocks(f: &mut Function) -> bool {
     }
     f.blocks = new_blocks;
     f.entry = remap[f.entry].expect("entry is reachable");
-    true
+    None
 }
 
 fn eval_bin(op: BinOp, a: i64, b: i64) -> Option<i64> {

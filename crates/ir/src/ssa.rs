@@ -16,13 +16,44 @@
 //! [`mem2reg`] retires its object and compacts the object table in order.
 //! Adding or removing a promotable local therefore shifts no other
 //! object id and no other variable id.
+//!
+//! # The walk
+//!
+//! [`mem2reg`] runs in three phases:
+//!
+//! 1. **Find**, per function and read-only over the object table: prune
+//!    the unreachable blocks (keeping the CFG when nothing was pruned),
+//!    then one scan classifies every variable in a dense table
+//!    (candidate slot pointer or escaped) and records the block of every
+//!    alloc and store. The surviving candidates are the function's slots,
+//!    numbered in ascending pointer order.
+//! 2. **Compact**: every function's promoted objects give one object-id
+//!    compaction map.
+//! 3. **Promote**, per function: phis go at each slot's iterated
+//!    dominance frontier, computed on epoch-stamped scratch that every
+//!    slot reuses; their variables are numbered slot-major, and each
+//!    block's phis are prepended in one splice (the later slot first).
+//!    Then one preorder walk of the dominator tree rewrites every block's
+//!    instructions in place: loads become copies of the slot's current
+//!    value, allocs and stores of a slot set it and disappear, and every
+//!    other instruction has its variables renumbered and its object ids
+//!    compacted. Leaving a dominator subtree undoes its definitions from
+//!    a log, and successor phis receive the current values along each
+//!    CFG edge.
+//!
+//! Every table is a dense vector indexed by variable, slot or block, so
+//! the pass is linear in the function's size plus the frontier edges the
+//! phi placement walks and the phis it places. Nothing is sized by slots
+//! × blocks: the frontier scratch is stamped rather than cleared per
+//! slot, and the rename restores only what a subtree defined instead of
+//! copying every slot's value at each dominator-tree edge.
 
 use crate::cfg::Cfg;
-use crate::dom::DomTree;
-use crate::fxhash::FxHashMap;
-use crate::ids::{BlockId, FuncId, Idx, IdxVec, ObjId, VarId};
-use crate::module::{Function, Inst, Module, ObjKind, Operand};
-use crate::opt::remove_unreachable_blocks;
+use crate::dom::{DomTree, IdfScratch};
+use crate::ids::{BlockId, FuncId, Idx, IdxVec, ObjId, TypeId, VarId};
+use crate::module::{Function, Inst, Module, ObjKind, ObjectData, Operand, VarData};
+use crate::opt::prune_unreachable;
+use crate::types::TypeTable;
 
 /// Statistics from one `mem2reg` run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -33,6 +64,14 @@ pub struct Mem2RegStats {
     pub phis_inserted: usize,
     /// Loads that became `Undef` reads (possible uninitialized locals).
     pub undef_reads: usize,
+}
+
+impl Mem2RegStats {
+    fn add(&mut self, o: Mem2RegStats) {
+        self.promoted += o.promoted;
+        self.phis_inserted += o.phis_inserted;
+        self.undef_reads += o.undef_reads;
+    }
 }
 
 /// Runs `mem2reg` over every function of the module, then retires the
@@ -47,16 +86,41 @@ pub fn mem2reg(m: &mut Module) -> Mem2RegStats {
 /// order, so the surviving objects keep their relative order, and every
 /// reference to them is rewritten.
 pub fn mem2reg_retiring(m: &mut Module) -> (Mem2RegStats, Vec<ObjId>) {
+    let Module {
+        funcs,
+        types,
+        objects,
+        globals,
+        ..
+    } = m;
+    let found: Vec<Option<Slots>> = funcs
+        .iter_mut()
+        .map(|f| find_slots(f, objects, types))
+        .collect();
+    let mut retired: Vec<ObjId> = (found.iter().flatten())
+        .flat_map(|s| s.objs.iter().copied())
+        .collect();
+    retired.sort_unstable();
+    retired.dedup();
+    let remap = ObjRemap::new(objects.len(), &retired, globals);
     let mut total = Mem2RegStats::default();
-    let mut promoted = Vec::new();
-    for fid in m.funcs.indices().collect::<Vec<_>>() {
-        let (stats, objs) = promote_function(m, fid);
-        total.promoted += stats.promoted;
-        total.phis_inserted += stats.phis_inserted;
-        total.undef_reads += stats.undef_reads;
-        promoted.extend(objs);
+    for (f, slots) in funcs.iter_mut().zip(found) {
+        match slots {
+            Some(s) => total.add(promote(f, s, objects, remap.as_ref())),
+            None => {
+                if let Some(r) = &remap {
+                    r.rewrite(f);
+                }
+            }
+        }
     }
-    (total, retire_objects(m, &promoted))
+    if let Some(r) = remap {
+        objects.retain_indices(|o| r.map[o].is_some());
+        for g in globals.iter_mut() {
+            *g = r.new_id(*g);
+        }
+    }
+    (total, retired)
 }
 
 /// Runs `mem2reg` over a single function. Promotion is per-function (it
@@ -70,319 +134,410 @@ pub fn mem2reg_retiring(m: &mut Module) -> (Mem2RegStats, Vec<ObjId>) {
 /// `Alloc` naming them, and the caller removes them (the relowering
 /// splice keeps only the survivors of a body's objects).
 pub fn mem2reg_function(m: &mut Module, fid: FuncId) -> (Mem2RegStats, Vec<ObjId>) {
-    promote_function(m, fid)
+    let f = &mut m.funcs[fid];
+    match find_slots(f, &m.objects, &m.types) {
+        Some(s) => {
+            let objs = s.objs.clone();
+            (promote(f, s, &m.objects, None), objs)
+        }
+        None => (Mem2RegStats::default(), Vec::new()),
+    }
 }
 
-/// Removes the `promoted` objects, compacting the table in order and
-/// rewriting `Alloc` objects, `m.globals` and, when a global moved,
-/// global address operands. Returns the removed objects' old ids,
-/// ascending.
-fn retire_objects(m: &mut Module, promoted: &[ObjId]) -> Vec<ObjId> {
-    let mut retired = promoted.to_vec();
-    retired.sort_unstable();
-    retired.dedup();
-    let Some(&first) = retired.first() else {
-        return retired;
-    };
-    let remap = compaction_map(m.objects.len(), &retired);
-    m.objects.retain_indices(|o| remap[o].is_some());
-    let new_id = |o: ObjId| remap[o].expect("a retired object is named only by its promoted slot");
-    let globals_moved = m.globals.iter().any(|&g| g > first);
-    for g in &mut m.globals {
-        *g = new_id(*g);
+/// Marks a variable that is not a promoted slot pointer in [`Slots`].
+const NONE: u32 = u32::MAX;
+
+/// One function's promotable slots, found by [`find_slots`].
+struct Slots {
+    /// Slot index of each variable that is a promoted slot pointer;
+    /// [`NONE`] for every other variable.
+    slot_of: Vec<u32>,
+    /// Each slot's object, in slot (ascending pointer) order.
+    objs: Vec<ObjId>,
+    /// Each slot's value type.
+    val_tys: Vec<TypeId>,
+    /// Slot `s`'s definition blocks (its alloc's and its stores') are
+    /// `def_blocks[def_start[s]..def_start[s + 1]]`, in block order.
+    def_start: Vec<u32>,
+    def_blocks: Vec<BlockId>,
+    /// The function's CFG; promotion does not change control flow.
+    cfg: Cfg,
+}
+
+/// The object-id compaction once the retired objects are removed.
+struct ObjRemap {
+    map: IdxVec<ObjId, Option<ObjId>>,
+    /// Whether some global's id changes (only then do global address
+    /// operands need rewriting).
+    globals_moved: bool,
+}
+
+impl ObjRemap {
+    /// `None` when nothing is retired.
+    fn new(len: usize, retired: &[ObjId], globals: &[ObjId]) -> Option<ObjRemap> {
+        let &first = retired.first()?;
+        let mut map = IdxVec::from_elem(None, len);
+        let mut dead = retired.iter().peekable();
+        let mut next = 0;
+        for i in 0..len {
+            let id = ObjId::from_usize(i);
+            if dead.next_if_eq(&&id).is_none() {
+                map[id] = Some(ObjId::from_usize(next));
+                next += 1;
+            }
+        }
+        Some(ObjRemap {
+            map,
+            globals_moved: globals.iter().any(|&g| g > first),
+        })
     }
-    let map = |op: Operand| match op {
-        Operand::Global(o) => Operand::Global(new_id(o)),
-        op => op,
-    };
-    for f in m.funcs.iter_mut() {
+
+    fn new_id(&self, o: ObjId) -> ObjId {
+        self.map[o].expect("a retired object is named only by its promoted slot")
+    }
+
+    fn operand(&self, op: Operand) -> Operand {
+        match op {
+            Operand::Global(o) if self.globals_moved => Operand::Global(self.new_id(o)),
+            op => op,
+        }
+    }
+
+    /// Rewrites the object ids of a function that promoted nothing.
+    fn rewrite(&self, f: &mut Function) {
         for block in f.blocks.iter_mut() {
             for inst in &mut block.insts {
                 if let Inst::Alloc { obj, .. } = inst {
-                    *obj = new_id(*obj);
+                    *obj = self.new_id(*obj);
                 }
-                if globals_moved {
-                    inst.map_uses(map);
+                if self.globals_moved {
+                    inst.map_uses(|op| self.operand(op));
                 }
             }
-            if globals_moved {
-                block.term.map_uses(map);
+            if self.globals_moved {
+                block.term.map_uses(|op| self.operand(op));
             }
         }
     }
-    retired
 }
 
-/// Old id -> new id once the ascending `dead` ids are removed from a
-/// table of `len` entries and the rest are renumbered in order.
-fn compaction_map<I: Idx>(len: usize, dead: &[I]) -> IdxVec<I, Option<I>> {
-    let mut map = IdxVec::from_elem(None, len);
-    let mut dead = dead.iter().peekable();
-    let mut next = 0;
-    for i in 0..len {
-        let id = I::from_usize(i);
-        if dead.next_if_eq(&&id).is_none() {
-            map[id] = Some(I::from_usize(next));
-            next += 1;
-        }
-    }
-    map
-}
-
-/// Drops the ascending `dead` vars from `f`'s variable table and
-/// renumbers the survivors in order. No instruction may still mention a
-/// dead variable.
-fn drop_vars(f: &mut Function, dead: &[VarId]) {
-    let remap = compaction_map(f.vars.len(), dead);
-    f.vars.retain_indices(|v| remap[v].is_some());
-    let new_id = |v: VarId| remap[v].expect("no instruction names a promoted slot");
-    for p in &mut f.params {
-        *p = new_id(*p);
-    }
-    let map = |op: Operand| match op {
-        Operand::Var(v) => Operand::Var(new_id(v)),
-        op => op,
-    };
-    for block in f.blocks.iter_mut() {
-        for inst in &mut block.insts {
-            if let Some(d) = inst.dst_mut() {
-                *d = new_id(*d);
-            }
-            inst.map_uses(map);
-        }
-        block.term.map_uses(map);
-    }
-}
-
-fn promote_function(m: &mut Module, fid: FuncId) -> (Mem2RegStats, Vec<ObjId>) {
-    remove_unreachable_blocks(&mut m.funcs[fid]);
-    let mut stats = Mem2RegStats::default();
-
-    // 1. Find promotable allocs: scalar stack slots whose pointer is used
-    //    only as a direct load/store address.
-    let promotable = find_promotable(m, fid);
-    if promotable.is_empty() {
-        return (stats, Vec::new());
-    }
-    stats.promoted = promotable.len();
-
-    let f = &mut m.funcs[fid];
-    let cfg = Cfg::compute(f);
-    let dt = DomTree::compute(f, &cfg);
-
-    // Promo index per pointer var.
-    let promo_of: FxHashMap<VarId, usize> = promotable
-        .iter()
-        .enumerate()
-        .map(|(i, p)| (p.ptr, i))
-        .collect();
-
-    // 2. Collect definition blocks per promoted slot.
-    let nslots = promotable.len();
-    let mut def_blocks: Vec<Vec<BlockId>> = vec![Vec::new(); nslots];
+/// Phase 1 for one function: prunes its unreachable blocks and finds its
+/// scalar stack slots whose pointer is used only as a direct load/store
+/// address. `None` when there is none.
+fn find_slots(
+    f: &mut Function,
+    objects: &IdxVec<ObjId, ObjectData>,
+    types: &TypeTable,
+) -> Option<Slots> {
+    let cfg = prune_unreachable(f);
+    const UNSEEN: u8 = 0;
+    const CANDIDATE: u8 = 1;
+    const ESCAPED: u8 = 2;
+    let mut state = vec![UNSEEN; f.vars.len()];
+    let mut cands: Vec<(VarId, ObjId)> = Vec::new();
+    // (pointer, block) of every alloc and of every store through a
+    // pointer not yet known to escape; filtered to the slots below.
+    let mut defs: Vec<(VarId, BlockId)> = Vec::new();
     for (bb, block) in f.blocks.iter_enumerated() {
         for inst in &block.insts {
             match inst {
-                Inst::Store {
-                    addr: Operand::Var(p),
-                    ..
+                Inst::Alloc {
+                    dst,
+                    obj,
+                    count: None,
                 } => {
-                    if let Some(&i) = promo_of.get(p) {
-                        if !def_blocks[i].contains(&bb) {
-                            def_blocks[i].push(bb);
-                        }
+                    let o = &objects[*obj];
+                    if matches!(o.kind, ObjKind::Stack(_))
+                        && o.size == 1
+                        && !o.is_array
+                        && state[dst.index()] == UNSEEN
+                    {
+                        state[dst.index()] = CANDIDATE;
+                        cands.push((*dst, *obj));
+                        defs.push((*dst, bb));
                     }
                 }
-                // The alloc itself counts as a def (of Undef) so that
-                // phis merge Undef along paths that skip all stores.
-                Inst::Alloc { dst, .. } => {
-                    if let Some(&i) = promo_of.get(dst) {
-                        if !def_blocks[i].contains(&bb) {
-                            def_blocks[i].push(bb);
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-
-    // 3. Insert empty phis at iterated dominance frontiers.
-    //    phi_slots[bb] maps "position in block's phi prefix" -> slot.
-    let mut phi_slot_at: FxHashMap<(BlockId, VarId), usize> = FxHashMap::default();
-    for (i, slot) in promotable.iter().enumerate() {
-        for bb in dt.iterated_frontier(&def_blocks[i]) {
-            let dst = f.new_var(format!("{}.phi", slot.name), slot.val_ty);
-            f.blocks[bb].insts.insert(
-                0,
-                Inst::Phi {
-                    dst,
-                    incomings: Vec::new(),
-                },
-            );
-            phi_slot_at.insert((bb, dst), i);
-            stats.phis_inserted += 1;
-        }
-    }
-
-    // 4. Rename along the dominator tree.
-    let nblocks = f.blocks.len();
-    let mut visited: IdxVec<BlockId, bool> = IdxVec::from_elem(false, nblocks);
-    // Explicit stack of (block, current values on entry).
-    let mut stack: Vec<(BlockId, Vec<Operand>)> = vec![(f.entry, vec![Operand::Undef; nslots])];
-
-    while let Some((bb, mut cur)) = stack.pop() {
-        if visited[bb] {
-            continue;
-        }
-        visited[bb] = true;
-
-        let mut new_insts: Vec<Inst> = Vec::with_capacity(f.blocks[bb].insts.len());
-        let insts = std::mem::take(&mut f.blocks[bb].insts);
-        for mut inst in insts {
-            match &inst {
-                Inst::Alloc { dst, .. } if promo_of.contains_key(dst) => {
-                    // Slot comes into existence holding Undef.
-                    cur[promo_of[dst]] = Operand::Undef;
-                    continue; // drop the alloc
-                }
-                Inst::Store {
-                    addr: Operand::Var(p),
-                    val,
-                } if promo_of.contains_key(p) => {
-                    cur[promo_of[p]] = *val;
-                    continue; // drop the store
-                }
-                Inst::Load {
-                    dst,
-                    addr: Operand::Var(p),
-                } if promo_of.contains_key(p) => {
-                    let v = cur[promo_of[p]];
-                    if v == Operand::Undef {
-                        stats.undef_reads += 1;
-                    }
-                    new_insts.push(Inst::Copy { dst: *dst, src: v });
-                    continue;
-                }
-                Inst::Phi { dst, .. } => {
-                    if let Some(&i) = phi_slot_at.get(&(bb, *dst)) {
-                        cur[i] = Operand::Var(*dst);
-                    }
-                    new_insts.push(inst);
-                    continue;
-                }
-                _ => {}
-            }
-            // Any other instruction passes through unchanged; promoted
-            // pointers cannot appear in them (escape check).
-            inst.map_uses(|o| o);
-            new_insts.push(inst);
-        }
-        f.blocks[bb].insts = new_insts;
-
-        // 5. Fill successor phis along each CFG edge.
-        for &succ in &cfg.succs[bb] {
-            for inst in f.blocks[succ].insts.iter_mut() {
-                let Inst::Phi { dst, incomings } = inst else {
-                    break;
-                };
-                if let Some(&i) = phi_slot_at.get(&(succ, *dst)) {
-                    incomings.push((bb, cur[i]));
-                }
-            }
-        }
-
-        // 6. Recurse into dominator-tree children with the current state.
-        for &c in dt.children[bb].iter().rev() {
-            stack.push((c, cur.clone()));
-        }
-    }
-
-    // 7. The slot pointers are dead now; so are their objects.
-    let ptrs: Vec<VarId> = promotable.iter().map(|p| p.ptr).collect();
-    drop_vars(f, &ptrs);
-    (stats, promotable.into_iter().map(|p| p.obj).collect())
-}
-
-struct PromoSlot {
-    ptr: VarId,
-    obj: ObjId,
-    name: String,
-    val_ty: crate::ids::TypeId,
-}
-
-fn find_promotable(m: &Module, fid: FuncId) -> Vec<PromoSlot> {
-    let f = &m.funcs[fid];
-    // Candidate scalar stack allocs.
-    let mut cand: FxHashMap<VarId, PromoSlot> = FxHashMap::default();
-    for block in f.blocks.iter() {
-        for inst in &block.insts {
-            if let Inst::Alloc {
-                dst,
-                obj,
-                count: None,
-            } = inst
-            {
-                let o = &m.objects[*obj];
-                if matches!(o.kind, ObjKind::Stack(_)) && o.size == 1 && !o.is_array {
-                    let val_ty = m
-                        .types
-                        .pointee(f.vars[*dst].ty)
-                        .expect("alloc result is a pointer");
-                    cand.insert(
-                        *dst,
-                        PromoSlot {
-                            ptr: *dst,
-                            obj: *obj,
-                            name: o.name.clone(),
-                            val_ty,
-                        },
-                    );
-                }
-            }
-        }
-    }
-    if cand.is_empty() {
-        return Vec::new();
-    }
-
-    // Disqualify any candidate whose pointer escapes.
-    let disqualify = |v: VarId, cand: &mut FxHashMap<VarId, PromoSlot>| {
-        cand.remove(&v);
-    };
-    for block in f.blocks.iter() {
-        for inst in &block.insts {
-            match inst {
-                Inst::Load { addr, .. } => {
-                    // Direct load address is fine.
-                    let _ = addr;
-                }
+                // A direct load address is fine.
+                Inst::Load { .. } => {}
                 Inst::Store { addr, val } => {
                     // Storing the pointer itself escapes it.
                     if let Operand::Var(v) = val {
-                        disqualify(*v, &mut cand);
+                        state[v.index()] = ESCAPED;
                     }
-                    let _ = addr;
-                }
-                _ => {
-                    inst.for_each_use(|o| {
-                        if let Operand::Var(v) = o {
-                            cand.remove(&v);
+                    if let Operand::Var(p) = addr {
+                        if state[p.index()] != ESCAPED {
+                            defs.push((*p, bb));
                         }
-                    });
+                    }
                 }
+                _ => inst.for_each_use(|o| {
+                    if let Operand::Var(v) = o {
+                        state[v.index()] = ESCAPED;
+                    }
+                }),
             }
         }
         block.term.for_each_use(|o| {
             if let Operand::Var(v) = o {
-                cand.remove(&v);
+                state[v.index()] = ESCAPED;
             }
         });
     }
+    cands.retain(|(v, _)| state[v.index()] == CANDIDATE);
+    if cands.is_empty() {
+        return None;
+    }
+    cands.sort_unstable_by_key(|c| c.0);
 
-    let mut slots: Vec<PromoSlot> = cand.into_values().collect();
-    slots.sort_by_key(|s| s.ptr);
-    slots
+    let nslots = cands.len();
+    let mut slot_of = vec![NONE; f.vars.len()];
+    for (s, (v, _)) in cands.iter().enumerate() {
+        slot_of[v.index()] = s as u32;
+    }
+    let mut def_start = vec![0u32; nslots + 1];
+    for (v, _) in &defs {
+        if let Some(s) = slot(&slot_of, *v) {
+            def_start[s + 1] += 1;
+        }
+    }
+    for s in 0..nslots {
+        def_start[s + 1] += def_start[s];
+    }
+    let mut fill = def_start[..nslots].to_vec();
+    let mut def_blocks = vec![BlockId(0); def_start[nslots] as usize];
+    for (v, bb) in defs {
+        if let Some(s) = slot(&slot_of, v) {
+            def_blocks[fill[s] as usize] = bb;
+            fill[s] += 1;
+        }
+    }
+    let val_tys = (cands.iter())
+        .map(|(v, _)| (types.pointee(f.vars[*v].ty)).expect("alloc result is a pointer"))
+        .collect();
+    Some(Slots {
+        slot_of,
+        objs: cands.into_iter().map(|(_, o)| o).collect(),
+        val_tys,
+        def_start,
+        def_blocks,
+        cfg: cfg.unwrap_or_else(|| Cfg::compute(f)),
+    })
+}
+
+/// The slot `v` points to, if it is a promoted slot pointer.
+fn slot(slot_of: &[u32], v: VarId) -> Option<usize> {
+    let s = slot_of[v.index()];
+    (s != NONE).then_some(s as usize)
+}
+
+/// A step of the dominator-tree walk: visit a block, or leave a subtree
+/// by undoing the definitions logged since `mark`.
+enum Step {
+    Enter(BlockId),
+    Leave(usize),
+}
+
+/// Phase 3 for one function: places the phis and runs the renaming,
+/// renumbering and object-compacting walk (see the module doc).
+fn promote(
+    f: &mut Function,
+    s: Slots,
+    objects: &IdxVec<ObjId, ObjectData>,
+    remap: Option<&ObjRemap>,
+) -> Mem2RegStats {
+    let Slots {
+        slot_of,
+        objs,
+        val_tys,
+        def_start,
+        def_blocks,
+        cfg,
+    } = s;
+    let nslots = objs.len();
+    let nblocks = f.blocks.len();
+    let dt = DomTree::compute(f, &cfg);
+
+    // Old variable -> new id: the slot pointers drop out, the rest keep
+    // their order, and the phis are numbered after them.
+    let mut var_map = vec![NONE; slot_of.len()];
+    let mut next = 0u32;
+    for (v, &sl) in slot_of.iter().enumerate() {
+        if sl == NONE {
+            var_map[v] = next;
+            next += 1;
+        }
+    }
+    let first_phi = next as usize;
+
+    // Phi placement. Phi `k` (in slot-major order) is variable
+    // `first_phi + k` and merges slot `phi_slot[k]`.
+    let mut scratch = IdfScratch::default();
+    let mut frontier = Vec::new();
+    let mut phi_block: Vec<BlockId> = Vec::new();
+    let mut phi_slot: Vec<u32> = Vec::new();
+    for sl in 0..nslots {
+        let defs = &def_blocks[def_start[sl] as usize..def_start[sl + 1] as usize];
+        dt.iterated_frontier(defs, &mut scratch, &mut frontier);
+        for &bb in &frontier {
+            phi_block.push(bb);
+            phi_slot.push(sl as u32);
+        }
+    }
+    // Each block's phis, the later slot first: `order[at[b]..at[b + 1]]`
+    // lists block `b`'s phi numbers.
+    let mut nphi: IdxVec<BlockId, usize> = IdxVec::from_elem(0, nblocks);
+    for &bb in &phi_block {
+        nphi[bb] += 1;
+    }
+    let mut at = vec![0usize; nblocks + 1];
+    for (i, n) in nphi.iter().enumerate() {
+        at[i + 1] = at[i] + n;
+    }
+    let mut order = vec![0usize; phi_block.len()];
+    for (k, &bb) in phi_block.iter().enumerate().rev() {
+        order[at[bb.index()]] = k;
+        at[bb.index()] += 1;
+    }
+    for (i, block) in f.blocks.iter_mut().enumerate() {
+        // `at[i]` now ends block `i`'s run.
+        let n = nphi.raw()[i];
+        if n == 0 {
+            continue;
+        }
+        let npreds = cfg.preds[BlockId::from_usize(i)].len();
+        let phis = order[at[i] - n..at[i]].iter().map(|&k| Inst::Phi {
+            dst: VarId::from_usize(first_phi + k),
+            incomings: Vec::with_capacity(npreds),
+        });
+        block.insts.splice(0..0, phis);
+    }
+
+    // The variable table: drop the slot pointers, append the phis.
+    f.vars.retain_indices(|v| slot_of[v.index()] == NONE);
+    for run in phi_slot.chunk_by(|a, b| a == b) {
+        let sl = run[0] as usize;
+        let name = format!("{}.phi", objects[objs[sl]].name);
+        for _ in run {
+            f.vars.push(VarData {
+                name: name.clone(),
+                ty: val_tys[sl],
+            });
+        }
+    }
+    let new_var = |v: VarId| {
+        let n = var_map[v.index()];
+        debug_assert!(n != NONE, "no instruction names a promoted slot");
+        VarId(n)
+    };
+    for p in &mut f.params {
+        *p = new_var(*p);
+    }
+    let map_op = |op: Operand| match op {
+        Operand::Var(v) => Operand::Var(new_var(v)),
+        op => remap.map_or(op, |r| r.operand(op)),
+    };
+    let phi_slot_of = |dst: VarId| phi_slot[dst.index() - first_phi] as usize;
+
+    // The rename walk.
+    let mut undef_reads = 0;
+    let mut cur = vec![Operand::Undef; nslots];
+    let mut log: Vec<(usize, Operand)> = Vec::new();
+    let mut stack = vec![Step::Enter(f.entry)];
+    while let Some(step) = stack.pop() {
+        let bb = match step {
+            Step::Enter(bb) => bb,
+            Step::Leave(mark) => {
+                for (sl, old) in log.drain(mark..).rev() {
+                    cur[sl] = old;
+                }
+                continue;
+            }
+        };
+        let mark = log.len();
+        let np = nphi[bb];
+        let block = &mut f.blocks[bb];
+        for inst in &block.insts[..np] {
+            let Inst::Phi { dst, .. } = inst else {
+                unreachable!("a block's placed phis lead it");
+            };
+            let sl = phi_slot_of(*dst);
+            log.push((sl, cur[sl]));
+            cur[sl] = Operand::Var(*dst);
+        }
+        let mut seen = 0;
+        block.insts.retain_mut(|inst| {
+            seen += 1;
+            if seen <= np {
+                return true;
+            }
+            match inst {
+                Inst::Alloc { dst, .. } if slot_of[dst.index()] != NONE => {
+                    // The slot comes into existence holding Undef.
+                    let sl = slot_of[dst.index()] as usize;
+                    log.push((sl, cur[sl]));
+                    cur[sl] = Operand::Undef;
+                    false
+                }
+                Inst::Store {
+                    addr: Operand::Var(p),
+                    val,
+                } if slot_of[p.index()] != NONE => {
+                    let sl = slot_of[p.index()] as usize;
+                    log.push((sl, cur[sl]));
+                    cur[sl] = map_op(*val);
+                    false
+                }
+                Inst::Load {
+                    dst,
+                    addr: Operand::Var(p),
+                } if slot_of[p.index()] != NONE => {
+                    let src = cur[slot_of[p.index()] as usize];
+                    if src == Operand::Undef {
+                        undef_reads += 1;
+                    }
+                    let dst = new_var(*dst);
+                    *inst = Inst::Copy { dst, src };
+                    true
+                }
+                _ => {
+                    // Promoted pointers cannot appear here (escape check).
+                    if let Some(d) = inst.dst_mut() {
+                        *d = new_var(*d);
+                    }
+                    inst.map_uses(map_op);
+                    if let (Inst::Alloc { obj, .. }, Some(r)) = (&mut *inst, remap) {
+                        *obj = r.new_id(*obj);
+                    }
+                    true
+                }
+            }
+        });
+        block.term.map_uses(map_op);
+
+        // Successor phis take the current values along each CFG edge.
+        for &succ in &cfg.succs[bb] {
+            let n = nphi[succ];
+            for inst in &mut f.blocks[succ].insts[..n] {
+                let Inst::Phi { dst, incomings } = inst else {
+                    unreachable!("a block's placed phis lead it");
+                };
+                incomings.push((bb, cur[phi_slot_of(*dst)]));
+            }
+        }
+
+        if log.len() > mark {
+            stack.push(Step::Leave(mark));
+        }
+        for &c in dt.children[bb].iter().rev() {
+            stack.push(Step::Enter(c));
+        }
+    }
+
+    Mem2RegStats {
+        promoted: nslots,
+        phis_inserted: phi_block.len(),
+        undef_reads,
+    }
 }
 
 #[cfg(test)]

@@ -5,9 +5,10 @@
 //! phi incomings that do not match predecessors, and `Unreachable`
 //! terminators surviving in reachable code.
 
+use std::borrow::Cow;
 use std::fmt;
 
-use crate::cfg::Cfg;
+use crate::cfg::{Cfg, ModuleCfgs};
 use crate::ids::{BlockId, FuncId, Idx};
 use crate::module::{Callee, Function, Inst, Module, Operand, Terminator};
 
@@ -35,9 +36,27 @@ impl std::error::Error for VerifyError {}
 /// Returns the list of violated invariants; empty result means the module
 /// is structurally well-formed.
 pub fn verify(m: &Module) -> Result<(), Vec<VerifyError>> {
+    verify_each(m, |_, f| Cow::Owned(Cfg::compute(f)))
+}
+
+/// [`verify`] reading each function's CFG from `cfgs` (computing the
+/// entries it lacks), so the stages after it reuse the same CFGs.
+///
+/// # Errors
+///
+/// As [`verify`].
+pub fn verify_with(m: &Module, cfgs: &ModuleCfgs) -> Result<(), Vec<VerifyError>> {
+    verify_each(m, |fid, _| Cow::Borrowed(&cfgs.get(m, fid).cfg))
+}
+
+/// The module checks, verifying each function against `cfg_of`'s CFG.
+fn verify_each<'c>(
+    m: &Module,
+    cfg_of: impl Fn(FuncId, &Function) -> Cow<'c, Cfg>,
+) -> Result<(), Vec<VerifyError>> {
     let mut errors = Vec::new();
     for (fid, f) in m.funcs.iter_enumerated() {
-        verify_function(m, fid, f, &mut errors);
+        verify_function(m, fid, f, &cfg_of(fid, f), &mut errors);
     }
     if let Some(main) = m.main {
         if main.index() >= m.funcs.len() {
@@ -54,7 +73,13 @@ pub fn verify(m: &Module) -> Result<(), Vec<VerifyError>> {
     }
 }
 
-fn verify_function(m: &Module, fid: FuncId, f: &Function, errors: &mut Vec<VerifyError>) {
+fn verify_function(
+    m: &Module,
+    fid: FuncId,
+    f: &Function,
+    cfg: &Cfg,
+    errors: &mut Vec<VerifyError>,
+) {
     macro_rules! err {
         ($($arg:tt)*) => {
             errors.push(VerifyError { func: fid, message: format!($($arg)*) })
@@ -90,8 +115,6 @@ fn verify_function(m: &Module, fid: FuncId, f: &Function, errors: &mut Vec<Verif
             }
         }
     }
-
-    let cfg = Cfg::compute(f);
 
     let check_operand = |op: Operand, bb: BlockId, errs: &mut Vec<VerifyError>| match op {
         Operand::Var(v) => {

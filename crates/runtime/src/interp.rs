@@ -289,9 +289,7 @@ impl<'a> Machine<'a> {
         // Entry shadow ops (ParamSh).
         if let Some(plan) = self.plan {
             if let Some(ops) = plan.entry.get(&f) {
-                let dummy = Site::new(f, func.entry, 0);
-                let ops = ops.clone();
-                self.exec_shadow_ops(&ops, dummy);
+                self.exec_shadow_ops(ops, Site::new(f, func.entry, 0));
             }
         }
         // Skip leading phis in the entry block (there are none in valid
@@ -409,8 +407,7 @@ impl<'a> Machine<'a> {
     fn run_before(&mut self, site: Site) {
         if let Some(plan) = self.plan {
             if let Some(ops) = plan.before.get(&site) {
-                let ops = ops.clone();
-                self.exec_shadow_ops(&ops, site);
+                self.exec_shadow_ops(ops, site);
             }
         }
     }
@@ -418,8 +415,7 @@ impl<'a> Machine<'a> {
     fn run_after(&mut self, site: Site) {
         if let Some(plan) = self.plan {
             if let Some(ops) = plan.after.get(&site) {
-                let ops = ops.clone();
-                self.exec_shadow_ops(&ops, site);
+                self.exec_shadow_ops(ops, site);
             }
         }
     }
@@ -577,6 +573,8 @@ impl<'a> Machine<'a> {
         let f = frame.func;
         let block = frame.block;
         let idx = frame.idx;
+        // The module outlives the machine, so instructions are borrowed
+        // from it, not from `self`.
         let func = &self.m.funcs[f];
         let insts_len = func.blocks[block].insts.len();
         let site = Site::new(f, block, idx.min(insts_len));
@@ -584,9 +582,9 @@ impl<'a> Machine<'a> {
         self.counters.native_ops += 1;
 
         if idx < insts_len {
-            let inst = func.blocks[block].insts[idx].clone();
+            let inst = &func.blocks[block].insts[idx];
             self.run_before(site);
-            match self.exec_inst(&inst, site) {
+            match self.exec_inst(inst, site) {
                 Ok(advance) => {
                     if advance {
                         self.run_after(site);
@@ -597,9 +595,9 @@ impl<'a> Machine<'a> {
                 Err(t) => Step::Trapped(t),
             }
         } else {
-            let term = func.blocks[block].term.clone();
+            let term = &func.blocks[block].term;
             self.run_before(site);
-            self.exec_term(&term, site)
+            self.exec_term(term, site)
         }
     }
 
@@ -879,11 +877,11 @@ impl<'a> Machine<'a> {
                     Some(frame) => {
                         // Complete the suspended call in the caller.
                         let caller_site = Site::new(frame.func, frame.block, frame.idx);
-                        let call_inst =
-                            self.m.funcs[frame.func].blocks[frame.block].insts[frame.idx].clone();
+                        let m = self.m;
+                        let call_inst = &m.funcs[frame.func].blocks[frame.block].insts[frame.idx];
                         if let Inst::Call { dst: Some(d), .. } = call_inst {
                             let (v, gt) = retval.unwrap_or((Value::Int(0), false));
-                            self.set_reg(d, v, gt);
+                            self.set_reg(*d, v, gt);
                         }
                         self.run_after(caller_site);
                         self.stack.last_mut().expect("frame exists").idx += 1;

@@ -73,7 +73,9 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use usher_core::{guided_plan, redundant_check_elimination, Config, Gamma, Plan, PlanProvenance};
+use usher_core::{
+    guided_plan, redundant_check_elimination_budgeted, Config, Gamma, Plan, PlanProvenance,
+};
 use usher_driver::{
     default_threads, gamma_fingerprint, plan_fingerprint, tinyc_source_key, Artifact,
     ArtifactCache, CacheStats, DegradeEvent, DriverError, GuidedKnobs, KeyWriter, Pipeline,
@@ -81,12 +83,12 @@ use usher_driver::{
 };
 use usher_frontend::{parser, relower_function, LowerEnv, RelowerBlocked, RelowerError};
 use usher_ir::{
-    is_inline_target, Budget, Callee, FuncId, GepOffset, Idx, InlineTrace, Inst, Module, ObjId,
-    Operand, OptLevel, Terminator,
+    is_inline_target, Budget, Callee, FuncId, GepOffset, Idx, InlineTrace, Inst, Module,
+    ModuleCfgs, ObjId, Operand, OptLevel, Terminator,
 };
 use usher_pointer::{PointerAnalysis, SolverStats};
 use usher_vfg::{
-    build_function_ssa, rebuild_with_tape, DemandEngine, MemSsa, ModRef, Vfg, VfgTape,
+    build_function_ssa_budgeted, rebuild_with_tape, DemandEngine, MemSsa, ModRef, Vfg, VfgTape,
 };
 
 use crate::codec;
@@ -341,6 +343,10 @@ struct Backend {
     memssa: MemSsa,
     vfg: Vfg,
     tape: VfgTape,
+    /// `module`'s shared CFGs and dominator trees. An incremental edit
+    /// invalidates only the edited function's entry, so its memory SSA,
+    /// VFG rebuild and whole-program Opt II recompute no other function's.
+    cfgs: ModuleCfgs,
     gamma: Arc<Gamma>,
     redirected: usize,
     plan: Arc<Plan>,
@@ -502,6 +508,7 @@ impl Backend {
             memssa: own(run.memssa),
             vfg: own(run.vfg),
             tape: r.tape.expect("a strict guided run builds the VFG"),
+            cfgs: r.cfgs,
             gamma: run.gamma.expect("a strict guided run resolves"),
             redirected: run.opt2_redirected,
             plan: run.plan,
@@ -1150,6 +1157,7 @@ impl Engine {
             // Any edit starts a new memo epoch, even one that keeps the
             // VFG the memoized demand verdicts were computed on.
             b.demand = None;
+            b.cfgs.invalidate(fid);
             if value_flow_unchanged {
                 for stage in [Stage::MemSsa, Stage::VfgBuild, Stage::Resolve] {
                     stages.push(StageTiming {
@@ -1161,7 +1169,12 @@ impl Engine {
                 self.counters.edits_value_flow_unchanged += 1;
             } else {
                 let t = Instant::now();
-                match build_function_ssa(&scratch, &b.pa, fid, &b.modref) {
+                let unlimited = &Budget::unlimited();
+                let fs = build_function_ssa_budgeted(
+                    &scratch, &b.pa, fid, &b.cfgs, &b.modref, unlimited,
+                )
+                .expect("unlimited budgets never exhaust");
+                match fs {
                     Some(fs) => {
                         b.memssa.funcs.insert(fid, fs);
                     }
@@ -1172,12 +1185,15 @@ impl Engine {
                 stages.push(ran(Stage::MemSsa, t));
                 let t = Instant::now();
                 let (vfg, tape) =
-                    rebuild_with_tape(&scratch, &b.pa, &b.memssa, bopts, &b.tape, fid);
+                    rebuild_with_tape(&scratch, &b.pa, &b.memssa, &b.cfgs, bopts, &b.tape, fid);
                 b.vfg = vfg;
                 b.tape = tape;
                 stages.push(ran(Stage::VfgBuild, t));
                 let t = Instant::now();
-                let out = redundant_check_elimination(&scratch, &b.pa, &b.memssa, &b.vfg, depth);
+                let out = redundant_check_elimination_budgeted(
+                    &scratch, &b.pa, &b.memssa, &b.vfg, &b.cfgs, depth, unlimited,
+                )
+                .result;
                 b.gamma = Arc::new(out.gamma);
                 b.redirected = out.redirected;
                 stages.push(ran(Stage::Resolve, t));
@@ -1240,6 +1256,12 @@ impl Engine {
             1
         };
         let session = self.sessions.get_mut(&sid).expect("checked above");
+        if let SessionState::Ready(b) = &session.state {
+            debug_assert!(
+                b.cfgs.is_fresh(&b.module),
+                "an edit must leave no stale shared CFG or dominator tree"
+            );
+        }
         session.lines = new_lines;
         session.spans = scan_spans(&session.lines);
         session.edits += 1;
@@ -1803,7 +1825,7 @@ fn debug_assert_value_flow_reuse(
     fid: FuncId,
     k: usize,
 ) {
-    let fs = build_function_ssa(m, &b.pa, fid, &b.modref);
+    let fs = usher_vfg::build_function_ssa(m, &b.pa, fid, &b.modref);
     match (&fs, b.memssa.funcs.get(&fid)) {
         (None, None) => {}
         (Some(new), Some(old)) => {
@@ -1828,13 +1850,14 @@ fn debug_assert_value_flow_reuse(
             old.is_some()
         ),
     }
-    let (vfg, _) = rebuild_with_tape(m, &b.pa, &b.memssa, opts, &b.tape, fid);
+    let cfgs = ModuleCfgs::new(m);
+    let (vfg, _) = rebuild_with_tape(m, &b.pa, &b.memssa, &cfgs, opts, &b.tape, fid);
     debug_assert_eq!(vfg.nodes, b.vfg.nodes, "cutoff must keep the VFG nodes");
     debug_assert_eq!(vfg.deps, b.vfg.deps, "cutoff must keep the dependence CSR");
     debug_assert_eq!(vfg.users, b.vfg.users, "cutoff must keep the user CSR");
     debug_assert_eq!(vfg.checks, b.vfg.checks, "cutoff must keep the checks");
     debug_assert_eq!(vfg.def_site, b.vfg.def_site, "cutoff must keep def sites");
-    let out = redundant_check_elimination(m, &b.pa, &b.memssa, &vfg, k);
+    let out = usher_core::redundant_check_elimination(m, &b.pa, &b.memssa, &vfg, k);
     debug_assert_eq!(
         gamma_fingerprint(&out.gamma),
         gamma_fingerprint(&b.gamma),

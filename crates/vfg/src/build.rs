@@ -30,8 +30,8 @@
 use std::sync::OnceLock;
 
 use usher_ir::{
-    Budget, Callee, Cfg, DomTree, Exhausted, ExtFunc, FuncId, FxHashMap, GepOffset, Idx, Inst,
-    Module, Operand, Site, Terminator, VarId,
+    Budget, Callee, DomTree, Exhausted, ExtFunc, FuncCfg, FuncId, FxHashMap, GepOffset, Idx, Inst,
+    Module, ModuleCfgs, Operand, Site, Terminator, VarId,
 };
 use usher_pointer::{Loc, PointerAnalysis};
 
@@ -573,13 +573,15 @@ pub fn build(m: &Module, pa: &PointerAnalysis, ms: &MemSsa, mode: VfgMode) -> Vf
     )
 }
 
-/// Builds the VFG with explicit options.
+/// Builds the VFG with explicit options, computing every function's CFG
+/// and dominator tree.
 pub fn build_with(m: &Module, pa: &PointerAnalysis, ms: &MemSsa, opts: BuildOpts) -> Vfg {
-    build_with_budgeted(m, pa, ms, opts, &Budget::unlimited())
+    build_with_budgeted(m, pa, ms, &ModuleCfgs::new(m), opts, &Budget::unlimited())
         .expect("unlimited budgets never exhaust")
 }
 
-/// Budgeted VFG construction: charges one step per instruction visited.
+/// Budgeted VFG construction over the shared `cfgs`: charges one step per
+/// instruction visited.
 ///
 /// On exhaustion the partially built graph is discarded — a VFG missing
 /// edges *under*-approximates value flow, so no partial result is sound
@@ -588,12 +590,13 @@ pub fn build_with_budgeted(
     m: &Module,
     pa: &PointerAnalysis,
     ms: &MemSsa,
+    cfgs: &ModuleCfgs,
     opts: BuildOpts,
     budget: &Budget,
 ) -> Result<Vfg, Exhausted> {
     let mut b = Builder::new(m, ms);
     for fid in m.funcs.indices() {
-        traverse_function(&mut b, m, pa, ms, fid, opts, budget)?;
+        traverse_function(&mut b, m, pa, ms, cfgs.get(m, fid), fid, opts, budget)?;
     }
     Ok(b.finish(opts.mode))
 }
@@ -604,14 +607,16 @@ pub fn build_with_tape(
     m: &Module,
     pa: &PointerAnalysis,
     ms: &MemSsa,
+    cfgs: &ModuleCfgs,
     opts: BuildOpts,
     budget: &Budget,
 ) -> Result<(Vfg, VfgTape), Exhausted> {
     let mut b = Builder::new(m, ms);
     let mut funcs = Vec::with_capacity(m.funcs.len());
     for fid in m.funcs.indices() {
+        let fc = cfgs.get(m, fid);
         funcs.push(std::sync::Arc::new(record_function(
-            &mut b, m, pa, ms, fid, opts, budget,
+            &mut b, m, pa, ms, fc, fid, opts, budget,
         )?));
     }
     Ok((b.finish(opts.mode), VfgTape { funcs, opts }))
@@ -619,7 +624,8 @@ pub fn build_with_tape(
 
 /// Rebuilds the VFG after an edit confined to `dirty`'s body: every
 /// other function replays its recorded tape (no CFG, dominator or
-/// instruction work), `dirty` is traversed live and re-recorded. The
+/// instruction work), `dirty` is traversed live, on its entry in the
+/// shared `cfgs`, and re-recorded. The
 /// result is bit-identical to [`build_with_tape`] on the current module
 /// because the replayed ops reproduce the exact node interning and edge
 /// emission order, and the composite `Check`/`Call` ops re-read the
@@ -628,6 +634,7 @@ pub fn rebuild_with_tape(
     m: &Module,
     pa: &PointerAnalysis,
     ms: &MemSsa,
+    cfgs: &ModuleCfgs,
     opts: BuildOpts,
     tape: &VfgTape,
     dirty: FuncId,
@@ -642,7 +649,8 @@ pub fn rebuild_with_tape(
     let mut funcs = Vec::with_capacity(m.funcs.len());
     for fid in m.funcs.indices() {
         if fid == dirty {
-            let live = record_function(&mut b, m, pa, ms, fid, opts, &Budget::unlimited())
+            let fc = cfgs.get(m, fid);
+            let live = record_function(&mut b, m, pa, ms, fc, fid, opts, &Budget::unlimited())
                 .expect("unlimited budgets never exhaust");
             funcs.push(std::sync::Arc::new(live));
         } else {
@@ -653,18 +661,20 @@ pub fn rebuild_with_tape(
     (b.finish(opts.mode), VfgTape { funcs, opts })
 }
 
+#[allow(clippy::too_many_arguments)]
 fn record_function(
     b: &mut Builder,
     m: &Module,
     pa: &PointerAnalysis,
     ms: &MemSsa,
+    fc: &FuncCfg,
     fid: FuncId,
     opts: BuildOpts,
     budget: &Budget,
 ) -> Result<FuncTape, Exhausted> {
     let before = b.stats;
     b.rec = Some(Vec::new());
-    traverse_function(b, m, pa, ms, fid, opts, budget)?;
+    traverse_function(b, m, pa, ms, fc, fid, opts, budget)?;
     let ops = b.rec.take().unwrap_or_default();
     Ok(FuncTape {
         ops,
@@ -712,18 +722,19 @@ fn replay_function(
     stats_add(&mut b.stats, &ft.stats);
 }
 
+#[allow(clippy::too_many_arguments)]
 fn traverse_function(
     b: &mut Builder,
     m: &Module,
     pa: &PointerAnalysis,
     ms: &MemSsa,
+    fc: &FuncCfg,
     fid: FuncId,
     opts: BuildOpts,
     budget: &Budget,
 ) -> Result<(), Exhausted> {
     let func = &m.funcs[fid];
-    let cfg = Cfg::compute(func);
-    let dt = DomTree::compute(func, &cfg);
+    let FuncCfg { cfg, dom: dt } = fc;
     let fs = ms.funcs.get(&fid);
 
     // Allocation chis per location, for semi-strong lookups:
@@ -770,7 +781,7 @@ fn traverse_function(
         for (idx, inst) in block.insts.iter().enumerate() {
             budget.try_charge(1)?;
             let site = Site::new(fid, bb, idx);
-            build_inst(b, m, pa, ms, fid, site, inst, opts, &dt, &alloc_chis);
+            build_inst(b, m, pa, ms, fid, site, inst, opts, dt, &alloc_chis);
         }
         budget.try_charge(1)?;
         let term_site = Site::new(fid, bb, block.insts.len());

@@ -247,8 +247,9 @@ mod tests {
         let ms = build_memssa(&m, &pa);
         let opts = BuildOpts::default();
         let plain = build::build_with(&m, &pa, &ms, opts);
+        let cfgs = usher_ir::ModuleCfgs::new(&m);
         let (taped, tape) =
-            build_with_tape(&m, &pa, &ms, opts, &usher_ir::Budget::unlimited()).unwrap();
+            build_with_tape(&m, &pa, &ms, &cfgs, opts, &usher_ir::Budget::unlimited()).unwrap();
         let same = |a: &Vfg, b: &Vfg, tag: &str| {
             assert_eq!(a.nodes, b.nodes, "{tag}: nodes");
             assert_eq!(a.deps.offsets, b.deps.offsets, "{tag}: dep offsets");
@@ -263,7 +264,7 @@ mod tests {
         // Replaying with any single function live must reproduce the
         // graph exactly, because the module has not changed.
         for fid in m.funcs.indices() {
-            let (re, tape2) = rebuild_with_tape(&m, &pa, &ms, opts, &tape, fid);
+            let (re, tape2) = rebuild_with_tape(&m, &pa, &ms, &cfgs, opts, &tape, fid);
             same(&re, &plain, &format!("rebuild-dirty-{fid:?}"));
             assert_eq!(tape2.num_funcs(), tape.num_funcs());
         }

@@ -18,8 +18,8 @@
 //! version, which the VFG maps to a fresh, dependency-free node.
 
 use usher_ir::{
-    BlockId, Budget, Callee, Cfg, DomTree, Exhausted, ExtFunc, FuncId, FxHashMap, FxHashSet, Idx,
-    IdxVec, Inst, Module, ObjKind, Site, Terminator,
+    BlockId, Budget, Callee, Exhausted, ExtFunc, FuncCfg, FuncId, FxHashMap, FxHashSet, IdfScratch,
+    Idx, IdxVec, Inst, Module, ModuleCfgs, ObjKind, Site, Terminator,
 };
 use usher_pointer::{Loc, PointerAnalysis};
 
@@ -219,20 +219,27 @@ pub fn modref_summaries_budgeted(
 }
 
 /// Builds memory SSA for one function given precomputed [`ModRef`]
-/// summaries. Returns `None` for bodiless declarations. Functions are
-/// independent at this phase, so callers (e.g. the `usher-driver`
-/// scheduler) may fan this out across worker threads.
+/// summaries, computing the function's CFG and dominator tree. Returns
+/// `None` for bodiless declarations. Functions are independent at this
+/// phase, so callers (e.g. the `usher-driver` scheduler) may fan this out
+/// across worker threads.
 pub fn build_function_ssa(
     m: &Module,
     pa: &PointerAnalysis,
     fid: FuncId,
     modref: &ModRef,
 ) -> Option<FuncMemSsa> {
-    build_function_ssa_budgeted(m, pa, fid, modref, &Budget::unlimited())
-        .expect("unlimited budgets never exhaust")
+    if m.funcs[fid].blocks.is_empty() {
+        return None;
+    }
+    let fc = FuncCfg::compute(&m.funcs[fid]);
+    let unlimited = &Budget::unlimited();
+    let fs = build_function(m, pa, fid, &fc, &modref.mods, &modref.refs, unlimited);
+    Some(fs.expect("unlimited budgets never exhaust"))
 }
 
-/// [`build_function_ssa`] under a cooperative step budget: one step per
+/// [`build_function_ssa`] reading the function's CFG and dominator tree
+/// from the shared `cfgs`, under a cooperative step budget: one step per
 /// instruction visited during placement and renaming.
 ///
 /// # Errors
@@ -243,13 +250,15 @@ pub fn build_function_ssa_budgeted(
     m: &Module,
     pa: &PointerAnalysis,
     fid: FuncId,
+    cfgs: &ModuleCfgs,
     modref: &ModRef,
     budget: &Budget,
 ) -> Result<Option<FuncMemSsa>, Exhausted> {
     if m.funcs[fid].blocks.is_empty() {
         return Ok(None);
     }
-    build_function(m, pa, fid, &modref.mods, &modref.refs, budget).map(Some)
+    let fc = cfgs.get(m, fid);
+    build_function(m, pa, fid, fc, &modref.mods, &modref.refs, budget).map(Some)
 }
 
 /// Builds memory SSA for every function (sequential reference wiring;
@@ -287,13 +296,13 @@ fn build_function(
     m: &Module,
     pa: &PointerAnalysis,
     fid: FuncId,
+    fc: &FuncCfg,
     mods: &IdxVec<FuncId, FxHashSet<Loc>>,
     refs: &IdxVec<FuncId, FxHashSet<Loc>>,
     budget: &Budget,
 ) -> Result<FuncMemSsa, Exhausted> {
     let func = &m.funcs[fid];
-    let cfg = Cfg::compute(func);
-    let dt = DomTree::compute(func, &cfg);
+    let FuncCfg { cfg, dom: dt } = fc;
     let mut fs = FuncMemSsa {
         summary_in: refs[fid].union(&mods[fid]).copied().collect(),
         summary_out: mods[fid].clone(),
@@ -412,6 +421,8 @@ fn build_function(
     // map order, so version numbering and per-block phi order are stable.
     // `phi_locs[bb]` lists the location index of each of `bb`'s phis.
     let mut phi_locs: IdxVec<BlockId, Vec<u32>> = func.blocks.iter().map(|_| Vec::new()).collect();
+    let mut idf_scratch = IdfScratch::default();
+    let mut frontier = Vec::new();
     for (li, blocks) in def_blocks.iter_mut().enumerate() {
         if blocks.is_empty() {
             continue;
@@ -420,7 +431,8 @@ fn build_function(
         blocks.push(func.entry);
         blocks.sort_unstable();
         blocks.dedup();
-        for bb in dt.iterated_frontier(blocks) {
+        dt.iterated_frontier(blocks, &mut idf_scratch, &mut frontier);
+        for &bb in &frontier {
             let v = new_def(&mut fs, *l, MemDefKind::Phi(bb));
             fs.phis.entry(bb).or_default().push(RegionPhi {
                 loc: *l,

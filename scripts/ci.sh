@@ -53,6 +53,24 @@ if ./target/release/usher analyze "$DEG_TC" --budget-steps 500 --no-cache --stri
 fi
 rm -f "$DEG_TC" "$DEG_JSON"
 
+echo "==> opt-level smoke"
+# Every other step compiles at O0+IM. O1 and O2 rewrite the CFG after
+# mem2reg, so the CFGs and dominator trees the guided stages share are
+# computed from a different module than mem2reg saw: analyze one
+# generated program at each level and fail on a non-zero exit or on any
+# degrade event in the telemetry.
+OPT_TC=$(mktemp) && OPT_JSON=$(mktemp)
+./target/release/usher gen --seed 29 --helpers 16 --stmts 10 > "$OPT_TC"
+for OPT_LEVEL in O1 O2; do
+    ./target/release/usher analyze "$OPT_TC" --opt "$OPT_LEVEL" --no-cache --report > /dev/null 2> "$OPT_JSON"
+    if ! grep -q '"functions_degraded":0,.*"events":\[\]' "$OPT_JSON"; then
+        echo "error: analyze --opt $OPT_LEVEL degraded" >&2
+        cat "$OPT_JSON" >&2
+        exit 1
+    fi
+done
+rm -f "$OPT_TC" "$OPT_JSON"
+
 echo "==> pointer solver smoke"
 # Pointer-stage gate (DESIGN.md §12): the reference-vs-production
 # divergence fuzz mode must classify clean (the production solver's plan

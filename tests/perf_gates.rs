@@ -16,8 +16,8 @@ use std::time::Instant;
 
 use usher::core::{redundant_check_elimination, redundant_check_elimination_reference, resolve};
 use usher::driver::analyze_pointer;
-use usher::frontend::compile_o0im;
-use usher::ir::{Budget, Module};
+use usher::frontend::{compile, compile_o0im};
+use usher::ir::{mem2reg, Budget, Module};
 use usher::pointer::{PointerAnalysis, PointerStrategy};
 use usher::serve::json::ObjWriter;
 use usher::serve::{Dispatcher, Json, ServerConfig};
@@ -305,5 +305,53 @@ fn incremental_edits_beat_a_cold_analyze() {
         "incremental p50 {:.3}ms is only {speedup:.2}x faster than a cold analyze {:.3}ms",
         p50 * 1e3,
         cold * 1e3
+    );
+}
+
+/// One function with `n` locals, each conditionally stored once and
+/// never read but the first: `n` slots, `n` phis and a dominator tree
+/// `n` joins deep.
+fn one_large_function(n: usize) -> String {
+    let mut src = String::from("def big(int c) -> int {\n");
+    for i in 0..n {
+        src += &format!("    int x{i};\n");
+    }
+    for i in 0..n {
+        src += &format!("    if (c > {i}) {{ x{i} = {i}; }}\n");
+    }
+    src += "    return x0;\n}\ndef main(int c) -> int {\n    print(c);\n    return 0;\n}\n";
+    src
+}
+
+/// `mem2reg` must stay linear in the size of one large function: 4x the
+/// locals and conditional stores may cost at most 8x the time (linear
+/// reads about 4x). Each side is the fastest of five promotions of a
+/// fresh copy of the lowered module.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "timing gate: release only, run by scripts/ci.sh"
+)]
+fn mem2reg_scales_linearly_in_one_large_function() {
+    const SAMPLES: usize = 5;
+    const RATIO_BOUND: f64 = 8.0;
+    let time = |n: usize| {
+        let m = compile(&one_large_function(n)).expect("the shape compiles");
+        let mut best = f64::INFINITY;
+        for _ in 0..SAMPLES {
+            let mut fresh = m.clone();
+            let t = Instant::now();
+            let stats = mem2reg(&mut fresh);
+            best = best.min(t.elapsed().as_secs_f64());
+            assert_eq!(stats.promoted, n + 2, "every local and both parameters");
+            std::hint::black_box(fresh);
+        }
+        best
+    };
+    let ratio = time(8000) / time(2000).max(1e-9);
+    report("mem2reg-scaling/one-function", ratio, RATIO_BOUND);
+    assert!(
+        ratio < RATIO_BOUND,
+        "mem2reg on one function: 4x the size cost {ratio:.1}x the time"
     );
 }

@@ -6,7 +6,7 @@ use std::hash::Hasher;
 
 use usher::core::{run_config, Config};
 use usher::driver::{plan_fingerprint, Pipeline, PipelineOptions, CACHE_FORMAT_VERSION};
-use usher::ir::{write_text, FxHasher, OptLevel};
+use usher::ir::{write_text, FuncCfg, FxHasher, OptLevel};
 use usher::runtime::{run, RunOptions};
 use usher::workloads::{all_workloads, generate, ladder_config, workload, Scale};
 
@@ -205,51 +205,374 @@ fn fx_digest(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
+/// `mem2reg` edge shapes for [`cold_output_is_pinned`]: each body pins
+/// one case of the promotion walk (phi placement, renaming, the undo of
+/// a dominator subtree's definitions, and the slots it must leave alone).
+const MEM2REG_SHAPES: [(&str, &str); 6] = [
+    (
+        "unreachable-after-return",
+        "def f(int c) -> int {
+            int x;
+            if (c) { x = 1; }
+            return x;
+            x = 2;
+            print(x);
+            return 0;
+        }
+        def main(int c) -> int {
+            if (f(c) > 0) { print(1); }
+            return 0;
+        }",
+    ),
+    (
+        "continue-in-nested-for",
+        "def main(int c) -> int {
+            int s = 0;
+            for (int i = 0; i < 4; i = i + 1) {
+                for (int j = 0; j < 3; j = j + 1) {
+                    if (j == c) { continue; }
+                    s = s + 10;
+                }
+                if (i == 2) { continue; }
+                s = s + 1;
+            }
+            if (s > 40) { print(s); }
+            return 0;
+        }",
+    ),
+    (
+        "shadowed-locals",
+        "def main(int c) -> int {
+            int x = 1;
+            int y;
+            if (c) {
+                int x = 2;
+                y = x;
+                if (c > 1) { int x; y = x; }
+            } else {
+                int y = 5;
+                x = y;
+            }
+            if (y > x) { print(x); }
+            print(y);
+            return 0;
+        }",
+    ),
+    (
+        "read-before-any-store",
+        "def main(int c) -> int {
+            int x;
+            int y;
+            if (x) { print(1); }
+            if (c) { print(y); }
+            y = x + 1;
+            if (y > c) { print(y); }
+            return 0;
+        }",
+    ),
+    (
+        "loop-carried-local",
+        "def main(int c) -> int {
+            int s = 0;
+            int i = 0;
+            int last;
+            while (i < c) {
+                if (i > 2) { last = s; }
+                s = s + i;
+                i = i + 1;
+            }
+            print(s);
+            if (last > 1) { print(last); }
+            return 0;
+        }",
+    ),
+    (
+        "address-taken-and-array-locals",
+        "def bump(int *p) {
+            *p = *p + 1;
+        }
+        def main(int c) -> int {
+            int a;
+            int b = 3;
+            int arr[4];
+            int *p = &a;
+            if (c) { *p = 2; }
+            bump(&b);
+            arr[1] = b;
+            arr[2] = a;
+            if (arr[1] + arr[2] > b) { print(b); }
+            print(a);
+            return 0;
+        }",
+    ),
+];
+
 /// Pins what a cold `Config::USHER` run outputs: digests of the module's
-/// IR text and of the plan fingerprint, on generated programs with 16, 64
-/// and 131 helpers and on one SPEC-modelled program. A change meant to
-/// speed the pipeline up must leave every pin as it is. A change that is
-/// meant to alter the output updates these pins and bumps
-/// `CACHE_FORMAT_VERSION` together, so no stale cache entry survives it.
+/// IR text and of the plan fingerprint. The programs are generated ones
+/// with 16, 64 and 131 helpers, every SPEC-modelled program at `O0+IM`,
+/// `O1` and `O2` (the scalar passes change the CFG after `mem2reg`, so
+/// the higher levels exercise the shared CFGs' computation from the
+/// final module), and the [`MEM2REG_SHAPES`]. A change meant to speed the
+/// pipeline up must leave every pin as it is. A change that is meant to
+/// alter the output updates these pins and bumps `CACHE_FORMAT_VERSION`
+/// together, so no stale cache entry survives it.
 #[test]
 fn cold_output_is_pinned() {
-    let mut programs: Vec<(String, String)> = [(23, 16, 10), (53, 64, 12), (131, 131, 14)]
-        .into_iter()
-        .map(|(seed, helpers, stmts)| {
-            let src = generate(seed, ladder_config(helpers, stmts));
-            (format!("gen-{seed}-h{helpers}"), src)
-        })
-        .collect();
-    let gap = workload("254.gap", Scale::TEST).unwrap();
-    programs.push((gap.name.to_string(), gap.source));
+    let usher = PipelineOptions::from_config(Config::USHER);
+    let mut programs: Vec<(String, String, PipelineOptions)> =
+        [(23, 16, 10), (53, 64, 12), (131, 131, 14)]
+            .into_iter()
+            .map(|(seed, helpers, stmts)| {
+                let src = generate(seed, ladder_config(helpers, stmts));
+                (format!("gen-{seed}-h{helpers}"), src, usher.clone())
+            })
+            .collect();
+    for level in [OptLevel::O0Im, OptLevel::O1, OptLevel::O2] {
+        for w in all_workloads(Scale::TEST) {
+            let name = format!("{}@{level}", w.name);
+            programs.push((name, w.source, usher.clone().at_level(level)));
+        }
+    }
+    for (name, src) in MEM2REG_SHAPES {
+        programs.push((name.to_string(), src.to_string(), usher.clone()));
+    }
     let pipe = Pipeline::new().with_threads(2);
     let got: Vec<(String, u64, u64)> = programs
-        .iter()
-        .map(|(name, src)| {
-            let run = pipe
-                .run_source(
-                    name.clone(),
-                    src,
-                    PipelineOptions::from_config(Config::USHER),
-                )
-                .expect(name);
+        .into_iter()
+        .map(|(name, src, options)| {
+            let run = pipe.run_source(name.clone(), &src, options).expect(&name);
             let ir = fx_digest(write_text(&run.module).as_bytes());
             let plan = fx_digest(plan_fingerprint(&run.plan).as_bytes());
-            (name.clone(), ir, plan)
+            (name, ir, plan)
         })
         .collect();
     let want = [
         ("gen-23-h16", 0xd5db_a4c6_a7bf_e46c, 0xd86d_349f_78f8_538a),
         ("gen-53-h64", 0xc835_fea8_4025_45b9, 0x7788_0c4c_6c82_e779),
         ("gen-131-h131", 0x6944_f382_ef82_b882, 0x0572_f821_b817_bb55),
-        ("254.gap", 0x31c0_9f3a_870d_37cd, 0x79b4_8d3e_8eed_3761),
+        (
+            "164.gzip@O0+IM",
+            0x7c4b_4a26_6983_9191,
+            0xeb51_5a1f_c6e4_6d4c,
+        ),
+        (
+            "175.vpr@O0+IM",
+            0xda12_9229_0bce_3107,
+            0xdc1a_382f_4ab0_8763,
+        ),
+        (
+            "176.gcc@O0+IM",
+            0xfabd_a5ed_6382_de58,
+            0x0402_38d7_4911_93f4,
+        ),
+        (
+            "177.mesa@O0+IM",
+            0xbcac_dab5_721d_a4f7,
+            0x8233_283e_b181_1401,
+        ),
+        (
+            "179.art@O0+IM",
+            0x563c_8823_84f7_6b83,
+            0x93b0_a390_9cc0_fa82,
+        ),
+        (
+            "181.mcf@O0+IM",
+            0x9bad_70ff_5e70_a2bd,
+            0x7eb6_467f_4fa0_f606,
+        ),
+        (
+            "183.equake@O0+IM",
+            0xc162_a413_9da7_b122,
+            0x617e_9ea0_f493_8aa9,
+        ),
+        (
+            "186.crafty@O0+IM",
+            0xc5e0_0ebe_e7ba_b241,
+            0x100f_9693_ab63_f08d,
+        ),
+        (
+            "188.ammp@O0+IM",
+            0x4124_8568_fce6_e0e2,
+            0x6487_6079_601c_0470,
+        ),
+        (
+            "197.parser@O0+IM",
+            0x3ac6_3456_3384_3f1d,
+            0x07c9_74a2_e5fb_0101,
+        ),
+        (
+            "253.perlbmk@O0+IM",
+            0x8383_25da_3100_8329,
+            0xbc42_ebac_3f00_a6c7,
+        ),
+        (
+            "254.gap@O0+IM",
+            0x31c0_9f3a_870d_37cd,
+            0x79b4_8d3e_8eed_3761,
+        ),
+        (
+            "255.vortex@O0+IM",
+            0x6eb1_63ed_25f7_8b5d,
+            0x85a1_a55e_123e_c613,
+        ),
+        (
+            "256.bzip2@O0+IM",
+            0xfb27_bd55_d42f_d375,
+            0xbfda_0729_b963_68de,
+        ),
+        (
+            "300.twolf@O0+IM",
+            0x0722_9731_ead8_0412,
+            0x1a4b_e28f_0235_8c57,
+        ),
+        ("164.gzip@O1", 0xbb05_3954_b8a0_6dff, 0x7db6_febd_08cb_6d11),
+        ("175.vpr@O1", 0x158c_3976_dfd0_8930, 0x9cbc_eac0_b79a_23a3),
+        ("176.gcc@O1", 0x30ca_ecc5_37f8_8494, 0xd6b2_0bb1_0f62_038e),
+        ("177.mesa@O1", 0x9f68_6df1_2e50_a8ca, 0x42ba_9aba_46bc_ed47),
+        ("179.art@O1", 0x6b1d_0c76_b01f_7a57, 0x8b3f_cc15_4686_9439),
+        ("181.mcf@O1", 0xcbe2_2ae5_11e9_ecc4, 0x7eb6_467f_4fa0_f606),
+        (
+            "183.equake@O1",
+            0x6147_31bf_1b87_f150,
+            0x0ba8_cd01_b980_1cfb,
+        ),
+        (
+            "186.crafty@O1",
+            0x251a_cb7a_9021_8f8a,
+            0x0f4f_3a05_e418_5f64,
+        ),
+        ("188.ammp@O1", 0x6a24_8ce7_2b60_a95c, 0x3963_e35f_5bc8_de95),
+        (
+            "197.parser@O1",
+            0xd940_9554_3766_136f,
+            0x116a_c449_f573_57e8,
+        ),
+        (
+            "253.perlbmk@O1",
+            0x6237_0da0_1bc8_c38e,
+            0x6d3c_fda2_0220_25ec,
+        ),
+        ("254.gap@O1", 0x9a37_05e8_8f2b_e166, 0x7bfe_02b8_5baa_9cd7),
+        (
+            "255.vortex@O1",
+            0xae73_8c71_2e0a_0462,
+            0x5206_444e_5fc5_60cf,
+        ),
+        ("256.bzip2@O1", 0x1a79_e1b3_95f0_f52e, 0x7d07_38ba_29fd_6b88),
+        ("300.twolf@O1", 0xdf43_a03e_c67f_b052, 0xb67b_50b5_81d8_ccc2),
+        ("164.gzip@O2", 0xbb05_3954_b8a0_6dff, 0x7db6_febd_08cb_6d11),
+        ("175.vpr@O2", 0x158c_3976_dfd0_8930, 0x9cbc_eac0_b79a_23a3),
+        ("176.gcc@O2", 0xc686_0005_20e5_ffd6, 0xd6b2_0bb1_0f62_038e),
+        ("177.mesa@O2", 0x9f68_6df1_2e50_a8ca, 0x42ba_9aba_46bc_ed47),
+        ("179.art@O2", 0x686a_d49b_d153_4601, 0x8b3f_cc15_4686_9439),
+        ("181.mcf@O2", 0x3b61_a166_0a90_7871, 0x7eb6_467f_4fa0_f606),
+        (
+            "183.equake@O2",
+            0x6147_31bf_1b87_f150,
+            0x0ba8_cd01_b980_1cfb,
+        ),
+        (
+            "186.crafty@O2",
+            0x251a_cb7a_9021_8f8a,
+            0x0f4f_3a05_e418_5f64,
+        ),
+        ("188.ammp@O2", 0xf697_84d7_da7c_6db5, 0x6a9b_ee8f_bec7_e381),
+        (
+            "197.parser@O2",
+            0x4124_f632_5578_3f3b,
+            0x6945_c25c_dcbf_67be,
+        ),
+        (
+            "253.perlbmk@O2",
+            0x0488_502b_8b33_b3d5,
+            0x6d3c_fda2_0220_25ec,
+        ),
+        ("254.gap@O2", 0x9a37_05e8_8f2b_e166, 0x7bfe_02b8_5baa_9cd7),
+        (
+            "255.vortex@O2",
+            0xae73_8c71_2e0a_0462,
+            0x5206_444e_5fc5_60cf,
+        ),
+        ("256.bzip2@O2", 0x1a79_e1b3_95f0_f52e, 0x7d07_38ba_29fd_6b88),
+        ("300.twolf@O2", 0xdf43_a03e_c67f_b052, 0xb67b_50b5_81d8_ccc2),
+        (
+            "unreachable-after-return",
+            0x8023_7c3c_5870_92e9,
+            0xa84e_a474_9e07_08d6,
+        ),
+        (
+            "continue-in-nested-for",
+            0x1790_83ba_e648_9584,
+            0x7eb6_467f_4fa0_f606,
+        ),
+        (
+            "shadowed-locals",
+            0x0577_d43c_2169_54a3,
+            0x4aad_433b_a4ee_85ad,
+        ),
+        (
+            "read-before-any-store",
+            0x2ab6_a13a_3dfd_d510,
+            0x856d_764c_07d2_5067,
+        ),
+        (
+            "loop-carried-local",
+            0x4605_e99f_e6c9_6d14,
+            0x26c6_8b46_96cb_001f,
+        ),
+        (
+            "address-taken-and-array-locals",
+            0x75b0_3227_ad99_f5d7,
+            0x6502_c5d1_40da_8eec,
+        ),
     ];
     let want: Vec<(String, u64, u64)> = want
         .into_iter()
         .map(|(name, ir, plan)| (name.to_string(), ir, plan))
         .collect();
-    assert_eq!(got, want);
+    let listing: String = got
+        .iter()
+        .map(|(name, ir, plan)| format!("(\"{name}\", {ir:#018x}, {plan:#018x}),\n"))
+        .collect();
+    assert_eq!(got, want, "cold output changed; now:\n{listing}");
     assert_eq!(CACHE_FORMAT_VERSION, 2);
+}
+
+/// The CFGs and dominator trees a cold run shares from the
+/// post-optimization verify through Opt II are computed once from the
+/// final module, so each must equal a fresh computation at every
+/// optimization level (`O1`/`O2` rewrite the CFG after `mem2reg`). The
+/// verify computes every function's entry, and the guided stages read
+/// only those.
+#[test]
+fn shared_cfgs_equal_a_fresh_computation_at_every_opt_level() {
+    let mut programs = vec![("gen-23".to_string(), generate(23, ladder_config(16, 10)))];
+    for w in all_workloads(Scale::TEST) {
+        programs.push((w.name.to_string(), w.source));
+    }
+    for (name, src) in MEM2REG_SHAPES {
+        programs.push((name.to_string(), src.to_string()));
+    }
+    let pipe = Pipeline::new().without_cache();
+    for level in [OptLevel::O0Im, OptLevel::O1, OptLevel::O2] {
+        let options = PipelineOptions::from_config(Config::USHER).at_level(level);
+        for (name, src) in &programs {
+            let r = pipe
+                .run_retained(name.clone(), src, options.clone())
+                .expect(name);
+            let m = &r.run.module;
+            for (fid, f) in m.funcs.iter_enumerated() {
+                let shared = r.cfgs.computed(fid).unwrap_or_else(|| {
+                    panic!("{name}@{level}: {fid:?} has no shared CFG after the verify")
+                });
+                assert_eq!(
+                    *shared,
+                    FuncCfg::compute(f),
+                    "{name}@{level}: {fid:?}'s shared CFG or dominator tree is stale"
+                );
+            }
+        }
+    }
 }
 
 /// `continue` in a `for` runs the step before the next test; it used to
