@@ -34,8 +34,10 @@ use crate::fingerprint::plan_fingerprint;
 /// artifact's semantics change in a way old entries must not survive;
 /// entries from another version are evicted on lookup exactly like
 /// corrupt ones. Version 2: a module no longer keeps the objects and
-/// slot variables of the locals `mem2reg` promoted.
-pub const CACHE_FORMAT_VERSION: u32 = 2;
+/// slot variables of the locals `mem2reg` promoted. Version 3: `mem2reg`
+/// builds pruned SSA, so a module keeps only the phis some load reads
+/// and the surviving phis' variable ids shift.
+pub const CACHE_FORMAT_VERSION: u32 = 3;
 
 /// One cached stage output.
 #[derive(Clone)]

@@ -60,7 +60,7 @@ use usher_core::{
 use usher_frontend::{lower_program, CompileError, LowerEnv};
 use usher_ir::{
     mem2reg_retiring, optimize, run_inline_traced, verify_with, Budget, Exhausted, FuncId,
-    InlinePolicy, InlineTrace, Module, ModuleCfgs,
+    InlinePolicy, InlineTrace, Mem2RegStats, Module, ModuleCfgs,
 };
 use usher_pointer::{PointerAnalysis, PointerStrategy};
 use usher_vfg::{
@@ -263,6 +263,7 @@ struct RunCtx<'a> {
     misses: usize,
     degrades: Vec<DegradeEvent>,
     corrupt_recovered: usize,
+    mem2reg: Mem2RegStats,
     /// Whether the stages keep what a [`RetainedRun`] returns below.
     retain: bool,
     env: Option<LowerEnv>,
@@ -283,6 +284,7 @@ impl RunCtx<'_> {
             misses: 0,
             degrades: Vec::new(),
             corrupt_recovered: 0,
+            mem2reg: Mem2RegStats::default(),
             retain: false,
             env: None,
             inline: None,
@@ -599,6 +601,7 @@ impl Pipeline {
         report.demand = demand_stats;
         report.budget_spent = budget.spent();
         report.cache_corrupt_recovered = ctx.corrupt_recovered;
+        report.mem2reg_stats = ctx.mem2reg;
         report.total_seconds = start.elapsed().as_secs_f64();
         if ctx.retain {
             ctx.cfgs = Some(cfgs);
@@ -953,7 +956,8 @@ impl Pipeline {
                 let (_, inline) = ctx.timed(Stage::Inline, |_| {
                     run_inline_traced(&mut m, InlinePolicy::default())
                 });
-                let (_, retired) = ctx.timed(Stage::Mem2Reg, |_| mem2reg_retiring(&mut m));
+                let (stats, retired) = ctx.timed(Stage::Mem2Reg, |_| mem2reg_retiring(&mut m));
+                ctx.mem2reg = stats;
                 if ctx.retain {
                     env.retire_objects(&retired);
                     ctx.env = Some(env);
@@ -1193,7 +1197,7 @@ mod tests {
         assert_eq!(opts.frontend_key(sk), 0x889c_559e_50f3_b420);
         assert_eq!(opts.resolve_key(sk, &g), 0x6bb3_eefc_5776_2f9b);
         assert_eq!(opts.plan_key(sk), 0xb032_462d_758a_87cc);
-        assert_eq!(crate::CACHE_FORMAT_VERSION, 2);
+        assert_eq!(crate::CACHE_FORMAT_VERSION, 3);
     }
 
     #[test]
@@ -1282,6 +1286,17 @@ mod tests {
             crate::fingerprint::plan_fingerprint(&cold.plan),
             crate::fingerprint::plan_fingerprint(&warm.plan),
         );
+        // `mem2reg`'s counters describe the cold compile; a cached
+        // frontend reports zero, like the solver's.
+        let mut m = usher_frontend::compile(SRC).unwrap();
+        usher_ir::run_inline(&mut m, InlinePolicy::default());
+        let want = usher_ir::mem2reg(&mut m);
+        assert!(want.phis_inserted > 0, "{want:?}");
+        assert_eq!(cold.report.mem2reg_stats, want);
+        assert_eq!(warm.report.mem2reg_stats, Mem2RegStats::default());
+        let line = cold.report.to_json_line();
+        let field = format!("\"phis_inserted\":{}", want.phis_inserted);
+        assert!(line.contains(&field), "{line}");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use std::fmt::Write as _;
 
 use usher_core::{Gamma, Plan, PlanStats, ResolveStats};
-use usher_ir::Module;
+use usher_ir::{Mem2RegStats, Module};
 use usher_pointer::{PointerAnalysis, SolverStats};
 use usher_vfg::{DemandStats, Vfg, VfgStats};
 
@@ -95,6 +95,10 @@ pub struct PipelineReport {
     pub cache_misses: usize,
     /// Total wall-clock seconds of the run (analysis only, no execution).
     pub total_seconds: f64,
+    /// `mem2reg` counters (slots promoted, phis inserted, `Undef`
+    /// reads); zero when the frontend was served from cache or the
+    /// module was not compiled from TinyC in this run.
+    pub mem2reg_stats: Mem2RegStats,
     /// Static plan statistics.
     pub plan_stats: PlanStats,
     /// VFG construction statistics (zero for the MSan baseline).
@@ -258,7 +262,14 @@ impl PipelineReport {
         }
         let _ = write!(
             s,
-            "],\"plan\":{{\"ops\":{},\"propagations\":{},\"checks\":{},\"phis\":{},\"mfcs_simplified\":{}}}",
+            "],\"mem2reg\":{{\"promoted\":{},\"phis_inserted\":{},\"undef_reads\":{}}}",
+            self.mem2reg_stats.promoted,
+            self.mem2reg_stats.phis_inserted,
+            self.mem2reg_stats.undef_reads,
+        );
+        let _ = write!(
+            s,
+            ",\"plan\":{{\"ops\":{},\"propagations\":{},\"checks\":{},\"phis\":{},\"mfcs_simplified\":{}}}",
             self.plan_stats.ops,
             self.plan_stats.propagations,
             self.plan_stats.checks,

@@ -58,7 +58,8 @@ echo "==> opt-level smoke"
 # mem2reg, so the CFGs and dominator trees the guided stages share are
 # computed from a different module than mem2reg saw: analyze one
 # generated program at each level and fail on a non-zero exit or on any
-# degrade event in the telemetry.
+# degrade event in the telemetry. The telemetry must also carry
+# mem2reg's counters.
 OPT_TC=$(mktemp) && OPT_JSON=$(mktemp)
 ./target/release/usher gen --seed 29 --helpers 16 --stmts 10 > "$OPT_TC"
 for OPT_LEVEL in O1 O2; do
@@ -68,6 +69,7 @@ for OPT_LEVEL in O1 O2; do
         cat "$OPT_JSON" >&2
         exit 1
     fi
+    grep -q '"phis_inserted":' "$OPT_JSON"
 done
 rm -f "$OPT_TC" "$OPT_JSON"
 

@@ -308,24 +308,24 @@ fn incremental_edits_beat_a_cold_analyze() {
     );
 }
 
-/// One function with `n` locals, each conditionally stored once and
-/// never read but the first: `n` slots, `n` phis and a dominator tree
-/// `n` joins deep.
+/// One function with `n` locals, each conditionally stored once and read
+/// right after its join: `n` slots, `n` live phis (pruning keeps every
+/// one) and a dominator tree `n` joins deep.
 fn one_large_function(n: usize) -> String {
     let mut src = String::from("def big(int c) -> int {\n");
     for i in 0..n {
         src += &format!("    int x{i};\n");
     }
     for i in 0..n {
-        src += &format!("    if (c > {i}) {{ x{i} = {i}; }}\n");
+        src += &format!("    if (c > {i}) {{ x{i} = {i}; }}\n    print(x{i});\n");
     }
     src += "    return x0;\n}\ndef main(int c) -> int {\n    print(c);\n    return 0;\n}\n";
     src
 }
 
 /// `mem2reg` must stay linear in the size of one large function: 4x the
-/// locals and conditional stores may cost at most 8x the time (linear
-/// reads about 4x). Each side is the fastest of five promotions of a
+/// locals, conditional stores and live phis may cost at most 8x the
+/// time (linear reads about 4x). Each side is the fastest of five promotions of a
 /// fresh copy of the lowered module.
 #[test]
 #[cfg_attr(
@@ -344,6 +344,7 @@ fn mem2reg_scales_linearly_in_one_large_function() {
             let stats = mem2reg(&mut fresh);
             best = best.min(t.elapsed().as_secs_f64());
             assert_eq!(stats.promoted, n + 2, "every local and both parameters");
+            assert_eq!(stats.phis_inserted, n, "one read phi per local");
             std::hint::black_box(fresh);
         }
         best

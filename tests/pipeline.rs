@@ -6,7 +6,9 @@ use std::hash::Hasher;
 
 use usher::core::{run_config, Config};
 use usher::driver::{plan_fingerprint, Pipeline, PipelineOptions, CACHE_FORMAT_VERSION};
-use usher::ir::{write_text, FuncCfg, FxHasher, OptLevel};
+use usher::ir::{
+    write_text, FuncCfg, FxHashMap, FxHashSet, FxHasher, Inst, Operand, OptLevel, VarId,
+};
 use usher::runtime::{run, RunOptions};
 use usher::workloads::{all_workloads, generate, ladder_config, workload, Scale};
 
@@ -347,154 +349,154 @@ fn cold_output_is_pinned() {
         })
         .collect();
     let want = [
-        ("gen-23-h16", 0xd5db_a4c6_a7bf_e46c, 0xd86d_349f_78f8_538a),
-        ("gen-53-h64", 0xc835_fea8_4025_45b9, 0x7788_0c4c_6c82_e779),
-        ("gen-131-h131", 0x6944_f382_ef82_b882, 0x0572_f821_b817_bb55),
+        ("gen-23-h16", 0xf97b_dffa_5447_612f, 0xc8ed_82a2_06d7_1f15),
+        ("gen-53-h64", 0x9700_84d0_4c32_7c85, 0x08fd_79dd_6695_25db),
+        ("gen-131-h131", 0x6bc2_de51_647d_1426, 0x9adf_1ee8_a1cb_4e51),
         (
             "164.gzip@O0+IM",
-            0x7c4b_4a26_6983_9191,
+            0xcf4e_c28c_015f_7630,
             0xeb51_5a1f_c6e4_6d4c,
         ),
         (
             "175.vpr@O0+IM",
-            0xda12_9229_0bce_3107,
+            0x25b7_70dc_d2ce_a8f9,
             0xdc1a_382f_4ab0_8763,
         ),
         (
             "176.gcc@O0+IM",
-            0xfabd_a5ed_6382_de58,
+            0x69e1_59d6_8453_24d7,
             0x0402_38d7_4911_93f4,
         ),
         (
             "177.mesa@O0+IM",
-            0xbcac_dab5_721d_a4f7,
+            0xecdc_6727_c1e6_df56,
             0x8233_283e_b181_1401,
         ),
         (
             "179.art@O0+IM",
-            0x563c_8823_84f7_6b83,
-            0x93b0_a390_9cc0_fa82,
+            0x1575_5e7d_fd31_3c76,
+            0x0410_7102_7a2f_afb8,
         ),
         (
             "181.mcf@O0+IM",
-            0x9bad_70ff_5e70_a2bd,
+            0x8eaa_4df9_aedb_128a,
             0x7eb6_467f_4fa0_f606,
         ),
         (
             "183.equake@O0+IM",
-            0xc162_a413_9da7_b122,
+            0x0c90_ad5c_1e13_fa53,
             0x617e_9ea0_f493_8aa9,
         ),
         (
             "186.crafty@O0+IM",
-            0xc5e0_0ebe_e7ba_b241,
+            0x14e0_e1bf_61df_c8e9,
             0x100f_9693_ab63_f08d,
         ),
         (
             "188.ammp@O0+IM",
-            0x4124_8568_fce6_e0e2,
+            0x0ec8_9d6e_de7c_db95,
             0x6487_6079_601c_0470,
         ),
         (
             "197.parser@O0+IM",
-            0x3ac6_3456_3384_3f1d,
-            0x07c9_74a2_e5fb_0101,
+            0x5f11_6450_4bde_993d,
+            0x9157_7bbb_7728_8827,
         ),
         (
             "253.perlbmk@O0+IM",
-            0x8383_25da_3100_8329,
-            0xbc42_ebac_3f00_a6c7,
+            0x218b_78eb_1cae_689e,
+            0xa19c_323f_7b67_1fb8,
         ),
         (
             "254.gap@O0+IM",
-            0x31c0_9f3a_870d_37cd,
-            0x79b4_8d3e_8eed_3761,
+            0xf80d_d564_d9f5_7861,
+            0xf407_6c27_8980_61bd,
         ),
         (
             "255.vortex@O0+IM",
-            0x6eb1_63ed_25f7_8b5d,
+            0xa25c_6bb5_44d8_5016,
             0x85a1_a55e_123e_c613,
         ),
         (
             "256.bzip2@O0+IM",
-            0xfb27_bd55_d42f_d375,
+            0x5bf9_fc8a_00d5_8364,
             0xbfda_0729_b963_68de,
         ),
         (
             "300.twolf@O0+IM",
-            0x0722_9731_ead8_0412,
+            0x43c5_603f_a874_8d15,
             0x1a4b_e28f_0235_8c57,
         ),
-        ("164.gzip@O1", 0xbb05_3954_b8a0_6dff, 0x7db6_febd_08cb_6d11),
-        ("175.vpr@O1", 0x158c_3976_dfd0_8930, 0x9cbc_eac0_b79a_23a3),
-        ("176.gcc@O1", 0x30ca_ecc5_37f8_8494, 0xd6b2_0bb1_0f62_038e),
-        ("177.mesa@O1", 0x9f68_6df1_2e50_a8ca, 0x42ba_9aba_46bc_ed47),
-        ("179.art@O1", 0x6b1d_0c76_b01f_7a57, 0x8b3f_cc15_4686_9439),
-        ("181.mcf@O1", 0xcbe2_2ae5_11e9_ecc4, 0x7eb6_467f_4fa0_f606),
+        ("164.gzip@O1", 0x81e1_9b1b_1794_fed8, 0x7db6_febd_08cb_6d11),
+        ("175.vpr@O1", 0x739a_07df_c10c_e59c, 0x9cbc_eac0_b79a_23a3),
+        ("176.gcc@O1", 0x8a73_4a35_b97f_1dd1, 0xd6b2_0bb1_0f62_038e),
+        ("177.mesa@O1", 0xea2b_4256_8dd1_e2b4, 0x42ba_9aba_46bc_ed47),
+        ("179.art@O1", 0x1f7a_ce6d_794b_ca45, 0xe06c_2b15_cd4e_cc7f),
+        ("181.mcf@O1", 0x0482_a453_ec4d_22a3, 0x7eb6_467f_4fa0_f606),
         (
             "183.equake@O1",
-            0x6147_31bf_1b87_f150,
+            0x6615_806e_f610_99ad,
             0x0ba8_cd01_b980_1cfb,
         ),
         (
             "186.crafty@O1",
-            0x251a_cb7a_9021_8f8a,
+            0x7052_1283_5f1e_3938,
             0x0f4f_3a05_e418_5f64,
         ),
-        ("188.ammp@O1", 0x6a24_8ce7_2b60_a95c, 0x3963_e35f_5bc8_de95),
+        ("188.ammp@O1", 0xb791_6fe4_5ff0_4260, 0x3963_e35f_5bc8_de95),
         (
             "197.parser@O1",
-            0xd940_9554_3766_136f,
+            0x4073_e5eb_9ace_5872,
             0x116a_c449_f573_57e8,
         ),
         (
             "253.perlbmk@O1",
-            0x6237_0da0_1bc8_c38e,
-            0x6d3c_fda2_0220_25ec,
+            0xa261_6910_05b8_9080,
+            0x6a2b_fbe7_c9c5_4eb9,
         ),
-        ("254.gap@O1", 0x9a37_05e8_8f2b_e166, 0x7bfe_02b8_5baa_9cd7),
+        ("254.gap@O1", 0x3641_e7da_635f_aeb5, 0x7bfe_02b8_5baa_9cd7),
         (
             "255.vortex@O1",
-            0xae73_8c71_2e0a_0462,
+            0x6cd0_b05f_c1f2_7609,
             0x5206_444e_5fc5_60cf,
         ),
-        ("256.bzip2@O1", 0x1a79_e1b3_95f0_f52e, 0x7d07_38ba_29fd_6b88),
-        ("300.twolf@O1", 0xdf43_a03e_c67f_b052, 0xb67b_50b5_81d8_ccc2),
-        ("164.gzip@O2", 0xbb05_3954_b8a0_6dff, 0x7db6_febd_08cb_6d11),
-        ("175.vpr@O2", 0x158c_3976_dfd0_8930, 0x9cbc_eac0_b79a_23a3),
-        ("176.gcc@O2", 0xc686_0005_20e5_ffd6, 0xd6b2_0bb1_0f62_038e),
-        ("177.mesa@O2", 0x9f68_6df1_2e50_a8ca, 0x42ba_9aba_46bc_ed47),
-        ("179.art@O2", 0x686a_d49b_d153_4601, 0x8b3f_cc15_4686_9439),
-        ("181.mcf@O2", 0x3b61_a166_0a90_7871, 0x7eb6_467f_4fa0_f606),
+        ("256.bzip2@O1", 0x3083_bdce_4517_deb7, 0x7d07_38ba_29fd_6b88),
+        ("300.twolf@O1", 0x9ba6_7abb_923a_813d, 0xb67b_50b5_81d8_ccc2),
+        ("164.gzip@O2", 0x81e1_9b1b_1794_fed8, 0x7db6_febd_08cb_6d11),
+        ("175.vpr@O2", 0x739a_07df_c10c_e59c, 0x9cbc_eac0_b79a_23a3),
+        ("176.gcc@O2", 0x1453_8549_ccb4_f3a1, 0xd6b2_0bb1_0f62_038e),
+        ("177.mesa@O2", 0xea2b_4256_8dd1_e2b4, 0x42ba_9aba_46bc_ed47),
+        ("179.art@O2", 0xcb19_be2e_6b09_362f, 0xe06c_2b15_cd4e_cc7f),
+        ("181.mcf@O2", 0x0482_a453_ec4d_22a3, 0x7eb6_467f_4fa0_f606),
         (
             "183.equake@O2",
-            0x6147_31bf_1b87_f150,
+            0x6615_806e_f610_99ad,
             0x0ba8_cd01_b980_1cfb,
         ),
         (
             "186.crafty@O2",
-            0x251a_cb7a_9021_8f8a,
+            0x7052_1283_5f1e_3938,
             0x0f4f_3a05_e418_5f64,
         ),
-        ("188.ammp@O2", 0xf697_84d7_da7c_6db5, 0x6a9b_ee8f_bec7_e381),
+        ("188.ammp@O2", 0x805b_96e2_c263_42fb, 0x6a9b_ee8f_bec7_e381),
         (
             "197.parser@O2",
-            0x4124_f632_5578_3f3b,
+            0xa8d9_2f86_24ee_f800,
             0x6945_c25c_dcbf_67be,
         ),
         (
             "253.perlbmk@O2",
-            0x0488_502b_8b33_b3d5,
-            0x6d3c_fda2_0220_25ec,
+            0xae81_37ef_48d5_a8b7,
+            0x6a2b_fbe7_c9c5_4eb9,
         ),
-        ("254.gap@O2", 0x9a37_05e8_8f2b_e166, 0x7bfe_02b8_5baa_9cd7),
+        ("254.gap@O2", 0x3641_e7da_635f_aeb5, 0x7bfe_02b8_5baa_9cd7),
         (
             "255.vortex@O2",
-            0xae73_8c71_2e0a_0462,
+            0x6cd0_b05f_c1f2_7609,
             0x5206_444e_5fc5_60cf,
         ),
-        ("256.bzip2@O2", 0x1a79_e1b3_95f0_f52e, 0x7d07_38ba_29fd_6b88),
-        ("300.twolf@O2", 0xdf43_a03e_c67f_b052, 0xb67b_50b5_81d8_ccc2),
+        ("256.bzip2@O2", 0x3083_bdce_4517_deb7, 0x7d07_38ba_29fd_6b88),
+        ("300.twolf@O2", 0x9ba6_7abb_923a_813d, 0xb67b_50b5_81d8_ccc2),
         (
             "unreachable-after-return",
             0x8023_7c3c_5870_92e9,
@@ -502,13 +504,13 @@ fn cold_output_is_pinned() {
         ),
         (
             "continue-in-nested-for",
-            0x1790_83ba_e648_9584,
+            0x8c5f_904c_049a_6e41,
             0x7eb6_467f_4fa0_f606,
         ),
         (
             "shadowed-locals",
-            0x0577_d43c_2169_54a3,
-            0x4aad_433b_a4ee_85ad,
+            0x1312_dc37_7cb9_3523,
+            0xfdf9_9b91_e5c2_873c,
         ),
         (
             "read-before-any-store",
@@ -535,7 +537,7 @@ fn cold_output_is_pinned() {
         .map(|(name, ir, plan)| format!("(\"{name}\", {ir:#018x}, {plan:#018x}),\n"))
         .collect();
     assert_eq!(got, want, "cold output changed; now:\n{listing}");
-    assert_eq!(CACHE_FORMAT_VERSION, 2);
+    assert_eq!(CACHE_FORMAT_VERSION, 3);
 }
 
 /// The CFGs and dominator trees a cold run shares from the
@@ -573,6 +575,73 @@ fn shared_cfgs_equal_a_fresh_computation_at_every_opt_level() {
             }
         }
     }
+}
+
+/// `mem2reg` builds pruned SSA: at `O0+IM` (no scalar pass runs after
+/// it) every phi reaches a non-phi instruction or a terminator, directly
+/// or through other phis. LLVM's `mem2reg`, which the paper's `O0+IM`
+/// modules come from, places phis only where the slot is live.
+#[test]
+fn mem2reg_leaves_no_dead_phi() {
+    let mut programs: Vec<(String, String)> = [(23, 16, 10), (53, 64, 12), (131, 131, 14)]
+        .into_iter()
+        .map(|(seed, helpers, stmts)| {
+            let src = generate(seed, ladder_config(helpers, stmts));
+            (format!("gen-{seed}-h{helpers}"), src)
+        })
+        .collect();
+    for w in all_workloads(Scale::TEST) {
+        programs.push((w.name.to_string(), w.source));
+    }
+    for (name, src) in MEM2REG_SHAPES {
+        programs.push((name.to_string(), src.to_string()));
+    }
+    let mut phis = 0;
+    for (name, src) in &programs {
+        let m = usher::frontend::compile_o0im(src).expect(name);
+        for f in m.funcs.iter() {
+            // Liveness spreads from the non-phi uses back through phis.
+            let mut incomings: FxHashMap<VarId, Vec<VarId>> = FxHashMap::default();
+            let mut work: Vec<VarId> = Vec::new();
+            let mut root = |o: Operand| {
+                if let Operand::Var(v) = o {
+                    work.push(v);
+                }
+            };
+            for block in f.blocks.iter() {
+                for inst in &block.insts {
+                    match inst {
+                        Inst::Phi {
+                            dst,
+                            incomings: ins,
+                        } => {
+                            let vars = ins.iter().filter_map(|(_, o)| match o {
+                                Operand::Var(v) => Some(*v),
+                                _ => None,
+                            });
+                            incomings.insert(*dst, vars.collect());
+                        }
+                        _ => inst.for_each_use(&mut root),
+                    }
+                }
+                block.term.for_each_use(&mut root);
+            }
+            phis += incomings.len();
+            let mut live: FxHashSet<VarId> = FxHashSet::default();
+            while let Some(v) = work.pop() {
+                if live.insert(v) {
+                    work.extend(incomings.get(&v).into_iter().flatten());
+                }
+            }
+            let mut dead: Vec<&str> = (incomings.keys())
+                .filter(|v| !live.contains(v))
+                .map(|v| f.vars[*v].name.as_str())
+                .collect();
+            dead.sort_unstable();
+            assert!(dead.is_empty(), "{name}: {}: dead phis {dead:?}", f.name);
+        }
+    }
+    assert!(phis > 0, "the programs exercise phi placement");
 }
 
 /// `continue` in a `for` runs the step before the next test; it used to
