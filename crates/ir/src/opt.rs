@@ -303,17 +303,20 @@ pub fn simplify_cfg(f: &mut Function) -> bool {
 
 /// Merges `A -> Jmp B` when `B`'s only predecessor is `A`. Phis in `B`
 /// degenerate to copies of their single incoming.
+///
+/// One scan in reverse postorder merges every eligible pair. Folding `B`
+/// into `A` changes no other block's predecessor count (`B`'s successors
+/// trade `B` for `A`), and `B`, dominated by `A`, comes after `A` in the
+/// order, so the CFG computed up front stays good for every test; after
+/// a merge the scan keeps trying `A`'s new `Jmp` target, which merges a
+/// whole chain into its head.
 pub fn merge_blocks(f: &mut Function) -> bool {
+    let cfg = Cfg::compute(f);
     let mut changed = false;
-    loop {
-        let cfg = Cfg::compute(f);
-        let mut merged = false;
-        for a in cfg.rpo.clone() {
-            let Terminator::Jmp(b) = f.blocks[a].term else {
-                continue;
-            };
+    for &a in &cfg.rpo {
+        while let Terminator::Jmp(b) = f.blocks[a].term {
             if b == f.entry || b == a || cfg.preds[b].len() != 1 {
-                continue;
+                break;
             }
             // Resolve B's phis to copies, splice instructions, take B's
             // terminator, and patch B's successors' phi incomings to A.
@@ -342,12 +345,7 @@ pub fn merge_blocks(f: &mut Function) -> bool {
                 }
             }
             f.blocks[a].term = b_term;
-            merged = true;
             changed = true;
-            break; // CFG changed; recompute
-        }
-        if !merged {
-            break;
         }
     }
     if changed {
@@ -495,6 +493,54 @@ mod tests {
         assert!(simplify_cfg(f));
         assert_eq!(m.funcs[fid].blocks.len(), 1); // merged into entry
         assert!(verify(&m).is_ok());
+    }
+
+    #[test]
+    fn merge_blocks_folds_a_whole_chain_in_one_call() {
+        // entry -> {a1, x}; a1 -> a2 -> a3 -> join; x -> join.
+        let mut m = Module::new();
+        let int = m.types.int();
+        let fid = m.declare_func("f", Some(int));
+        let mut b = FuncBuilder::new(&mut m, fid);
+        let c = b.param("c", int);
+        let [a1, a2, a3, x, join] = [(); 5].map(|_| b.new_block());
+        b.br(c.into(), a1, x);
+        b.set_block(a1);
+        b.jmp(a2);
+        b.set_block(a2);
+        b.jmp(a3);
+        b.set_block(a3);
+        let p = b.phi(int, vec![(a2, Operand::Const(7))]);
+        b.jmp(join);
+        b.set_block(x);
+        b.jmp(join);
+        b.set_block(join);
+        let q = b.phi(int, vec![(a3, p.into()), (x, Operand::Const(0))]);
+        b.ret(Some(q.into()));
+        b.finish();
+        let f = &mut m.funcs[fid];
+        assert!(merge_blocks(f));
+        assert!(!merge_blocks(f), "one call reaches the fixpoint");
+        assert!(verify(&m).is_ok(), "{:?}", verify(&m));
+        let f = &m.funcs[fid];
+        assert_eq!(f.blocks.len(), 4, "a2 and a3 folded into a1");
+        // a3's phi became a copy in the chain's head, and join's phi now
+        // comes in from that head.
+        let head = (f.blocks.iter_enumerated())
+            .find(|(_, blk)| {
+                (blk.insts.iter()).any(|i| matches!(i, Inst::Copy { dst, .. } if *dst == p))
+            })
+            .map(|(bb, _)| bb)
+            .expect("a3's phi is a copy");
+        let ins = f
+            .blocks
+            .iter()
+            .flat_map(|blk| &blk.insts)
+            .find_map(|i| match i {
+                Inst::Phi { dst, incomings } if *dst == q => Some(incomings.clone()),
+                _ => None,
+            });
+        assert!(ins.expect("join keeps its phi").contains(&(head, p.into())));
     }
 
     #[test]
