@@ -78,7 +78,6 @@ impl Variant {
             context_depth: self.k,
             opt1: self.opt1,
             opt2: self.opt2,
-            demand: false,
         };
         PipelineOptions {
             guided: Some(knobs),

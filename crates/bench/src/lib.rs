@@ -33,9 +33,9 @@ use usher_core::{Config, PlanStats};
 use usher_driver::{
     parallel_map, BatchReport, Job, Pipeline, PipelineOptions, PipelineRun, SourceInput,
 };
-use usher_ir::{Module, OptLevel};
+use usher_ir::Module;
 use usher_runtime::{run, RunOptions, RunResult};
-use usher_workloads::{all_workloads, Scale, Workload};
+use usher_workloads::{all_workloads, Scale};
 
 pub mod cli;
 
@@ -110,17 +110,6 @@ pub fn run_all_configs_with(
     }
 }
 
-/// Runs a compiled module under every configuration of Figure 10 with a
-/// private single-threaded pipeline.
-pub fn run_all_configs(name: &str, m: &Module, opts: &RunOptions) -> WorkloadRuns {
-    run_all_configs_with(
-        &Pipeline::new().with_threads(1),
-        name,
-        Arc::new(m.clone()),
-        opts,
-    )
-}
-
 /// Runs the whole suite at a scale under every configuration: the
 /// analysis phase goes through [`Pipeline::run_batch`] (workload ×
 /// configuration jobs over the worker pool), the execution phase is
@@ -155,18 +144,6 @@ pub fn run_suite_with(scale: Scale, opts: &RunOptions, pipe: &Pipeline) -> Suite
         }
     });
     SuiteResult { rows, batch }
-}
-
-/// Runs the whole suite with a private default pipeline; see
-/// [`run_suite_with`].
-pub fn run_suite(scale: Scale, opts: &RunOptions) -> Vec<WorkloadRuns> {
-    run_suite_with(scale, opts, &Pipeline::new()).rows
-}
-
-/// Compiles one workload at a given optimization level.
-pub fn compile_at(w: &Workload, level: OptLevel) -> Module {
-    w.compile_with(level)
-        .unwrap_or_else(|e| panic!("{} fails at {level}: {e}", w.name))
 }
 
 /// Geometric-free average of slowdowns (the paper reports arithmetic
@@ -263,8 +240,9 @@ mod tests {
     #[test]
     fn one_workload_runs_all_configs() {
         let w = usher_workloads::workload("crafty", Scale::TEST).unwrap();
-        let m = w.compile_o0im().unwrap();
-        let runs = run_all_configs(w.name, &m, &RunOptions::default());
+        let m = Arc::new(w.compile_o0im().unwrap());
+        let pipe = Pipeline::new().with_threads(1);
+        let runs = run_all_configs_with(&pipe, w.name, m, &RunOptions::default());
         assert_eq!(runs.runs.len(), 5);
         assert!(runs.native.trap.is_none(), "{:?}", runs.native.trap);
         // Semantics preserved across configurations.

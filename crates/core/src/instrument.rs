@@ -231,16 +231,6 @@ impl Plan {
         }
         (full, guided, fallback)
     }
-
-    /// All operations planned at a site (before + after), for tests.
-    pub fn ops_at(&self, site: Site) -> Vec<&ShadowOp> {
-        self.before
-            .get(&site)
-            .into_iter()
-            .flatten()
-            .chain(self.after.get(&site).into_iter().flatten())
-            .collect()
-    }
 }
 
 /// Builds the full-instrumentation baseline (MSan): every value shadowed,

@@ -25,7 +25,6 @@
 
 pub mod config;
 pub mod instrument;
-pub mod merge;
 pub mod mfc;
 pub mod opt2;
 pub mod resolve;
@@ -36,15 +35,14 @@ pub use instrument::{
     full_plan, full_plan_func, full_plan_with, guided_plan, guided_plan_with_fallback,
     stamp_provenance, GuidedOpts, Plan, PlanProvenance, PlanStats, ShadowOp, ShadowSrc,
 };
-pub use merge::{access_equivalence_classes, resolve_merged, MergeStats};
 pub use mfc::{mfc, Mfc, MfcScratch};
 pub use opt2::{
     redundant_check_elimination, redundant_check_elimination_budgeted,
     redundant_check_elimination_reference, Opt2Outcome, Opt2Result,
 };
 pub use resolve::{
-    resolve, resolve_budgeted, resolve_condensed, resolve_condensed_budgeted, resolve_demand,
-    resolve_graph, resolve_graph_reference, resolve_reference, Definedness, Gamma, ResolveStats,
+    resolve, resolve_budgeted, resolve_condensed, resolve_condensed_budgeted, resolve_graph,
+    resolve_graph_reference, resolve_reference, Definedness, Gamma, ResolveStats,
 };
 pub use stats::{
     nodes_reaching_checks, render_table1, table1_row, table1_row_from, AnalysisFacts, Table1Row,

@@ -16,15 +16,14 @@
 //! once with word-parallel ORs, and only `Call`/`Ret` edges (which
 //! remap contexts through push/pop) iterate individual lanes. The
 //! per-`(node, context)` visited-state walk this replaces is retained as
-//! [`resolve_graph`] — it still resolves quotient graphs for
-//! access-equivalence merging and the frozen reference Opt II that the
-//! timing gates in `tests/perf_gates.rs` measure against — and the
-//! original clone-and-hash engine as [`resolve_reference`].
+//! [`resolve_graph`] — it still resolves the frozen reference Opt II
+//! that the timing gates in `tests/perf_gates.rs` measure against — and
+//! the original clone-and-hash engine as [`resolve_reference`].
 
 use std::collections::HashSet;
 
-use usher_ir::{Budget, Operand, Site};
-use usher_vfg::demand::{transfer, CtxTable, DeadlinePoller, DemandEngine, DemandStats, Lanes};
+use usher_ir::{Budget, Site};
+use usher_vfg::demand::{transfer, CtxTable, DeadlinePoller, Lanes};
 use usher_vfg::{Csr, EdgeKind, RefVfg, Vfg};
 
 /// The definedness state of a node.
@@ -92,17 +91,7 @@ impl Gamma {
         self.bot.is_empty()
     }
 
-    /// Builds a `Gamma` from a raw bot vector (used by the merged
-    /// resolution path).
-    pub fn from_bot(bot: Vec<bool>, context_depth: usize) -> Gamma {
-        Gamma {
-            bot,
-            context_depth,
-            stats: ResolveStats::default(),
-        }
-    }
-
-    /// Like [`Gamma::from_bot`] but keeps the engine's counters.
+    /// Builds a `Gamma` from a raw bot vector and the engine's counters.
     pub fn from_bot_with_stats(bot: Vec<bool>, context_depth: usize, stats: ResolveStats) -> Gamma {
         Gamma {
             bot,
@@ -303,57 +292,11 @@ pub fn resolve_condensed_budgeted(
     (gamma, if exhausted { Some(resolved) } else { None })
 }
 
-/// Demand-driven `Gamma` materialization (the paper's Figure 7 deduction
-/// direction; DESIGN.md §13): instead of resolving every node, a
-/// [`DemandEngine`] queries exactly the nodes guided planning consults —
-/// every check node plus the top-level node of each checked operand —
-/// and every node outside the walked cones is forced to `Bot` (sound:
-/// more resolution can only move a node Top→Bot, and planning never
-/// consults outside the cones, so the resulting plan is byte-equal to
-/// the exhaustively-resolved one).
-///
-/// Returns the map, the engine's query counters, and — mirroring
-/// [`resolve_budgeted`] — `Some(coverage)` when the budget ran out
-/// mid-walk (`coverage[v]` true iff `v`'s value is exact) or `None` when
-/// every query completed.
-pub fn resolve_demand(
-    vfg: &Vfg,
-    k: usize,
-    budget: &Budget,
-) -> (Gamma, DemandStats, Option<Vec<bool>>) {
-    let mut eng = DemandEngine::new(vfg, k);
-    let mut complete = true;
-    for ch in &vfg.checks {
-        complete &= eng.query(vfg, ch.node, budget).complete;
-        if let Operand::Var(v) = ch.operand {
-            if let Some(tl) = vfg.tl(ch.site.func, v) {
-                complete &= eng.query(vfg, tl, budget).complete;
-            }
-        }
-    }
-    let bot: Vec<bool> = (0..vfg.len() as u32)
-        .map(|v| eng.verdict_of(v).unwrap_or(true))
-        .collect();
-    let cond = vfg.condensation();
-    let stats = ResolveStats {
-        interned_contexts: eng.interned_contexts(),
-        visited_states: eng.visited_states(),
-        sccs: cond.sccs,
-        nontrivial_sccs: cond.nontrivial,
-        word_ops: eng.word_ops(),
-    };
-    let coverage = (!complete).then(|| eng.coverage().to_vec());
-    (
-        Gamma::from_bot_with_stats(bot, k, stats),
-        eng.stats(),
-        coverage,
-    )
-}
-
 /// The underlying reachability engine: given forward (flows-to) adjacency
 /// `users` in CSR form, marks every node reachable from `f_root` under
 /// partially balanced, `k`-limited call/return matching. Exposed so
-/// clients (e.g. access-equivalence merging) can resolve quotient graphs.
+/// clients can resolve graphs other than a [`Vfg`]'s own users adjacency
+/// (the reference Opt II resolves its redirected copy this way).
 pub fn resolve_graph(users: &Csr, f_root: u32, k: usize) -> (Vec<bool>, ResolveStats) {
     let n = users.len();
     let mut bot = vec![false; n];
@@ -795,7 +738,10 @@ mod tests {
     }
 
     #[test]
-    fn demand_gamma_agrees_with_exhaustive_on_every_consulted_node() {
+    fn demand_engine_agrees_with_exhaustive_on_every_consulted_node() {
+        // The engine serve's `query-use` answers from must give the
+        // exhaustive verdict on every check node and checked operand at
+        // every context depth, not just the default one.
         let src = "
             def id(int x) -> int { return x; }
             def pass(int y) -> int { return id(y); }
@@ -812,60 +758,16 @@ mod tests {
         let (_pa, _ms, g) = analyze_module(&m, VfgMode::Full);
         for k in 0..3 {
             let full = resolve(&g, k);
-            let (dem, dstats, cov) = resolve_demand(&g, k, &Budget::unlimited());
-            assert!(cov.is_none(), "unlimited demand run must complete");
-            assert!(dstats.queries > 0);
-            // Checked nodes and their operand TLs: byte-equal verdicts.
+            let mut eng = usher_vfg::DemandEngine::new(&g, k);
             for ch in &g.checks {
-                assert_eq!(
-                    dem.is_bot(ch.node),
-                    full.is_bot(ch.node),
-                    "check node {} at k={k}",
-                    ch.node
-                );
-                if let Operand::Var(v) = ch.operand {
-                    if let Some(tl) = g.tl(ch.site.func, v) {
-                        assert_eq!(dem.is_bot(tl), full.is_bot(tl), "operand TL {tl} k={k}");
-                    }
-                }
-            }
-            // Everywhere else: sound over-approximation only (Bot may be
-            // forced on un-walked nodes, Top is never invented).
-            for v in 0..g.len() as u32 {
-                assert!(
-                    dem.is_bot(v) || !full.is_bot(v),
-                    "demand invented Top at node {v}, k={k}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn demand_exhaustion_reports_coverage_and_forces_bot() {
-        let src = "
-            def f(int c) -> int { int x; if (c) { x = 1; } return x; }
-            def main() { print(f(0)); }";
-        let m = compile_o0im(src).expect("compiles");
-        let (_pa, _ms, g) = analyze_module(&m, VfgMode::Full);
-        let (full, _, _) = resolve_demand(&g, 1, &Budget::unlimited());
-        for steps in 0..120 {
-            let (dem, dstats, cov) = resolve_demand(&g, 1, &Budget::limited(steps));
-            match cov {
-                None => {
-                    assert_eq!(dstats.exhausted_queries, 0);
-                    for v in 0..g.len() as u32 {
-                        assert_eq!(dem.is_bot(v), full.is_bot(v), "steps={steps}");
-                    }
-                }
-                Some(cov) => {
-                    assert!(dstats.exhausted_queries > 0, "steps={steps}");
-                    for v in 0..g.len() as u32 {
-                        if cov[v as usize] {
-                            assert_eq!(dem.is_bot(v), full.is_bot(v), "covered {v}");
-                        } else {
-                            assert!(dem.is_bot(v), "uncovered {v} must be Bot");
-                        }
-                    }
+                let tl = match ch.operand {
+                    Operand::Var(v) => g.tl(ch.site.func, v),
+                    _ => None,
+                };
+                for node in std::iter::once(ch.node).chain(tl) {
+                    let v = eng.query(&g, node, &Budget::unlimited());
+                    assert!(v.complete, "node {node} at k={k}");
+                    assert_eq!(v.bot, full.is_bot(node), "node {node} at k={k}");
                 }
             }
         }

@@ -13,7 +13,6 @@
 //! | `guided.semi_strong`  | VFG, resolution, instrumentation     |
 //! | `guided.context_depth`| resolution, instrumentation          |
 //! | `guided.opt2`         | resolution, instrumentation          |
-//! | `guided.demand`       | resolution, instrumentation          |
 //! | `guided.opt1`         | instrumentation                      |
 //! | `bit_level`           | instrumentation                      |
 //! | `label`               | nothing (display only)               |
@@ -45,13 +44,6 @@ pub struct GuidedKnobs {
     pub opt1: bool,
     /// Opt II: redundant check elimination.
     pub opt2: bool,
-    /// Demand-driven resolution: answer definedness only for the check
-    /// nodes (sparse backward walks with memoization) instead of the
-    /// exhaustive whole-graph fixpoint. Honored in full mode with Opt II
-    /// off ([`PipelineOptions::with_demand`] enforces that combination);
-    /// otherwise the exhaustive resolver runs. Verdicts are byte-equal
-    /// to the exhaustive resolver on every node planning consults.
-    pub demand: bool,
 }
 
 impl GuidedKnobs {
@@ -73,7 +65,6 @@ impl Default for GuidedKnobs {
             context_depth: 1,
             opt1: true,
             opt2: true,
-            demand: false,
         }
     }
 }
@@ -149,7 +140,6 @@ impl PipelineOptions {
                     context_depth: u.context_depth,
                     opt1: u.opt1,
                     opt2: u.opt2,
-                    demand: false,
                 }),
                 bit_level: u.bit_level,
                 pointer_strategy: PointerStrategy::default(),
@@ -201,20 +191,6 @@ impl PipelineOptions {
     /// Same options under a different pointer-solver strategy.
     pub fn with_pointer_strategy(mut self, strategy: PointerStrategy) -> PipelineOptions {
         self.pointer_strategy = strategy;
-        self
-    }
-
-    /// Enables demand-driven resolution on a guided configuration.
-    /// Forces Opt II off: redundant check elimination needs the
-    /// exhaustive gamma, and the point of demand mode is not computing
-    /// one. No-op on the MSan baseline (there is nothing to resolve).
-    pub fn with_demand(mut self, demand: bool) -> PipelineOptions {
-        if let Some(g) = &mut self.guided {
-            g.demand = demand;
-            if demand {
-                g.opt2 = false;
-            }
-        }
         self
     }
 
@@ -282,8 +258,7 @@ impl PipelineOptions {
         let mut k = KeyWriter::new("resolve");
         k.u64(self.vfg_key(source_key, g))
             .u64(g.context_depth as u64)
-            .bool(g.opt2)
-            .bool(g.demand);
+            .bool(g.opt2);
         k.finish()
     }
 
@@ -358,30 +333,19 @@ mod tests {
         assert_ne!(base.resolve_key(src, &g), changed.resolve_key(src, &k2));
         assert_ne!(base.plan_key(src), changed.plan_key(src));
 
-        // demand moves resolve + plan but not the VFG (the demand gamma
-        // forces un-walked nodes to Bot, so it must not share the
-        // exhaustive resolver's cache entry).
-        let demand = PipelineOptions {
-            guided: base.guided,
-            ..base.clone()
-        }
-        .with_demand(true);
-        let dg = demand.guided.unwrap();
-        assert!(dg.demand && !dg.opt2, "with_demand must force opt2 off");
-        assert_eq!(base.vfg_key(src, &g), demand.vfg_key(src, &dg));
-        assert_ne!(base.resolve_key(src, &g), demand.resolve_key(src, &dg));
-        assert_ne!(base.plan_key(src), demand.plan_key(src));
-        // ... and differs from plain opt2-off too (distinct artifacts).
+        // opt2 moves resolve + plan but not the VFG.
         let mut opt2_off = g;
         opt2_off.opt2 = false;
-        let plain = PipelineOptions {
+        let changed = PipelineOptions {
             guided: Some(opt2_off),
             ..base.clone()
         };
+        assert_eq!(base.vfg_key(src, &g), changed.vfg_key(src, &opt2_off));
         assert_ne!(
-            plain.resolve_key(src, &opt2_off),
-            demand.resolve_key(src, &dg)
+            base.resolve_key(src, &g),
+            changed.resolve_key(src, &opt2_off)
         );
+        assert_ne!(base.plan_key(src), changed.plan_key(src));
 
         // semi_strong moves the VFG and everything after.
         let mut ss = g;

@@ -55,7 +55,7 @@ use std::time::{Duration, Instant};
 
 use usher_core::{
     full_plan_func, guided_plan_with_fallback, redundant_check_elimination_budgeted,
-    resolve_budgeted, resolve_demand, stamp_provenance, Gamma, Plan, PlanProvenance,
+    resolve_budgeted, stamp_provenance, Gamma, Plan, PlanProvenance,
 };
 use usher_frontend::{lower_program, CompileError, LowerEnv};
 use usher_ir::{
@@ -65,7 +65,7 @@ use usher_ir::{
 use usher_pointer::{PointerAnalysis, PointerStrategy};
 use usher_vfg::{
     build_function_ssa_budgeted, build_with_budgeted, build_with_tape, modref_summaries_budgeted,
-    DemandStats, MemSsa, ModRef, NodeKind, Vfg, VfgMode, VfgTape,
+    MemSsa, ModRef, NodeKind, Vfg, VfgMode, VfgTape,
 };
 
 use crate::cache::{Artifact, ArtifactCache, CacheStats};
@@ -562,10 +562,10 @@ impl Pipeline {
 
         let (module, cfgs) = self.frontend(ctx, source, options, src_key)?;
 
-        let (pa, memssa, vfg, gamma, opt2_redirected, plan, demand_stats) = match &options.guided {
+        let (pa, memssa, vfg, gamma, opt2_redirected, plan) = match &options.guided {
             None => {
                 let plan = self.msan_plan(ctx, &module, options, src_key);
-                (None, None, None, None, 0, plan, None)
+                (None, None, None, None, 0, plan)
             }
             Some(g) => match self.run_guided(ctx, &module, &cfgs, options, *g, src_key, &budget) {
                 Ok(out) => out,
@@ -580,7 +580,7 @@ impl Pipeline {
                     let plan = ctx.timed(Stage::Instrument, |c| {
                         full_fallback_plan(&module, options, c.threads)
                     });
-                    (None, None, None, None, 0, plan, None)
+                    (None, None, None, None, 0, plan)
                 }
             },
         };
@@ -598,7 +598,6 @@ impl Pipeline {
         report.cache_hits = ctx.hits;
         report.cache_misses = ctx.misses;
         report.degrade_events = std::mem::take(&mut ctx.degrades);
-        report.demand = demand_stats;
         report.budget_spent = budget.spent();
         report.cache_corrupt_recovered = ctx.corrupt_recovered;
         report.mem2reg_stats = ctx.mem2reg;
@@ -646,7 +645,6 @@ impl Pipeline {
             Option<Arc<Gamma>>,
             usize,
             Arc<Plan>,
-            Option<DemandStats>,
         ),
         GuidedAbort,
     > {
@@ -742,13 +740,6 @@ impl Pipeline {
         let rk = options.resolve_key(src_key, &g);
         let mut fallback: HashSet<FuncId> = HashSet::new();
         let mut gamma_complete = true;
-        let mut demand_stats: Option<DemandStats> = None;
-        // Demand mode needs the full-mode VFG (the exactness argument in
-        // `resolve_demand` covers only the nodes full-mode planning
-        // consults) and Opt II off (check elimination reads the whole
-        // exhaustive gamma). `with_demand` enforces the combination;
-        // hand-built knobs outside it fall back to the exhaustive path.
-        let demand_active = g.demand && g.mode == VfgMode::Full && !g.opt2;
         let (gamma, redirected): (Arc<Gamma>, usize) = match ctx.lookup(rk) {
             Some(Artifact::Gamma(gm, r)) => {
                 ctx.record(Stage::Resolve, 0.0, true);
@@ -758,11 +749,7 @@ impl Pipeline {
                 deadline_gate(budget, Stage::Resolve)?;
                 let computed = ctx.timed(Stage::Resolve, |_| {
                     contained(options, Stage::Resolve, || {
-                        if demand_active {
-                            let (gm, ds, cov) = resolve_demand(&vfg, g.context_depth, budget);
-                            let complete = cov.is_none();
-                            (gm, 0, cov, complete, Some(ds))
-                        } else if g.opt2 {
+                        if g.opt2 {
                             let out = redundant_check_elimination_budgeted(
                                 module,
                                 &pa,
@@ -778,25 +765,23 @@ impl Pipeline {
                                 out.result.redirected,
                                 out.resolved,
                                 complete,
-                                None,
                             )
                         } else {
                             let (gm, cov) = resolve_budgeted(&vfg, g.context_depth, budget);
                             let complete = cov.is_none();
-                            (gm, 0, cov, complete, None)
+                            (gm, 0, cov, complete)
                         }
                     })
                 });
                 // A panic mid-resolution leaves no coverage map to
                 // attribute: degrade the module.
-                let (gm, r, coverage, complete, ds) = computed.map_err(|detail| {
+                let (gm, r, coverage, complete) = computed.map_err(|detail| {
                     GuidedAbort::Degrade(DegradeEvent {
                         stage: Stage::Resolve.name(),
                         reason: "stage-panic",
                         detail,
                     })
                 })?;
-                demand_stats = ds;
                 let gm = Arc::new(gm);
                 if complete {
                     ctx.store(rk, Artifact::Gamma(gm.clone(), r));
@@ -906,7 +891,6 @@ impl Pipeline {
             Some(gamma),
             redirected,
             plan,
-            demand_stats,
         ))
     }
 
@@ -1184,8 +1168,9 @@ mod tests {
     ";
 
     /// The serve engine's persistent store is keyed by these values, so a
-    /// change to any of them orphans every store written before it (and
-    /// must bump `CACHE_FORMAT_VERSION` instead of passing silently).
+    /// change to any of them orphans the entries stored under the old
+    /// value; the pin makes such a change deliberate. A change to what an
+    /// artifact holds must bump `CACHE_FORMAT_VERSION` instead.
     #[test]
     fn tinyc_keys_are_pinned() {
         let src = "def main() -> int {\n    int x;\n    if (x > 0) { print(1); }\n    return 0;\n}";
@@ -1195,8 +1180,8 @@ mod tests {
         let opts = PipelineOptions::from_config(Config::USHER).labelled("serve");
         let g = opts.guided.unwrap();
         assert_eq!(opts.frontend_key(sk), 0x889c_559e_50f3_b420);
-        assert_eq!(opts.resolve_key(sk, &g), 0x6bb3_eefc_5776_2f9b);
-        assert_eq!(opts.plan_key(sk), 0xb032_462d_758a_87cc);
+        assert_eq!(opts.resolve_key(sk, &g), 0xe6af_25ef_8370_1679);
+        assert_eq!(opts.plan_key(sk), 0x82cd_c504_0cc2_28c2);
         assert_eq!(crate::CACHE_FORMAT_VERSION, 3);
     }
 
@@ -1417,57 +1402,6 @@ mod tests {
         );
         assert!(huge.report.budget_spent > 0);
         assert!(huge.report.degrade_events.is_empty());
-    }
-
-    #[test]
-    fn demand_mode_plan_matches_exhaustive_opt2_off() {
-        let pipe = Pipeline::new().without_cache();
-        let demand = pipe
-            .run_source(
-                "t",
-                SRC,
-                PipelineOptions::from_config(Config::USHER).with_demand(true),
-            )
-            .unwrap();
-        let plain = pipe
-            .run_source("t", SRC, PipelineOptions::from_config(Config::USHER_OPT1))
-            .unwrap();
-        assert_eq!(
-            crate::fingerprint::plan_fingerprint(&demand.plan),
-            crate::fingerprint::plan_fingerprint(&plain.plan),
-            "demand-deduced plan must equal the exhaustive opt2-off plan"
-        );
-        let d = demand.report.demand.expect("cold demand run reports stats");
-        assert!(d.queries > 0);
-        assert_eq!(d.exhausted_queries, 0);
-        assert!(plain.report.demand.is_none(), "exhaustive run stays silent");
-        // Warm rerun serves the gamma from cache: no demand stats.
-        let cached = Pipeline::new();
-        let opts = PipelineOptions::from_config(Config::USHER).with_demand(true);
-        cached.run_source("t", SRC, opts.clone()).unwrap();
-        let warm = cached.run_source("t", SRC, opts).unwrap();
-        assert_eq!(warm.report.cache_misses, 0, "{:?}", warm.report.stages);
-        assert!(warm.report.demand.is_none());
-    }
-
-    #[test]
-    fn demand_mode_budget_exhaustion_degrades_soundly() {
-        let pipe = Pipeline::new().without_cache();
-        let opts = PipelineOptions::from_config(Config::USHER)
-            .with_demand(true)
-            .with_budget_steps(Some(220));
-        let run = pipe
-            .run_source("t", SRC, opts)
-            .expect("degrades, not errors");
-        // Either the budget survived resolution (clean run) or the walk
-        // exhausted and degraded per function / whole module — never an
-        // error, and any exhaustion is visible in the events.
-        let (_, _, fb) = run.plan.provenance_counts();
-        if run.report.degrade_events.is_empty() {
-            assert_eq!(fb, 0);
-        } else {
-            assert!(fb > 0, "{:?}", run.report.degrade_events);
-        }
     }
 
     #[test]

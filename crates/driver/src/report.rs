@@ -6,7 +6,7 @@ use std::fmt::Write as _;
 use usher_core::{Gamma, Plan, PlanStats, ResolveStats};
 use usher_ir::{Mem2RegStats, Module};
 use usher_pointer::{PointerAnalysis, SolverStats};
-use usher_vfg::{DemandStats, Vfg, VfgStats};
+use usher_vfg::{Vfg, VfgStats};
 
 use crate::options::PipelineOptions;
 
@@ -119,10 +119,6 @@ pub struct PipelineReport {
     /// Resolution counters (interned contexts, visited states); zero when
     /// served from cache or skipped.
     pub resolve_stats: ResolveStats,
-    /// Demand-driven resolution counters (queries, memo hits, nodes
-    /// visited, refinements); `Some` only when the resolve stage ran the
-    /// demand engine cold in this run.
-    pub demand: Option<DemandStats>,
     /// Every degradation that occurred: budget exhaustion, deadline,
     /// contained panic, cache-corruption recovery. Empty on a clean run.
     pub degrade_events: Vec<DegradeEvent>,
@@ -320,18 +316,6 @@ impl PipelineReport {
                 h.deadline_expired,
             );
         }
-        if let Some(d) = &self.demand {
-            let _ = write!(
-                s,
-                ",\"demand\":{{\"queries\":{},\"memo_hits\":{},\"nodes_visited\":{},\"refinements\":{},\"sccs_processed\":{},\"exhausted_queries\":{}}}",
-                d.queries,
-                d.memo_hits,
-                d.nodes_visited,
-                d.refinements,
-                d.sccs_processed,
-                d.exhausted_queries,
-            );
-        }
         let _ = write!(
             s,
             ",\"degraded\":{{\"functions_degraded\":{},\"functions_total\":{},\"budget_spent\":{},\"budget_limit\":{},\"cache_corrupt_recovered\":{},\"events\":[",
@@ -471,28 +455,6 @@ mod tests {
         assert!(line.contains("\"reason\":\"budget-exhausted\""), "{line}");
         assert!(line.contains("\"functions_degraded\":3"), "{line}");
         assert!(line.contains("\"budget_limit\":128"), "{line}");
-        assert_eq!(line.matches('{').count(), line.matches('}').count());
-    }
-
-    #[test]
-    fn demand_counters_render_only_when_present() {
-        let silent = PipelineReport::default().to_json_line();
-        assert!(!silent.contains("\"demand\""), "{silent}");
-        let r = PipelineReport {
-            demand: Some(DemandStats {
-                queries: 9,
-                memo_hits: 4,
-                nodes_visited: 120,
-                refinements: 3,
-                sccs_processed: 17,
-                exhausted_queries: 0,
-            }),
-            ..Default::default()
-        };
-        let line = r.to_json_line();
-        assert!(line.contains("\"demand\":{\"queries\":9"), "{line}");
-        assert!(line.contains("\"memo_hits\":4"), "{line}");
-        assert!(line.contains("\"refinements\":3"), "{line}");
         assert_eq!(line.matches('{').count(), line.matches('}').count());
     }
 

@@ -41,11 +41,12 @@
 //!   this mode attacks the claim with mutated programs rather than
 //!   assuming it from the unit suites.
 //! * [`FaultInjection::DemandDiverge`] — runs the same program through
-//!   the driver with the exhaustive definedness resolver and with the
-//!   demand-driven query engine; the two plans must fingerprint
-//!   identically, and the demand plan must survive the
-//!   native-vs-instrumented oracle. Attacks the query engine's
-//!   exactness claim with mutated programs.
+//!   the driver (Opt II off, plan judged by the native-vs-instrumented
+//!   oracle), then asks a fresh demand-driven query engine — the one
+//!   `usher serve`'s `query-use` answers from — about every check node
+//!   and every checked operand's top-level node. Each unlimited query
+//!   must complete with the exhaustive `Gamma`'s verdict. Attacks the
+//!   query engine's exactness claim with mutated programs.
 //! * [`FaultInjection::ServeChaos`] — runs the serve engine with an
 //!   injected I/O fault (torn write, ENOSPC, kill-point) armed at each
 //!   store/WAL site in turn, kills the engine without shutdown, restarts
@@ -57,9 +58,11 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use usher_core::{run_config, Config, Plan, ShadowOp};
-use usher_driver::{plan_fingerprint, Pipeline, PipelineOptions};
+use usher_driver::{plan_fingerprint, Pipeline, PipelineOptions, PipelineRun, PointerStrategy};
 use usher_frontend::compile_o0im;
+use usher_ir::{Budget, Module, Operand};
 use usher_runtime::{run, RunOptions};
+use usher_vfg::DemandEngine;
 
 use crate::classify::{classify, Mismatch, MismatchKind, Outcome};
 use crate::oracle::{run_options, OracleRuns};
@@ -89,10 +92,9 @@ pub enum FaultInjection {
     /// solver; the plans must fingerprint identically and each must
     /// survive the native-vs-instrumented oracle.
     StrategyDiverge,
-    /// Run the program with the exhaustive resolver and with the
-    /// demand-driven query engine; the plans must fingerprint
-    /// identically and the demand plan must survive the
-    /// native-vs-instrumented oracle.
+    /// Query a demand-driven engine about every check the driver's run
+    /// planned; each verdict must equal the exhaustive `Gamma`'s, and
+    /// the run's plan must survive the native-vs-instrumented oracle.
     DemandDiverge,
     /// Crash-recovery chaos for `usher serve`: run an engine with an
     /// injected I/O fault (torn write, ENOSPC, kill-point) at every
@@ -278,48 +280,90 @@ fn panic_text(panic: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Budget-exhaustion differential: the driver's plan under several levels
-/// of analysis starvation, each compared pairwise against the MSan
-/// baseline via [`classify`]'s rules 1 and 3–5. Budget 0 forces the
-/// whole-module fallback, the middle rungs mix per-function fallback with
-/// guided functions, and the last rung usually completes cleanly.
-fn budget_exhaust_differential(src: &str, m: &usher_ir::Module, opts: &RunOptions) -> DiffResult {
+/// The shared body of the driver-variant fault modes: `src` through a
+/// cache-less driver once per `(name, options)` row, each plan run under
+/// the native-vs-instrumented oracle against the MSan baseline
+/// ([`classify`]). With `plans_match`, every row's plan must also
+/// fingerprint identically to the first row's. Returns the verdict and
+/// each row's run (`None` where the driver failed, which is reported).
+fn driver_rows_differential(
+    src: &str,
+    m: &Module,
+    opts: &RunOptions,
+    rows: Vec<(String, PipelineOptions)>,
+    plans_match: bool,
+) -> (DiffResult, Vec<Option<PipelineRun>>) {
     let msan_plan = run_config(m, Config::MSAN).plan;
     let native = run(m, None, opts);
     let msan_run = run(m, Some(&msan_plan), opts);
     let mut outcome = None;
     let mut mismatches = Vec::new();
-    for steps in [0u64, 64, 1024, 16_384] {
-        let popts = PipelineOptions::from_config(Config::USHER).with_budget_steps(Some(steps));
-        let name = format!("Usher[budget={steps}]");
-        match Pipeline::new()
+    let mut anchor: Option<(String, String)> = None;
+    let mut runs = Vec::with_capacity(rows.len());
+    for (name, popts) in rows {
+        let r = match Pipeline::new()
             .without_cache()
             .run_source("fuzz", src, popts)
         {
-            Ok(r) => {
-                let oracle = OracleRuns {
-                    src: src.to_string(),
-                    native: native.clone(),
-                    runs: vec![
-                        ("MSan".to_string(), msan_run.clone()),
-                        (name, run(m, Some(&r.plan), opts)),
-                    ],
-                };
-                let (o, ms) = classify(&oracle);
-                outcome.get_or_insert(o);
-                mismatches.extend(ms);
+            Ok(r) => r,
+            Err(e) => {
+                mismatches.push(Mismatch {
+                    kind: MismatchKind::PlanDivergence,
+                    config: name,
+                    detail: format!("driver failed on a compilable program: {e}"),
+                });
+                runs.push(None);
+                continue;
             }
-            Err(e) => mismatches.push(Mismatch {
-                kind: MismatchKind::PlanDivergence,
-                config: name,
-                detail: format!("starved driver errored instead of degrading: {e}"),
-            }),
+        };
+        if plans_match {
+            let fp = plan_fingerprint(&r.plan);
+            match &anchor {
+                None => anchor = Some((name.clone(), fp)),
+                Some((first, want)) if fp != *want => mismatches.push(Mismatch {
+                    kind: MismatchKind::PlanDivergence,
+                    config: name.clone(),
+                    detail: format!("plan differs from {first}'s"),
+                }),
+                Some(_) => {}
+            }
         }
+        let oracle = OracleRuns {
+            src: src.to_string(),
+            native: native.clone(),
+            runs: vec![
+                ("MSan".to_string(), msan_run.clone()),
+                (name, run(m, Some(&r.plan), opts)),
+            ],
+        };
+        let (o, ms) = classify(&oracle);
+        outcome.get_or_insert(o);
+        mismatches.extend(ms);
+        runs.push(Some(r));
     }
-    DiffResult {
+    let result = DiffResult {
         outcome: outcome.unwrap_or(Outcome::CompileError),
         mismatches,
-    }
+    };
+    (result, runs)
+}
+
+/// Budget-exhaustion differential: the driver's plan under several levels
+/// of analysis starvation, each compared pairwise against the MSan
+/// baseline via [`classify`]'s rules 1 and 3–5. Budget 0 forces the
+/// whole-module fallback, the middle rungs mix per-function fallback with
+/// guided functions, and the last rung usually completes cleanly.
+fn budget_exhaust_differential(src: &str, m: &Module, opts: &RunOptions) -> DiffResult {
+    let rows = [0u64, 64, 1024, 16_384]
+        .into_iter()
+        .map(|steps| {
+            (
+                format!("Usher[budget={steps}]"),
+                PipelineOptions::from_config(Config::USHER).with_budget_steps(Some(steps)),
+            )
+        })
+        .collect();
+    driver_rows_differential(src, m, opts, rows, false).0
 }
 
 /// Cross-strategy divergence differential: the same program through the
@@ -330,152 +374,69 @@ fn budget_exhaust_differential(src: &str, m: &usher_ir::Module, opts: &RunOption
 /// is run under the native-vs-instrumented oracle against the MSan
 /// baseline so a divergent plan is also judged on what it *detects*,
 /// not just that it differs.
-fn strategy_divergence_differential(
-    src: &str,
-    m: &usher_ir::Module,
-    opts: &RunOptions,
-) -> DiffResult {
-    use usher_driver::PointerStrategy;
-
-    let msan_plan = run_config(m, Config::MSAN).plan;
-    let native = run(m, None, opts);
-    let msan_run = run(m, Some(&msan_plan), opts);
-    let mut outcome = None;
-    let mut mismatches = Vec::new();
-    let mut anchor: Option<String> = None;
-    for strategy in PointerStrategy::ALL {
-        let popts = PipelineOptions::from_config(Config::USHER).with_pointer_strategy(strategy);
-        let name = format!("Usher[strategy={strategy}]");
-        match Pipeline::new()
-            .without_cache()
-            .run_source("fuzz", src, popts)
-        {
-            Ok(r) => {
-                let fp = plan_fingerprint(&r.plan);
-                match &anchor {
-                    None => anchor = Some(fp),
-                    Some(want) if fp != *want => mismatches.push(Mismatch {
-                        kind: MismatchKind::PlanDivergence,
-                        config: name.clone(),
-                        detail: format!(
-                            "plan differs from the {} strategy's",
-                            PointerStrategy::Reference
-                        ),
-                    }),
-                    Some(_) => {}
-                }
-                let oracle = OracleRuns {
-                    src: src.to_string(),
-                    native: native.clone(),
-                    runs: vec![
-                        ("MSan".to_string(), msan_run.clone()),
-                        (name, run(m, Some(&r.plan), opts)),
-                    ],
-                };
-                let (o, ms) = classify(&oracle);
-                outcome.get_or_insert(o);
-                mismatches.extend(ms);
-            }
-            Err(e) => mismatches.push(Mismatch {
-                kind: MismatchKind::PlanDivergence,
-                config: name,
-                detail: format!("driver failed on a compilable program: {e}"),
-            }),
-        }
-    }
-    DiffResult {
-        outcome: outcome.unwrap_or(Outcome::CompileError),
-        mismatches,
-    }
+fn strategy_divergence_differential(src: &str, m: &Module, opts: &RunOptions) -> DiffResult {
+    let rows = PointerStrategy::ALL
+        .into_iter()
+        .map(|strategy| {
+            (
+                format!("Usher[strategy={strategy}]"),
+                PipelineOptions::from_config(Config::USHER).with_pointer_strategy(strategy),
+            )
+        })
+        .collect();
+    driver_rows_differential(src, m, opts, rows, true).0
 }
 
-/// Demand-divergence differential: the same program through the driver
-/// twice — once with the exhaustive definedness resolver (Opt II off,
-/// the configuration demand mode is provably exact against) and once in
-/// demand mode, where the planner's consults are answered by the
-/// demand-driven query engine walking backward from each check. The two
-/// plans must fingerprint identically, the demand run must actually have
-/// engaged the engine (telemetry present), and the demand plan is run
-/// under the native-vs-instrumented oracle against the MSan baseline so
-/// a divergent plan is also judged on what it *detects*.
-fn demand_divergence_differential(
-    src: &str,
-    m: &usher_ir::Module,
-    opts: &RunOptions,
-) -> DiffResult {
-    let msan_plan = run_config(m, Config::MSAN).plan;
-    let native = run(m, None, opts);
-    let msan_run = run(m, Some(&msan_plan), opts);
-    let mut mismatches = Vec::new();
-    let pipe = Pipeline::new().without_cache();
-    let exhaustive = match pipe.run_source(
-        "fuzz",
-        src,
+/// Demand-divergence differential: the driver's run at Opt II off (its
+/// `Gamma` is the plain exhaustive resolution), judged by the oracle like
+/// every row, then a fresh [`DemandEngine`] over the run's VFG — the
+/// engine `usher serve`'s `query-use` answers from — queried about every
+/// check node and every checked operand's top-level node. Each
+/// unlimited-budget query must complete with the exhaustive verdict.
+fn demand_divergence_differential(src: &str, m: &Module, opts: &RunOptions) -> DiffResult {
+    const NAME: &str = "Usher[demand]";
+    let rows = vec![(
+        NAME.to_string(),
         PipelineOptions::from_config(Config::USHER_OPT1),
-    ) {
-        Ok(r) => r,
-        Err(e) => {
-            return DiffResult {
-                outcome: Outcome::CompileError,
-                mismatches: vec![Mismatch {
-                    kind: MismatchKind::PlanDivergence,
-                    config: "Usher[exhaustive]".to_string(),
-                    detail: format!("driver failed on a compilable program: {e}"),
-                }],
-            }
-        }
+    )];
+    let (mut result, runs) = driver_rows_differential(src, m, opts, rows, false);
+    let Some(Some(r)) = runs.first() else {
+        return result;
     };
-    let popts = PipelineOptions::from_config(Config::USHER_OPT1).with_demand(true);
-    let outcome = match pipe.run_source("fuzz", src, popts) {
-        Ok(r) => {
-            if plan_fingerprint(&r.plan) != plan_fingerprint(&exhaustive.plan) {
-                mismatches.push(Mismatch {
-                    kind: MismatchKind::PlanDivergence,
-                    config: "Usher[demand]".to_string(),
-                    detail: "demand-mode plan differs from the exhaustive resolver's".to_string(),
-                });
-            }
-            match &r.report.demand {
-                None => mismatches.push(Mismatch {
-                    kind: MismatchKind::PlanDivergence,
-                    config: "Usher[demand]".to_string(),
-                    detail: "demand mode never engaged the query engine".to_string(),
-                }),
-                Some(ds) if ds.exhausted_queries > 0 => mismatches.push(Mismatch {
-                    kind: MismatchKind::PlanDivergence,
-                    config: "Usher[demand]".to_string(),
-                    detail: format!(
-                        "{} unlimited-budget queries exhausted",
-                        ds.exhausted_queries
-                    ),
-                }),
-                Some(_) => {}
-            }
-            let oracle = OracleRuns {
-                src: src.to_string(),
-                native,
-                runs: vec![
-                    ("MSan".to_string(), msan_run),
-                    ("Usher[demand]".to_string(), run(m, Some(&r.plan), opts)),
-                ],
-            };
-            let (o, ms) = classify(&oracle);
-            mismatches.extend(ms);
-            o
-        }
-        Err(e) => {
-            mismatches.push(Mismatch {
-                kind: MismatchKind::PlanDivergence,
-                config: "Usher[demand]".to_string(),
-                detail: format!("driver failed in demand mode: {e}"),
-            });
-            Outcome::CompileError
-        }
+    let (Some(vfg), Some(gamma)) = (&r.vfg, &r.gamma) else {
+        result.mismatches.push(Mismatch {
+            kind: MismatchKind::PlanDivergence,
+            config: NAME.to_string(),
+            detail: "unlimited guided run produced no VFG or gamma".to_string(),
+        });
+        return result;
     };
-    DiffResult {
-        outcome,
-        mismatches,
+    let mut eng = DemandEngine::new(vfg, gamma.context_depth);
+    let budget = Budget::unlimited();
+    let queried = vfg.checks.iter().flat_map(|ch| {
+        let tl = match ch.operand {
+            Operand::Var(v) => vfg.tl(ch.site.func, v),
+            _ => None,
+        };
+        std::iter::once(ch.node).chain(tl)
+    });
+    for node in queried {
+        let verdict = eng.query(vfg, node, &budget);
+        let detail = if !verdict.complete {
+            format!("unlimited-budget query on node {node} did not complete")
+        } else if verdict.bot != gamma.is_bot(node) {
+            format!("demand verdict on node {node} differs from the exhaustive gamma")
+        } else {
+            continue;
+        };
+        result.mismatches.push(Mismatch {
+            kind: MismatchKind::PlanDivergence,
+            config: NAME.to_string(),
+            detail,
+        });
+        break;
     }
+    result
 }
 
 /// Self-healing probe: warm a private cache, corrupt it in place, rerun,

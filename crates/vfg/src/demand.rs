@@ -324,8 +324,8 @@ impl DeadlinePoller {
     }
 }
 
-/// Counters from one engine's lifetime of queries (threaded into driver
-/// and serve telemetry).
+/// Counters from one engine's lifetime of queries (threaded into serve
+/// telemetry).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DemandStats {
     /// Queries answered (including memo hits).
@@ -367,7 +367,7 @@ pub struct DemandEngine {
     ctxs: CtxTable,
     lanes: Lanes,
     /// `resolved[v]` = `v`'s SCC has been fully processed; its lanes are
-    /// final and `verdict_of(v)` is exact.
+    /// final and its verdict is exact.
     resolved: Vec<bool>,
     stats: DemandStats,
     scratch: Vec<u64>,
@@ -437,34 +437,6 @@ impl DemandEngine {
     /// and memoized).
     pub fn is_resolved(&self, v: u32) -> bool {
         self.resolved[v as usize]
-    }
-
-    /// The memoized exact verdict of a resolved node (`true` = `Bot`),
-    /// without counting a query; `None` when `v` is not resolved yet.
-    pub fn verdict_of(&self, v: u32) -> Option<bool> {
-        self.resolved[v as usize].then(|| !self.lanes.row_empty(v))
-    }
-
-    /// The resolved-coverage map, in the same shape the anytime
-    /// exhaustive resolver reports: `resolved[v]` true iff `v`'s value
-    /// is exact. Un-walked nodes count as uncovered.
-    pub fn coverage(&self) -> &[bool] {
-        &self.resolved
-    }
-
-    /// Distinct contexts interned across all queries so far.
-    pub fn interned_contexts(&self) -> usize {
-        self.ctxs.len()
-    }
-
-    /// `(node, context)` states reached across all queries so far.
-    pub fn visited_states(&self) -> usize {
-        self.lanes.states()
-    }
-
-    /// Word operations spent in lane propagation across all queries.
-    pub fn word_ops(&self) -> usize {
-        self.lanes.word_ops()
     }
 
     /// Answers "may `node` be undefined?" for one node, walking only its

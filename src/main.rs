@@ -18,9 +18,7 @@
 //! `--opt O0|O1|O2` (default `O0`, meaning O0+IM), `--seed <n>` for the
 //! deterministic `input()` stream, `--threads <n>` for the pipeline's
 //! worker pool, `--no-cache` to disable artifact caching, `--report`
-//! to print per-stage JSON telemetry on stderr, and `--demand` to
-//! resolve definedness with the demand-driven query engine (implies
-//! Opt II off; the analyze report gains a `demand` counter block).
+//! to print per-stage JSON telemetry on stderr.
 //!
 //! Degradation knobs (see DESIGN.md §10): `--budget-steps <n>` caps the
 //! analysis step budget, `--deadline-ms <n>` adds a wall-clock deadline,
@@ -62,7 +60,7 @@ fn main() -> ExitCode {
         Err(msg) => {
             eprintln!("usher: {msg}");
             eprintln!();
-            eprintln!("usage: usher <run|check|analyze|ir|dis|vfg> <file.tc|file.uir> [--config CFG] [--opt LVL] [--seed N] [--threads N] [--no-cache] [--report] [--demand] [--budget-steps N] [--deadline-ms N] [--strict] [--inject-panic STAGE]");
+            eprintln!("usage: usher <run|check|analyze|ir|dis|vfg> <file.tc|file.uir> [--config CFG] [--opt LVL] [--seed N] [--threads N] [--no-cache] [--report] [--budget-steps N] [--deadline-ms N] [--strict] [--inject-panic STAGE]");
             eprintln!("       usher gen [--seed N] [--helpers N] [--stmts N]");
             eprintln!("       usher fuzz [--smoke] [--seeds N] [--start N] [--mutants N] [--frontend] [--fault MODE] [--threads N] [--no-minimize] [--report FILE] [--out DIR]");
             eprintln!("       usher serve [--socket PATH] [--store-dir DIR] [--store-cap-bytes N] [--max-clients N] [--threads N] [--no-cache] [--wal PATH] [--no-wal] [--max-queue N] [--drain-timeout-ms N]");
@@ -93,7 +91,6 @@ fn dispatch(args: &[String]) -> Result<ExitCode, String> {
     let mut deadline_ms = None;
     let mut strict = false;
     let mut inject_panic = None;
-    let mut demand = false;
 
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -143,7 +140,6 @@ fn dispatch(args: &[String]) -> Result<ExitCode, String> {
                 deadline_ms = Some(v.parse::<u64>().map_err(|_| format!("bad deadline {v}"))?);
             }
             "--strict" => strict = true,
-            "--demand" => demand = true,
             "--inject-panic" => {
                 let v = it.next().ok_or("--inject-panic needs a stage name")?;
                 inject_panic = Some(v.clone());
@@ -170,15 +166,12 @@ fn dispatch(args: &[String]) -> Result<ExitCode, String> {
     if !use_cache {
         pipe = pipe.without_cache();
     }
-    let mut options = PipelineOptions::from_config(config)
+    let options = PipelineOptions::from_config(config)
         .at_level(level)
         .with_budget_steps(budget_steps)
         .with_deadline_ms(deadline_ms)
         .strict(strict)
         .with_inject_panic(inject_panic);
-    if demand {
-        options = options.with_demand(true);
-    }
     let analyze = |opts: PipelineOptions| -> Result<PipelineRun, String> {
         let pr = pipe
             .run(&file, source.clone(), opts)
@@ -274,16 +267,6 @@ fn dispatch(args: &[String]) -> Result<ExitCode, String> {
                 println!(
                     "opt2          : {} node(s) redirected to T",
                     pr.opt2_redirected
-                );
-            }
-            if let Some(ds) = &pr.report.demand {
-                println!(
-                    "demand        : {} queries, {} memo hits, {} nodes visited, {} refinements, {} exhausted",
-                    ds.queries,
-                    ds.memo_hits,
-                    ds.nodes_visited,
-                    ds.refinements,
-                    ds.exhausted_queries
                 );
             }
             Ok(ExitCode::SUCCESS)
