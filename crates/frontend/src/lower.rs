@@ -268,9 +268,16 @@ pub fn lower_program(prog: &Program) -> Result<(Module, LowerEnv)> {
 ///
 /// [`RelowerError::Lower`] on a semantic error in the new body;
 /// [`RelowerError::Blocked`] when the edit is not confined to the body
-/// (signature change or new interned types). On error the module is
-/// left in an unspecified state — callers must operate on a scratch
-/// clone.
+/// (signature change or new interned types).
+///
+/// Whether it succeeds or not, the call (and [`Relowered::promote`]
+/// after it) writes only three parts of the module: the function `fid`,
+/// the object table (a tail past its old length and, on a successful
+/// promotion, the function's range `env.obj_ranges[fid]`) and the type
+/// table (past its old length). A caller that splices into its retained
+/// module in place keeps a copy of the old function, of the objects in
+/// that range and of both table lengths, and restores them to undo the
+/// splice; everything else in the module is left as it was.
 pub fn relower_function(
     m: &mut Module,
     env: &LowerEnv,
@@ -345,8 +352,9 @@ impl Relowered {
     /// # Errors
     ///
     /// [`RelowerBlocked::ObjectCountChanged`] when the number of surviving
-    /// objects differs from the size of the function's range. The module
-    /// is then left in an unspecified state, as by [`relower_function`].
+    /// objects differs from the size of the function's range. The function
+    /// and the object table are then left part-way, within the parts that
+    /// [`relower_function`] documents.
     pub fn promote(
         self,
         m: &mut Module,

@@ -40,7 +40,7 @@ impl std::error::Error for ParseError {}
 impl From<LexError> for ParseError {
     fn from(e: LexError) -> Self {
         ParseError {
-            message: format!("unexpected character {:?}", e.ch),
+            message: e.kind.to_string(),
             line: e.line,
         }
     }

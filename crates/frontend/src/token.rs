@@ -79,19 +79,39 @@ pub struct Spanned {
 /// A lexical error.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LexError {
-    /// Offending character.
-    pub ch: char,
-    /// 1-based source line.
+    /// What went wrong.
+    pub kind: LexErrorKind,
+    /// 1-based source line: the offending character's, or the line where
+    /// an unterminated block comment opened.
     pub line: u32,
+}
+
+/// The kinds of [`LexError`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LexErrorKind {
+    /// A character that starts no token.
+    UnexpectedChar(char),
+    /// A `/*` with no closing `*/` before the end of the input.
+    UnterminatedComment,
+}
+
+impl fmt::Display for LexErrorKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LexErrorKind::UnexpectedChar(ch) => write!(f, "unexpected character {ch:?}"),
+            LexErrorKind::UnterminatedComment => f.write_str("unterminated block comment"),
+        }
+    }
 }
 
 impl fmt::Display for LexError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unexpected character {:?} on line {}",
-            self.ch, self.line
-        )
+        match self.kind {
+            LexErrorKind::UnexpectedChar(_) => write!(f, "{} on line {}", self.kind, self.line),
+            LexErrorKind::UnterminatedComment => {
+                write!(f, "{} opened on line {}", self.kind, self.line)
+            }
+        }
     }
 }
 
@@ -101,7 +121,8 @@ impl std::error::Error for LexError {}
 ///
 /// # Errors
 ///
-/// Returns a [`LexError`] on the first unrecognized character.
+/// Returns a [`LexError`] on the first unrecognized character, or on a
+/// block comment that never closes.
 pub fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
     let mut out = Vec::new();
     let bytes = src.as_bytes();
@@ -121,6 +142,7 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
                 }
             }
             '/' if i + 1 < bytes.len() && bytes[i + 1] == b'*' => {
+                let opened = line;
                 i += 2;
                 while i + 1 < bytes.len() && !(bytes[i] == b'*' && bytes[i + 1] == b'/') {
                     if bytes[i] == b'\n' {
@@ -128,7 +150,13 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
                     }
                     i += 1;
                 }
-                i = (i + 2).min(bytes.len());
+                if i + 1 >= bytes.len() {
+                    return Err(LexError {
+                        kind: LexErrorKind::UnterminatedComment,
+                        line: opened,
+                    });
+                }
+                i += 2;
             }
             '0'..='9' => {
                 let start = i;
@@ -168,7 +196,10 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
                 // error instead of slicing (a byte-offset slice inside a
                 // multi-byte character would panic).
                 let ch = src[i..].chars().next().unwrap_or('\u{fffd}');
-                return Err(LexError { ch, line });
+                return Err(LexError {
+                    kind: LexErrorKind::UnexpectedChar(ch),
+                    line,
+                });
             }
             _ => {
                 // `i` is on an ASCII character; `i + 1` is a char boundary,
@@ -209,7 +240,12 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
                             '!' => Tok::Bang,
                             '<' => Tok::Lt,
                             '>' => Tok::Gt,
-                            _ => return Err(LexError { ch: c, line }),
+                            _ => {
+                                return Err(LexError {
+                                    kind: LexErrorKind::UnexpectedChar(c),
+                                    line,
+                                })
+                            }
                         };
                         (t, 1)
                     }
@@ -291,8 +327,19 @@ mod tests {
     #[test]
     fn rejects_unknown_character() {
         let e = lex("a $ b").unwrap_err();
-        assert_eq!(e.ch, '$');
+        assert_eq!(e.kind, LexErrorKind::UnexpectedChar('$'));
         assert_eq!(e.line, 1);
+    }
+
+    #[test]
+    fn rejects_unterminated_block_comment_at_its_opening_line() {
+        for src in ["a\n/* open\nb\n", "a /*", "a /*/", "a /* *"] {
+            let e = lex(src).unwrap_err();
+            let opened = if src.contains('\n') { 2 } else { 1 };
+            assert_eq!(e.kind, LexErrorKind::UnterminatedComment, "{src:?}");
+            assert_eq!(e.line, opened, "{src:?}");
+        }
+        assert_eq!(toks("a /**/ b /* * */"), toks("a b"));
     }
 
     #[test]

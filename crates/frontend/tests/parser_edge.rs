@@ -171,6 +171,19 @@ fn unterminated_block_reports_line() {
 }
 
 #[test]
+fn unterminated_block_comment_is_rejected_at_its_opening_line() {
+    // An unclosed `/*` used to swallow the rest of the input, so a
+    // trailing comment could silently delete every later definition.
+    let src = "def f() -> int { return 1; } /* trailing\ndef main() -> int {\n  return f();\n}\n";
+    let e = parse(src).unwrap_err();
+    assert_eq!(e.line, 1, "{e}");
+    assert!(e.message.contains("unterminated block comment"), "{e}");
+    let e = parse("def main() {\n  int x = 1;\n  /* note\n}\n").unwrap_err();
+    assert_eq!(e.line, 3, "{e}");
+    assert!(compile("def main() { /* closed */ }").is_ok());
+}
+
+#[test]
 fn duplicate_definitions_rejected() {
     assert!(err_of("int g; int g; def main() {}").contains("duplicate"));
     assert!(err_of("def f() {} def f() {} def main() {}").contains("duplicate"));

@@ -161,6 +161,11 @@ impl<I: Idx, T> IdxVec<I, T> {
     pub fn split_off(&mut self, at: usize) -> Vec<T> {
         self.raw.split_off(at)
     }
+
+    /// Drops every element from index `len` on.
+    pub fn truncate(&mut self, len: usize) {
+        self.raw.truncate(len);
+    }
 }
 
 impl<I: Idx, T> Default for IdxVec<I, T> {

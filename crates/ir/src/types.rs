@@ -132,6 +132,13 @@ impl TypeTable {
         self.types.len()
     }
 
+    /// Forgets every type interned after the first `len`. A caller that
+    /// rolls back a relowering uses this to drop the types the rolled-back
+    /// body interned; no retained id may point past `len`.
+    pub fn truncate(&mut self, len: usize) {
+        self.types.truncate(len);
+    }
+
     /// Whether no types are interned (never true after `new`).
     pub fn is_empty(&self) -> bool {
         self.types.is_empty()

@@ -17,9 +17,9 @@
 //! ## Incremental edits
 //!
 //! An `edit` replaces one function's body. The engine re-lowers just that
-//! function into a scratch copy of the retained module and then decides,
-//! by a set of conservative gates, whether the retained pointer analysis
-//! is still observably valid:
+//! function into the retained module in place and then decides, by a set
+//! of conservative gates, whether the retained pointer analysis is still
+//! observably valid:
 //!
 //! - the re-lowering itself refuses signature changes, new interned
 //!   types and unknown functions ([`usher_frontend::RelowerBlocked`]);
@@ -52,6 +52,14 @@
 //! the reason recorded in the response and the telemetry line; fallbacks
 //! are sound, never silent.
 //!
+//! The splice first copies the little it can change: the old function,
+//! its objects and the lengths of the object and type tables. Every
+//! refusal (a gate, a bad body, a failed fallback or an unwinding panic)
+//! puts that copy back, so an edit that commits copies nothing of the
+//! rest of the program. The session's source text changes only when an
+//! edit commits: the body's lines replace the function's, and only they
+//! are rescanned for definitions.
+//!
 //! Value-flow early cutoff: when the new body differs from the old one
 //! only in integer constants, the function's memory SSA, the VFG, Γ and
 //! the Opt II result are kept as they are and only planning re-runs (no
@@ -66,7 +74,6 @@
 //! it. The engine's [`ArtifactCache`] is private to it, so its entries
 //! are never seen by a batch [`usher_driver::Pipeline`].
 
-use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -83,12 +90,13 @@ use usher_driver::{
 };
 use usher_frontend::{parser, relower_function, LowerEnv, RelowerBlocked, RelowerError};
 use usher_ir::{
-    is_inline_target, Budget, Callee, FuncId, GepOffset, Idx, InlineTrace, Inst, Module,
-    ModuleCfgs, ObjId, Operand, OptLevel, Terminator,
+    is_inline_target, Budget, Callee, FuncId, Function, GepOffset, Idx, InlineTrace, Inst, Module,
+    ModuleCfgs, ObjId, ObjectData, Operand, OptLevel, Terminator, TypeTable,
 };
 use usher_pointer::{PointerAnalysis, SolverStats};
 use usher_vfg::{
-    build_function_ssa_budgeted, rebuild_with_tape, DemandEngine, MemSsa, ModRef, Vfg, VfgTape,
+    build_function_ssa_budgeted, rebuild_with_tape, DemandEngine, FuncMemSsa, MemSsa, ModRef, Vfg,
+    VfgTape,
 };
 
 use crate::codec;
@@ -331,10 +339,17 @@ struct FnSpan {
     name: String,
     start: usize,
     end: usize,
+    /// Whether the span begins and ends outside a block comment. Only
+    /// then does replacing its lines leave the meaning of the text around
+    /// them as it was.
+    isolated: bool,
 }
 
 /// Retained analysis state for incremental edits.
 struct Backend {
+    /// Shared with the memory tier after a full analysis; an edit splices
+    /// into it through `Arc::make_mut`, so only a session's first edit
+    /// after one copies it.
     module: Arc<Module>,
     env: LowerEnv,
     inline: InlineTrace,
@@ -374,6 +389,51 @@ struct Session {
     state: SessionState,
 }
 
+impl Session {
+    /// Replaces the lines of `spans[at]` with `body`, or appends `body`
+    /// when `at` is past the last span, and brings `spans` up to date.
+    ///
+    /// `body` must lex and parse as one function definition. When the
+    /// replaced span is isolated, or the body is appended to a text that
+    /// lexes, the scanner enters and leaves the body's lines at brace
+    /// depth 0 and outside a comment, exactly as a scan of the body alone
+    /// does. So only the body's lines are scanned, and every later span
+    /// shifts by the change in line count. Any other span is replaced
+    /// and the whole text rescanned.
+    fn splice(&mut self, at: usize, body: Vec<String>) {
+        let old = self.spans.get(at);
+        let (start, end) = old.map_or((self.lines.len(), self.lines.len()), |s| (s.start, s.end));
+        let removed = usize::from(old.is_some());
+        let isolated = old.is_none_or(|s| s.isolated);
+        let added = body.len();
+        let fresh = if isolated {
+            scan_spans(&body)
+        } else {
+            Vec::new()
+        };
+        self.lines.splice(start..end, body);
+        if isolated {
+            for s in &mut self.spans[at + removed..] {
+                s.start = s.start + added - (end - start);
+                s.end = s.end + added - (end - start);
+            }
+            let fresh = fresh.into_iter().map(|s| FnSpan {
+                start: s.start + start,
+                end: s.end + start,
+                ..s
+            });
+            self.spans.splice(at..at + removed, fresh);
+        } else {
+            self.spans = scan_spans(&self.lines);
+        }
+        debug_assert_eq!(
+            self.spans,
+            scan_spans(&self.lines),
+            "spliced spans must equal a rescan of the whole text"
+        );
+    }
+}
+
 /// The serve engine: sessions plus the two-tier artifact cache.
 pub struct Engine {
     opts: PipelineOptions,
@@ -401,78 +461,100 @@ fn split_lines(src: &str) -> Vec<String> {
     src.lines().map(String::from).collect()
 }
 
-/// Strips comments from one line the way TinyC's lexer does: `//` runs
-/// to the end of the line, `/* … */` does not nest and may span lines.
-/// `in_block` carries the block-comment state from line to line.
-fn strip_comments<'a>(line: &'a str, in_block: &mut bool) -> Cow<'a, str> {
-    if !*in_block && !line.contains("/*") {
-        return Cow::Borrowed(line.split("//").next().unwrap_or(""));
-    }
-    let mut code = String::new();
-    let mut rest = line;
-    loop {
-        if *in_block {
-            let Some(end) = rest.find("*/") else {
-                return Cow::Owned(code);
-            };
-            rest = &rest[end + 2..];
-            *in_block = false;
-            code.push(' ');
-        }
-        let Some(i) = rest.find("//").into_iter().chain(rest.find("/*")).min() else {
-            code.push_str(rest);
-            return Cow::Owned(code);
-        };
-        code.push_str(&rest[..i]);
-        if rest[i..].starts_with("//") {
-            return Cow::Owned(code);
-        }
-        rest = &rest[i + 2..];
-        *in_block = true;
-    }
-}
-
 /// Scans top-level `def` spans with a brace-depth line scanner.
 ///
-/// TinyC has no string or character literals, so brace counting per line
-/// (minus comments) is exact.
+/// TinyC has no string or character literals, so counting braces per
+/// line outside comments is exact. Comments follow the lexer: `//` runs
+/// to the end of the line, `/* … */` does not nest and may span lines,
+/// and a closed block comment separates tokens like a space. A `def` is
+/// recognized on a line that starts at brace depth 0 with no definition
+/// pending, when the line's code begins with `def ` and a name. The scan
+/// reads bytes: a session's text lexes, so its code is ASCII.
 fn scan_spans(lines: &[String]) -> Vec<FnSpan> {
+    /// Progress of matching `def <name>` against the start of a line's
+    /// code.
+    #[derive(Clone, Copy)]
+    enum Def {
+        /// Before the first non-blank byte; `k` bytes of `def ` matched.
+        Keyword(usize),
+        /// `def ` matched; the name so far is `line[s..e]`.
+        Name(usize, usize),
+        /// The line starts no definition, or its name has ended.
+        Done,
+    }
+    // Feeds the next byte of code at `j` (`None` for the space a closed
+    // block comment leaves).
+    let step = |def: Def, j: usize, c: Option<u8>| match (def, c) {
+        (Def::Keyword(0), None | Some(b' ' | b'\t' | b'\r')) => Def::Keyword(0),
+        (Def::Keyword(3), None) => Def::Name(j, j),
+        (Def::Keyword(k), Some(c)) if c == b"def "[k] => match k {
+            3 => Def::Name(j + 1, j + 1),
+            _ => Def::Keyword(k + 1),
+        },
+        (Def::Name(s, e), Some(c)) if e == j && (c.is_ascii_alphanumeric() || c == b'_') => {
+            Def::Name(s, j + 1)
+        }
+        (Def::Name(s, e), _) if e > s => Def::Name(s, e),
+        _ => Def::Done,
+    };
     let mut spans = Vec::new();
     let mut depth: i64 = 0;
-    let mut open: Option<(String, usize)> = None;
+    // The pending definition: name, first line, and whether that line
+    // began inside a block comment.
+    let mut open: Option<(String, usize, bool)> = None;
     let mut opened_brace = false;
     let mut in_block = false;
-    for (i, raw) in lines.iter().enumerate() {
-        let line = strip_comments(raw, &mut in_block);
-        let trimmed = line.trim_start();
-        if depth == 0 && open.is_none() {
-            if let Some(rest) = trimmed.strip_prefix("def ") {
-                let name: String = rest
-                    .chars()
-                    .take_while(|c| c.is_alphanumeric() || *c == '_')
-                    .collect();
-                if !name.is_empty() {
-                    open = Some((name, i));
-                    opened_brace = false;
-                }
+    for (i, line) in lines.iter().enumerate() {
+        let b = line.as_bytes();
+        let began_in_block = in_block;
+        let mut def = if depth == 0 && open.is_none() {
+            Def::Keyword(0)
+        } else {
+            Def::Done
+        };
+        let mut line_opened = false;
+        let mut j = 0;
+        while j < b.len() {
+            if in_block {
+                let Some(k) = b[j..].windows(2).position(|w| w == b"*/") else {
+                    break;
+                };
+                j += k + 2;
+                in_block = false;
+                def = step(def, j, None);
+                continue;
             }
-        }
-        for c in line.chars() {
-            match c {
-                '{' => {
-                    depth += 1;
-                    opened_brace = true;
+            match (b[j], b.get(j + 1)) {
+                (b'/', Some(b'/')) => break,
+                (b'/', Some(b'*')) => {
+                    in_block = true;
+                    j += 2;
+                    continue;
                 }
-                '}' => depth -= 1,
+                (b'{', _) => {
+                    depth += 1;
+                    line_opened = true;
+                }
+                (b'}', _) => depth -= 1,
                 _ => {}
             }
+            def = step(def, j, Some(b[j]));
+            j += 1;
+        }
+        match def {
+            Def::Name(s, e) if e > s => {
+                open = Some((line[s..e].to_string(), i, began_in_block));
+                opened_brace = line_opened;
+            }
+            _ => opened_brace |= line_opened,
         }
         if depth == 0 && opened_brace {
-            if let Some((name, start)) = open.take() {
+            if let Some((name, start, began_in_block)) = open.take() {
                 spans.push(FnSpan {
                     name,
                     start,
                     end: i + 1,
+                    isolated: !began_in_block && !in_block,
                 });
             }
             opened_brace = false;
@@ -518,15 +600,117 @@ impl Backend {
     }
 }
 
+/// What splicing a new body of one function into a retained module can
+/// change (see [`relower_function`]), copied before the splice: the old
+/// function, the objects of its range, and the lengths of the object and
+/// type tables. The splice gates read the old side of their diffs here.
+struct Snapshot {
+    fid: FuncId,
+    func: Function,
+    /// The function's `[lo, hi)` range in the object table.
+    range: (usize, usize),
+    objects: Vec<ObjectData>,
+    objects_len: usize,
+    types_len: usize,
+    /// The function's memory SSA before the splice replaced it (`None`
+    /// until it does; the inner `None` when the function had none).
+    memssa: Option<Option<FuncMemSsa>>,
+}
+
+impl Snapshot {
+    fn take(b: &Backend, fid: FuncId) -> Snapshot {
+        let m = &b.module;
+        let range = b.env.obj_ranges[fid.index()];
+        Snapshot {
+            fid,
+            func: m.funcs[fid].clone(),
+            range,
+            objects: m.objects.raw()[range.0..range.1].to_vec(),
+            objects_len: m.objects.len(),
+            types_len: m.types.len(),
+            memssa: None,
+        }
+    }
+
+    /// The old object that `id` (within the range) named.
+    fn object(&self, id: usize) -> &ObjectData {
+        &self.objects[id - self.range.0]
+    }
+
+    /// Puts the snapshot back into `b`. A module that is still shared
+    /// was never written: every write goes through `Arc::make_mut`.
+    fn restore(&mut self, b: &mut Backend) {
+        if let Some(m) = Arc::get_mut(&mut b.module) {
+            m.funcs[self.fid] = std::mem::replace(&mut self.func, Function::new("", None));
+            m.objects.truncate(self.objects_len);
+            let objects = std::mem::take(&mut self.objects);
+            for (i, o) in (self.range.0..).zip(objects) {
+                m.objects[ObjId::from_usize(i)] = o;
+            }
+            m.types.truncate(self.types_len);
+        }
+        match self.memssa.take() {
+            Some(Some(fs)) => {
+                b.memssa.funcs.insert(self.fid, fs);
+            }
+            Some(None) => {
+                b.memssa.funcs.remove(&self.fid);
+            }
+            None => {}
+        }
+        // A read since the splice may have computed the entry from the
+        // new body.
+        b.cfgs.invalidate(self.fid);
+    }
+}
+
+/// An edit spliced into a backend in place. Unless committed, dropping
+/// the guard restores the snapshot: a refused gate, a bad body and an
+/// unwinding panic all leave the backend as it was.
+struct Splice<'a> {
+    b: &'a mut Backend,
+    old: Snapshot,
+    committed: bool,
+}
+
+impl<'a> Splice<'a> {
+    fn new(b: &'a mut Backend, fid: FuncId) -> Splice<'a> {
+        let old = Snapshot::take(b, fid);
+        Splice {
+            b,
+            old,
+            committed: false,
+        }
+    }
+
+    fn commit(mut self) {
+        self.committed = true;
+    }
+}
+
+impl Drop for Splice<'_> {
+    fn drop(&mut self) {
+        if !self.committed {
+            self.old.restore(self.b);
+        }
+    }
+}
+
 /// An operand the points-to solver provably never looks at: swapping it
 /// for another such operand cannot change any points-to or
-/// function-target set (it contributes no constraint edges).
-fn operand_invisible_to_pa(m: &Module, pa: &PointerAnalysis, fid: FuncId, op: Operand) -> bool {
+/// function-target set (it contributes no constraint edges). `f` is the
+/// function `fid` whose variables the operand may name.
+fn operand_invisible_to_pa(
+    types: &TypeTable,
+    f: &Function,
+    pa: &PointerAnalysis,
+    fid: FuncId,
+    op: Operand,
+) -> bool {
     match op {
         Operand::Const(_) | Operand::Undef => true,
         Operand::Var(v) => {
-            let f = &m.funcs[fid];
-            !m.types.is_pointer(f.vars[v].ty)
+            !types.is_pointer(f.vars[v].ty)
                 && pa.pts_var(fid, v).is_empty()
                 && pa.fn_targets(fid, v).is_empty()
         }
@@ -1055,21 +1239,12 @@ impl Engine {
             ));
         }
 
-        // Candidate source text (not committed until the edit succeeds).
-        let session = &self.sessions[&sid];
-        let mut new_lines = session.lines.clone();
+        // The source text changes only when the edit commits: the body's
+        // lines replace the function's span, or follow the last line.
         let body_lines = split_lines(body);
-        let span = session.spans.iter().find(|s| s.name == func).cloned();
-        let mut appended = false;
-        match &span {
-            Some(s) => {
-                new_lines.splice(s.start..s.end, body_lines);
-            }
-            None => {
-                appended = true;
-                new_lines.extend(body_lines);
-            }
-        }
+        let session = &self.sessions[&sid];
+        let at = session.spans.iter().position(|s| s.name == func);
+        let at = at.unwrap_or(session.spans.len());
 
         // Everything the splice phase needs, gathered up front so the
         // mutable session borrow below stays field-local.
@@ -1079,28 +1254,36 @@ impl Engine {
         let label = self.opts.label.clone();
 
         // Fast path: only for sessions with a retained backend and an
-        // in-place replacement. It yields the edit's report, or the reason
-        // it must fall back.
+        // in-place replacement. The body is spliced into the retained
+        // module itself, under a guard that restores the module on every
+        // way out but a commit. It yields the edit's report, or the
+        // reason it must fall back.
         let fast: Result<PipelineReport, &'static str> = 'fast: {
-            if appended {
+            let session = self.sessions.get_mut(&sid).expect("checked above");
+            let Some(span) = session.spans.get(at) else {
                 break 'fast Err("new-function");
-            }
-            let Session {
-                state: SessionState::Ready(b),
-                ..
-            } = &self.sessions[&sid]
-            else {
+            };
+            let SessionState::Ready(b) = &mut session.state else {
                 break 'fast Err("backend-cold");
             };
+            // A comment that opens before the span or closes after it
+            // would change meaning with the span's lines: recompile.
+            if !span.isolated {
+                break 'fast Err("comment-straddles-span");
+            }
             let Some(fid) = b.env.funcs.get(func).map(|t| t.0) else {
                 break 'fast Err("unknown-function");
             };
             if b.inline.involved.contains(&fid) {
                 break 'fast Err("inline-involved");
             }
+            let mut splice = Splice::new(b, fid);
+            let b = &mut *splice.b;
             let t = Instant::now();
-            let mut scratch = Module::clone(&b.module);
-            let relowered = match relower_function(&mut scratch, &b.env, def) {
+            // Copies the module only while the memory tier shares it: on
+            // a session's first edit after a full analysis.
+            let m = Arc::make_mut(&mut b.module);
+            let relowered = match relower_function(m, &b.env, def) {
                 Ok(r) => r,
                 Err(RelowerError::Lower(e)) => {
                     self.counters.user_errors += 1;
@@ -1111,26 +1294,24 @@ impl Engine {
                 }
             };
             stages.push(ran(Stage::Lower, t));
-            if is_inline_target(&scratch, fid) {
+            if is_inline_target(m, fid) {
                 break 'fast Err("inline-target");
             }
-            if raw_body_references_involved(&scratch, fid, &b.inline) {
+            if raw_body_references_involved(m, fid, &b.inline) {
                 break 'fast Err("calls-inline-target");
             }
             let t = Instant::now();
-            let promoted = relowered.promote(&mut scratch, &b.env);
+            let promoted = relowered.promote(m, &b.env);
             stages.push(ran(Stage::Mem2Reg, t));
             if let Err(blocked) = promoted {
                 break 'fast Err(relower_reason(&blocked));
             }
-            if !function_diff_allows_pa_reuse(&b.module, &scratch, fid, &b.pa) {
-                break 'fast Err("pointer-structure-changed");
-            }
-            if !object_ranges_compatible(&b.module, &scratch, fid, &b.env) {
+            let old = &splice.old;
+            if !function_diff_allows_pa_reuse(old, m, &b.pa) || !object_ranges_compatible(old, m) {
                 break 'fast Err("pointer-structure-changed");
             }
 
-            // All gates passed: splice. The retained pointer analysis is
+            // All gates passed. The retained pointer analysis is
             // observably identical on the new module (the diff admits no
             // new constraint edges), which the debug build re-derives
             // and asserts via the mod/ref summaries.
@@ -1139,25 +1320,20 @@ impl Engine {
             // same memory SSA, VFG, Γ and Opt II result (a constant has no
             // points-to set and no value-flow node of its own). The debug
             // build rebuilds them on the cutoff path and asserts the reuse.
-            let value_flow_unchanged = body_equal_up_to_constants(&b.module, &scratch, fid, &b.env);
+            let value_flow_unchanged = body_equal_up_to_constants(old, m);
+            let m: &Module = &b.module;
             #[cfg(debug_assertions)]
             {
-                let mr = usher_vfg::modref_summaries(&scratch, &b.pa);
+                let mr = usher_vfg::modref_summaries(m, &b.pa);
                 debug_assert_eq!(mr.mods, b.modref.mods, "gated edit must preserve mod sets");
                 debug_assert_eq!(mr.refs, b.modref.refs, "gated edit must preserve ref sets");
                 if value_flow_unchanged {
-                    debug_assert_value_flow_reuse(&scratch, b, bopts, fid, depth);
+                    debug_assert_value_flow_reuse(b, bopts, fid, depth);
                 }
             }
 
-            let session = self.sessions.get_mut(&sid).expect("checked above");
-            let SessionState::Ready(b) = &mut session.state else {
-                unreachable!("matched Ready above");
-            };
-            // Any edit starts a new memo epoch, even one that keeps the
-            // VFG the memoized demand verdicts were computed on.
-            b.demand = None;
             b.cfgs.invalidate(fid);
+            let mut rebuilt = None;
             if value_flow_unchanged {
                 for stage in [Stage::MemSsa, Stage::VfgBuild, Stage::Resolve] {
                     stages.push(StageTiming {
@@ -1166,43 +1342,49 @@ impl Engine {
                         cached: true,
                     });
                 }
-                self.counters.edits_value_flow_unchanged += 1;
             } else {
                 let t = Instant::now();
                 let unlimited = &Budget::unlimited();
-                let fs = build_function_ssa_budgeted(
-                    &scratch, &b.pa, fid, &b.cfgs, &b.modref, unlimited,
-                )
-                .expect("unlimited budgets never exhaust");
-                match fs {
-                    Some(fs) => {
-                        b.memssa.funcs.insert(fid, fs);
-                    }
-                    None => {
-                        b.memssa.funcs.remove(&fid);
-                    }
-                }
+                let fs = build_function_ssa_budgeted(m, &b.pa, fid, &b.cfgs, &b.modref, unlimited)
+                    .expect("unlimited budgets never exhaust");
+                splice.old.memssa = Some(match fs {
+                    Some(fs) => b.memssa.funcs.insert(fid, fs),
+                    None => b.memssa.funcs.remove(&fid),
+                });
                 stages.push(ran(Stage::MemSsa, t));
                 let t = Instant::now();
                 let (vfg, tape) =
-                    rebuild_with_tape(&scratch, &b.pa, &b.memssa, &b.cfgs, bopts, &b.tape, fid);
-                b.vfg = vfg;
-                b.tape = tape;
+                    rebuild_with_tape(m, &b.pa, &b.memssa, &b.cfgs, bopts, &b.tape, fid);
                 stages.push(ran(Stage::VfgBuild, t));
                 let t = Instant::now();
                 let out = redundant_check_elimination_budgeted(
-                    &scratch, &b.pa, &b.memssa, &b.vfg, &b.cfgs, depth, unlimited,
+                    m, &b.pa, &b.memssa, &vfg, &b.cfgs, depth, unlimited,
                 )
                 .result;
-                b.gamma = Arc::new(out.gamma);
-                b.redirected = out.redirected;
                 stages.push(ran(Stage::Resolve, t));
+                rebuilt = Some((vfg, tape, out));
             }
             let t = Instant::now();
-            let plan = guided_plan(&scratch, &b.pa, &b.memssa, &b.vfg, &b.gamma, gopts, label);
-            b.plan = Arc::new(plan);
+            let (vfg, gamma) = match &rebuilt {
+                Some((vfg, _, out)) => (vfg, &out.gamma),
+                None => (&b.vfg, &*b.gamma),
+            };
+            let plan = guided_plan(m, &b.pa, &b.memssa, vfg, gamma, gopts, label);
             stages.push(ran(Stage::Instrument, t));
-            b.module = Arc::new(scratch);
+
+            // Commit: nothing below can fail.
+            if let Some((vfg, tape, out)) = rebuilt {
+                b.vfg = vfg;
+                b.tape = tape;
+                b.gamma = Arc::new(out.gamma);
+                b.redirected = out.redirected;
+            } else {
+                self.counters.edits_value_flow_unchanged += 1;
+            }
+            b.plan = Arc::new(plan);
+            // Any edit starts a new memo epoch, even one that keeps the
+            // VFG the memoized demand verdicts were computed on.
+            b.demand = None;
             self.counters.edits_incremental += 1;
             let mut report = PipelineReport::new(format!("session-{sid}"), &self.opts, stages);
             report.set_artifacts(
@@ -1213,6 +1395,7 @@ impl Engine {
                 b.redirected,
                 &b.plan,
             );
+            splice.commit();
             Ok(report)
         };
 
@@ -1225,7 +1408,12 @@ impl Engine {
                 // does not compile as a whole (e.g. a signature change
                 // whose callers were not updated): user error, session
                 // unchanged.
-                let canon = new_lines.join("\n");
+                let session = &self.sessions[&sid];
+                let n = session.lines.len();
+                let (lo, hi) = session.spans.get(at).map_or((n, n), |s| (s.start, s.end));
+                let canon = [&session.lines[..lo], &body_lines, &session.lines[hi..]]
+                    .concat()
+                    .join("\n");
                 let remaining = deadline.map(|d| d.saturating_sub(start.elapsed()));
                 let (backend, mut report) = match self.compute(sid, &canon, remaining) {
                     Ok(c) => c,
@@ -1262,8 +1450,7 @@ impl Engine {
                 "an edit must leave no stale shared CFG or dominator tree"
             );
         }
-        session.lines = new_lines;
-        session.spans = scan_spans(&session.lines);
+        session.splice(at, body_lines);
         session.edits += 1;
         self.counters.functions_recomputed += functions_recomputed as u64;
         if let Some(w) = &mut self.wal {
@@ -1528,20 +1715,17 @@ fn raw_body_references_involved(m: &Module, fid: FuncId, inline: &InlineTrace) -
     found
 }
 
-/// Structural diff of the old and new post-`mem2reg` bodies of `fid`.
+/// Structural diff of the old (snapshot) and new post-`mem2reg` bodies of
+/// the spliced function.
 ///
 /// Returns `true` when the bodies are identical except for operands that
 /// are provably invisible to the points-to solver (see module docs) — in
 /// which case the retained [`PointerAnalysis`] (including its per-
 /// function loop info, since the CFG is required identical) remains
 /// observably valid for the new module.
-fn function_diff_allows_pa_reuse(
-    m_old: &Module,
-    m_new: &Module,
-    fid: FuncId,
-    pa: &PointerAnalysis,
-) -> bool {
-    let fo = &m_old.funcs[fid];
+fn function_diff_allows_pa_reuse(old: &Snapshot, m_new: &Module, pa: &PointerAnalysis) -> bool {
+    let fid = old.fid;
+    let fo = &old.func;
     let fnew = &m_new.funcs[fid];
     if fo.params != fnew.params || fo.entry != fnew.entry {
         return false;
@@ -1559,13 +1743,10 @@ fn function_diff_allows_pa_reuse(
     }
     // An operand pair is acceptable when equal, or when BOTH sides are
     // invisible to the solver. The new side is judged through the old
-    // module's tables — valid because the var tables and types were just
-    // required equal.
-    let lax = |a: &Operand, b: &Operand| {
-        a == b
-            || (operand_invisible_to_pa(m_old, pa, fid, *a)
-                && operand_invisible_to_pa(m_old, pa, fid, *b))
-    };
+    // function's variables — valid because the var tables were just
+    // required equal, and the splice interned no type.
+    let invisible = |op: &Operand| operand_invisible_to_pa(&m_new.types, fo, pa, fid, *op);
+    let lax = |a: &Operand, b: &Operand| a == b || (invisible(a) && invisible(b));
     for bb in fo.blocks.indices() {
         let bo = &fo.blocks[bb];
         let bn = &fnew.blocks[bb];
@@ -1741,14 +1922,11 @@ fn function_diff_allows_pa_reuse(
 /// relevant shape. `env.obj_ranges` describes the post-`mem2reg` table,
 /// so the range holds only the objects that survived promotion, on both
 /// sides (the splice has already required their count equal).
-fn object_ranges_compatible(m_old: &Module, m_new: &Module, fid: FuncId, env: &LowerEnv) -> bool {
-    let Some(&(lo, hi)) = env.obj_ranges.get(fid.index()) else {
-        return true;
-    };
+fn object_ranges_compatible(old: &Snapshot, m_new: &Module) -> bool {
+    let (lo, hi) = old.range;
     for i in lo..hi {
-        let id = ObjId::from_usize(i);
-        let a = &m_old.objects[id];
-        let b = &m_new.objects[id];
+        let a = old.object(i);
+        let b = &m_new.objects[ObjId::from_usize(i)];
         if a.kind != b.kind
             || a.ty != b.ty
             || a.size != b.size
@@ -1782,9 +1960,9 @@ fn object_ranges_compatible(m_old: &Module, m_new: &Module, fid: FuncId, env: &L
 /// pairwise and only a pair that differs is copied to blind its
 /// constants, so an edit that fails the test costs no more than the walk
 /// up to its first non-constant difference.
-fn body_equal_up_to_constants(m_old: &Module, m_new: &Module, fid: FuncId, env: &LowerEnv) -> bool {
-    let fo = &m_old.funcs[fid];
-    let fnew = &m_new.funcs[fid];
+fn body_equal_up_to_constants(old: &Snapshot, m_new: &Module) -> bool {
+    let fo = &old.func;
+    let fnew = &m_new.funcs[old.fid];
     if fo.blocks.len() != fnew.blocks.len() {
         return false;
     }
@@ -1805,12 +1983,7 @@ fn body_equal_up_to_constants(m_old: &Module, m_new: &Module, fid: FuncId, env: 
             && eq_blind(&x.term, &y.term, |t: &mut Terminator| t.map_uses(zero))
             && (x.insts.iter().zip(&y.insts))
                 .all(|(i, j)| eq_blind(i, j, |t: &mut Inst| t.map_uses(zero)))
-    }) && env.obj_ranges.get(fid.index()).is_none_or(|&(lo, hi)| {
-        (lo..hi).all(|i| {
-            let id = ObjId::from_usize(i);
-            m_old.objects[id] == m_new.objects[id]
-        })
-    })
+    }) && (old.range.0..old.range.1).all(|i| *old.object(i) == m_new.objects[ObjId::from_usize(i)])
 }
 
 /// Debug self-check of the value-flow early cutoff: recomputing the
@@ -1818,13 +1991,8 @@ fn body_equal_up_to_constants(m_old: &Module, m_new: &Module, fid: FuncId, env: 
 /// edited module must reproduce exactly the retained memory SSA, graph,
 /// Γ and redirection count that the cutoff reuses.
 #[cfg(debug_assertions)]
-fn debug_assert_value_flow_reuse(
-    m: &Module,
-    b: &Backend,
-    opts: usher_vfg::BuildOpts,
-    fid: FuncId,
-    k: usize,
-) {
+fn debug_assert_value_flow_reuse(b: &Backend, opts: usher_vfg::BuildOpts, fid: FuncId, k: usize) {
+    let m: &Module = &b.module;
     let fs = usher_vfg::build_function_ssa(m, &b.pa, fid, &b.modref);
     match (&fs, b.memssa.funcs.get(&fid)) {
         (None, None) => {}
@@ -2233,6 +2401,228 @@ def main(int c) {
         assert_eq!(e.session_source(sid).unwrap(), src_before);
         assert_eq!(after.edits, 0);
         assert!(e.stats().counters.user_errors >= 3);
+    }
+
+    /// Everything an edit may change in a session: the retained module
+    /// in full (its `Debug` rendering covers every table), the printed IR,
+    /// the Γ and plan fingerprints and the source.
+    fn session_state(e: &mut Engine, sid: u64) -> (String, String, String, String, String) {
+        let SessionState::Ready(b) = &e.sessions[&sid].state else {
+            panic!("session must be Ready");
+        };
+        let module = (format!("{:?}", b.module), usher_ir::print_module(&b.module));
+        let q = e.query(sid).unwrap();
+        let src = e.session_source(sid).unwrap();
+        (
+            module.0,
+            module.1,
+            q.gamma_fingerprint,
+            q.plan_fingerprint,
+            src,
+        )
+    }
+
+    #[test]
+    fn refused_in_place_splices_restore_the_session() {
+        let mut e = engine(EngineConfig::default());
+        let sid = e.analyze(SRC).unwrap().session_id;
+        let before = session_state(&mut e, sid);
+        let matches_cold = |e: &mut Engine| {
+            let q = e.query(sid).unwrap();
+            let (pf, gf) = oracle(&e.session_source(sid).unwrap());
+            assert_eq!(q.plan_fingerprint, pf);
+            assert_eq!(q.gamma_fingerprint, gf);
+        };
+
+        // Lowering fails after the splice has started writing the module.
+        let unknown_var = "def helper0(int a) -> int {
+    int x = a + 1;
+    if (x) { return nosuch * 2; }
+    return 3;
+}";
+        let err = e
+            .edit_within(sid, "helper0", unknown_var, None)
+            .unwrap_err();
+        assert_eq!(err.kind, "bad-edit", "{}", err.detail);
+        assert!(
+            session_state(&mut e, sid) == before,
+            "bad body changed the session"
+        );
+
+        // Both bodies are refused by the splice gates after relowering
+        // (a new pointer depth interns new types; a load dropped from
+        // `main` changes its pointer structure), and their fallback
+        // recompute then fails: the splice must be rolled back.
+        let new_types = "def helper0(int a) -> int {
+    int ***p;
+    int x = a + 1;
+    if (x) { return x * 2; }
+    return 3;
+}";
+        let new_structure = "def main(int c) {
+    int *p;
+    p = malloc(1);
+    *p = helper0(c);
+    shared = c;
+    print(risky(shared));
+}";
+        e.opts.inject_panic = Some("resolve".to_string());
+        for (func, body) in [("helper0", new_types), ("main", new_structure)] {
+            let err = e.edit_within(sid, func, body, None).unwrap_err();
+            assert_eq!(err.kind, "internal-panic", "{func}: {}", err.detail);
+            assert!(
+                session_state(&mut e, sid) == before,
+                "{func}: a refused splice changed the session"
+            );
+        }
+        e.opts.inject_panic = None;
+        assert_eq!(e.query(sid).unwrap().edits, 0);
+
+        // The restored session still edits incrementally and exactly.
+        let out = e
+            .edit(
+                sid,
+                "helper0",
+                "def helper0(int a) -> int {
+    int x = a + 1;
+    if (x) { return x * 8; }
+    return 3;
+}",
+            )
+            .unwrap();
+        assert!(out.incremental, "{:?}", out.fallback_reason);
+        matches_cold(&mut e);
+        for (func, body, reason) in [
+            ("main", new_structure, "pointer-structure-changed"),
+            ("helper0", new_types, "new-types"),
+        ] {
+            let out = e.edit(sid, func, body).unwrap();
+            assert_eq!(out.fallback_reason, Some(reason));
+            matches_cold(&mut e);
+        }
+    }
+
+    #[test]
+    fn unwinding_out_of_a_splice_restores_the_module() {
+        let mut e = engine(EngineConfig::default());
+        let sid = e.analyze(SRC).unwrap().session_id;
+        let before = session_state(&mut e, sid);
+        let prog = parser::parse(
+            "def helper0(int a) -> int {
+    int ***p;
+    int y = 2;
+    int *q = &y;
+    return a;
+}",
+        )
+        .unwrap();
+        let SessionState::Ready(b) = &mut e.sessions.get_mut(&sid).unwrap().state else {
+            panic!("cold session must be Ready");
+        };
+        let fid = b.env.funcs["helper0"].0;
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let splice = Splice::new(b, fid);
+            let m = Arc::make_mut(&mut splice.b.module);
+            let relowered = relower_function(m, &splice.b.env, &prog.funcs[0]);
+            assert!(
+                m.types.len() > splice.old.types_len,
+                "the body interns types"
+            );
+            drop(relowered);
+            panic!("a stage panicked mid-splice");
+        }));
+        assert!(unwound.is_err());
+        assert!(
+            session_state(&mut e, sid) == before,
+            "unwinding left the splice in place"
+        );
+    }
+
+    #[test]
+    fn unterminated_comment_in_an_edit_is_a_bad_edit() {
+        let mut e = engine(EngineConfig::default());
+        let sid = e.analyze(SRC).unwrap().session_id;
+        let before = session_state(&mut e, sid);
+        let body = "def helper0(int a) -> int {
+    int x = a + 1;
+    if (x) { return x * 2; }
+    return 3;
+} /* trailing";
+        let err = e.edit_within(sid, "helper0", body, None).unwrap_err();
+        assert_eq!(err.kind, "bad-edit");
+        assert!(
+            err.detail.contains("unterminated block comment"),
+            "{}",
+            err.detail
+        );
+        assert!(session_state(&mut e, sid) == before);
+        // The next edit of another function still splices in place.
+        let out = e
+            .edit(
+                sid,
+                "risky",
+                "def risky(int c) -> int {
+    int x;
+    if (c) { x = 4; }
+    if (x) { return 1; }
+    return 0;
+}",
+            )
+            .unwrap();
+        assert!(out.incremental, "{:?}", out.fallback_reason);
+        assert_eq!(e.query(sid).unwrap().functions_total, 3);
+    }
+
+    #[test]
+    fn edits_of_a_span_that_shares_a_block_comment_recompile() {
+        // `g`'s first line closes a comment opened above it: replacing
+        // that line reopens the comment over the rest of the file, so the
+        // edit must be compiled from the spliced text, which fails here.
+        let src = "def f() -> int { return 1; }
+/* note
+*/ def g() -> int { return 2; }
+def main() { print(f() + g()); }";
+        let mut e = engine(EngineConfig::default());
+        let sid = e.analyze(src).unwrap().session_id;
+        let before = session_state(&mut e, sid);
+        let err = e
+            .edit_within(sid, "g", "def g() -> int { return 3; }", None)
+            .unwrap_err();
+        assert_eq!(err.kind, "bad-edit", "{}", err.detail);
+        assert!(session_state(&mut e, sid) == before);
+        let out = e.edit(sid, "f", "def f() -> int { return 5; }").unwrap();
+        assert!(out.incremental, "{:?}", out.fallback_reason);
+        let out = e.edit(sid, "g", "*/ def g() -> int { return 3; }");
+        assert!(out.is_err(), "a body must lex on its own");
+    }
+
+    #[test]
+    fn spliced_spans_equal_a_full_rescan() {
+        let src = "def a() -> int {
+    return 1;
+}
+// between
+def b() -> int { return 2; }
+def main() { print(a() + b()); }";
+        let mut e = engine(EngineConfig::default());
+        let sid = e.analyze(src).unwrap().session_id;
+        let s = e.sessions.get_mut(&sid).unwrap();
+        // Longer, shorter, appended, and a body led by its own comments.
+        for (at, body) in [
+            (0, "def a() -> int {\n    int x = 1;\n    return x;\n}"),
+            (1, "def b() -> int {\n    return 2;\n}"),
+            (0, "def a() -> int { return 1; }"),
+            (3, "def c() -> int {\n    return 3;\n}"),
+            (
+                2,
+                "/* main,\n   rewritten */\n// twice\ndef main() {\n  print(a());\n}",
+            ),
+        ] {
+            s.splice(at, split_lines(body));
+            assert_eq!(s.spans, scan_spans(&s.lines), "{body}");
+        }
+        let names: Vec<&str> = s.spans.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["a", "b", "main", "c"]);
     }
 
     #[test]

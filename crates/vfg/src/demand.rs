@@ -380,7 +380,6 @@ pub struct DemandEngine {
     comp_mark: Vec<u32>,
     epoch: u32,
     n: usize,
-    k: usize,
 }
 
 impl DemandEngine {
@@ -409,13 +408,7 @@ impl DemandEngine {
             comp_mark: vec![0; sccs],
             epoch: 0,
             n,
-            k,
         }
-    }
-
-    /// The context depth the engine was built with.
-    pub fn context_depth(&self) -> usize {
-        self.k
     }
 
     /// Number of VFG nodes the engine covers.

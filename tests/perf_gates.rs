@@ -205,6 +205,85 @@ fn cold_demand_query_beats_a_cold_resolve_on_the_largest_rung() {
     );
 }
 
+/// A JSON-lines `analyze` request for `src`.
+fn analyze_request(src: &str, id: &str) -> String {
+    let mut w = ObjWriter::new();
+    w.str("op", "analyze").str("source", src).str("id", id);
+    w.finish()
+}
+
+/// Sends `line` and asserts an `ok` response.
+fn ok(d: &Dispatcher, line: &str) -> Json {
+    let resp = Json::parse(&d.handle_line("gate", line).response).expect("json response");
+    assert_eq!(
+        resp.get("ok").and_then(Json::as_bool),
+        Some(true),
+        "{resp:?}"
+    );
+    resp
+}
+
+/// The faster of two cold analyzes of `src`, each through a fresh
+/// dispatcher on a fresh disk store (WAL on), and the second dispatcher
+/// with its store directory and its cold session.
+fn cold_dispatcher(src: &str) -> (f64, Dispatcher, std::path::PathBuf, u64) {
+    let mut cold = f64::INFINITY;
+    let mut dispatcher = None;
+    for run in 0..2 {
+        let dir =
+            std::env::temp_dir().join(format!("usher-perf-gate-{}-{run}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let d = Dispatcher::new(&ServerConfig {
+            store_dir: Some(dir.clone()),
+            ..ServerConfig::default()
+        })
+        .expect("dispatcher opens");
+        let t = Instant::now();
+        let resp = ok(&d, &analyze_request(src, "cold"));
+        cold = cold.min(t.elapsed().as_secs_f64());
+        assert_eq!(resp.get("mode").and_then(Json::as_str), Some("cold"));
+        let sid = resp
+            .get("session")
+            .and_then(Json::as_u64)
+            .expect("session id");
+        if let Some((_, old, _)) = dispatcher.replace((d, dir, sid)) {
+            let _ = std::fs::remove_dir_all(old);
+        }
+    }
+    let (d, dir, sid) = dispatcher.expect("two cold runs");
+    (cold, d, dir, sid)
+}
+
+/// Synthesized edit `k` of session `sid` through the protocol: its
+/// wall time and whether it took the incremental path. `None` when the
+/// source offers no edit `k`.
+fn timed_edit(d: &Dispatcher, sid: u64, k: usize) -> Option<(f64, bool)> {
+    let source = d
+        .engine()
+        .lock()
+        .unwrap()
+        .session_source(sid)
+        .expect("session is open");
+    let (func, body) = synthesize_edit(&source, k)?;
+    let mut w = ObjWriter::new();
+    w.str("op", "edit")
+        .u64("session", sid)
+        .str("func", &func)
+        .str("body", &body);
+    let t = Instant::now();
+    let resp = ok(d, &w.finish());
+    let dt = t.elapsed().as_secs_f64();
+    Some((
+        dt,
+        resp.get("incremental").and_then(Json::as_bool) == Some(true),
+    ))
+}
+
+fn p50(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[((xs.len() - 1) as f64 * 0.5).round() as usize]
+}
+
 /// The serve trace on gen-37: a cold analyze, four warm client sessions,
 /// eight synthesized edits per client round-robin with a warm re-analyze
 /// after each round, all through `Dispatcher::handle_line` on a disk
@@ -220,45 +299,11 @@ fn incremental_edits_beat_a_cold_analyze() {
     const EDITS_PER_CLIENT: usize = 8;
     const SPEEDUP_FLOOR: f64 = 1.5;
     let src = generate(37, ladder_config(32, 12));
-    let analyze = |id: &str| {
-        let mut w = ObjWriter::new();
-        w.str("op", "analyze").str("source", &src).str("id", id);
-        w.finish()
-    };
-    let ok = |d: &Dispatcher, line: &str| {
-        let resp = Json::parse(&d.handle_line("gate", line).response).expect("json response");
-        assert_eq!(
-            resp.get("ok").and_then(Json::as_bool),
-            Some(true),
-            "{resp:?}"
-        );
-        resp
-    };
-
-    let mut cold = f64::INFINITY;
-    let mut dispatcher = None;
-    for run in 0..2 {
-        let dir =
-            std::env::temp_dir().join(format!("usher-perf-gate-{}-{run}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let d = Dispatcher::new(&ServerConfig {
-            store_dir: Some(dir.clone()),
-            ..ServerConfig::default()
-        })
-        .expect("dispatcher opens");
-        let t = Instant::now();
-        let resp = ok(&d, &analyze("cold"));
-        cold = cold.min(t.elapsed().as_secs_f64());
-        assert_eq!(resp.get("mode").and_then(Json::as_str), Some("cold"));
-        if let Some((_, old)) = dispatcher.replace((d, dir)) {
-            let _ = std::fs::remove_dir_all(old);
-        }
-    }
-    let (d, dir) = dispatcher.expect("two cold runs");
+    let (cold, d, dir, _) = cold_dispatcher(&src);
 
     let sessions: Vec<u64> = (0..CLIENTS)
         .map(|c| {
-            let resp = ok(&d, &analyze(&format!("open-{c}")));
+            let resp = ok(&d, &analyze_request(&src, &format!("open-{c}")));
             assert_eq!(resp.get("mode").and_then(Json::as_str), Some("warm"));
             resp.get("session")
                 .and_then(Json::as_u64)
@@ -269,40 +314,62 @@ fn incremental_edits_beat_a_cold_analyze() {
     for round in 0..EDITS_PER_CLIENT {
         for (c, &sid) in sessions.iter().enumerate() {
             let k = round * CLIENTS + c;
-            let source = d
-                .engine()
-                .lock()
-                .unwrap()
-                .session_source(sid)
-                .expect("session is open");
-            let Some((func, body)) = synthesize_edit(&source, k) else {
-                continue;
-            };
-            let mut w = ObjWriter::new();
-            w.str("op", "edit")
-                .u64("session", sid)
-                .str("func", &func)
-                .str("body", &body);
-            let t = Instant::now();
-            let resp = ok(&d, &w.finish());
-            let dt = t.elapsed().as_secs_f64();
-            if resp.get("incremental").and_then(Json::as_bool) == Some(true) {
+            if let Some((dt, true)) = timed_edit(&d, sid, k) {
                 incremental.push(dt);
             }
         }
-        ok(&d, &analyze(&format!("re-{round}")));
+        ok(&d, &analyze_request(&src, &format!("re-{round}")));
     }
     drop(d);
     let _ = std::fs::remove_dir_all(&dir);
 
     assert!(!incremental.is_empty(), "no edit took the incremental path");
-    incremental.sort_by(f64::total_cmp);
-    let p50 = incremental[((incremental.len() - 1) as f64 * 0.5).round() as usize];
+    let p50 = p50(incremental);
     let speedup = cold / p50.max(1e-9);
     report("serve-incremental-speedup/gen-37", speedup, SPEEDUP_FLOOR);
     assert!(
         speedup >= SPEEDUP_FLOOR,
         "incremental p50 {:.3}ms is only {speedup:.2}x faster than a cold analyze {:.3}ms",
+        p50 * 1e3,
+        cold * 1e3
+    );
+}
+
+/// Const-swap edits on the serve-session program shape (gen-131, 160
+/// helpers of 14 statements): after a cold analyze on a disk store with
+/// the WAL on, 36 edits of the cold session that each change one
+/// constant of one helper, all through `Dispatcher::handle_line`. Every one must take the
+/// incremental path, and their p50 must beat the cold analyze by 40x:
+/// such an edit splices one function into the retained module and
+/// source and re-runs only planning, so it must not pay for copying or
+/// rescanning the whole program.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "timing gate: release only, run by scripts/ci.sh"
+)]
+fn const_swap_edits_beat_a_cold_analyze_by_40x_on_gen_131() {
+    const EDITS: usize = 36;
+    const SPEEDUP_FLOOR: f64 = 40.0;
+    let src = generate(131, ladder_config(160, 14));
+    let (cold, d, dir, sid) = cold_dispatcher(&src);
+    // Even `k` is a const swap in `synthesize_edit`.
+    let edits: Vec<f64> = (0..EDITS)
+        .map(|i| {
+            let (dt, incremental) = timed_edit(&d, sid, 2 * i).expect("helpers have constants");
+            assert!(incremental, "const swap {i} fell back");
+            dt
+        })
+        .collect();
+    drop(d);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let p50 = p50(edits);
+    let speedup = cold / p50.max(1e-9);
+    report("serve-const-swap-speedup/gen-131", speedup, SPEEDUP_FLOOR);
+    assert!(
+        speedup >= SPEEDUP_FLOOR,
+        "const-swap p50 {:.3}ms is only {speedup:.1}x faster than a cold analyze {:.3}ms",
         p50 * 1e3,
         cold * 1e3
     );
