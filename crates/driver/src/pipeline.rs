@@ -64,8 +64,8 @@ use usher_ir::{
 };
 use usher_pointer::{PointerAnalysis, PointerStrategy};
 use usher_vfg::{
-    build_function_ssa_budgeted, build_with_budgeted, build_with_tape, modref_summaries_budgeted,
-    MemSsa, ModRef, NodeKind, Vfg, VfgMode, VfgTape,
+    build_function_ssa_budgeted, build_with_budgeted, modref_summaries_budgeted, MemSsa, ModRef,
+    NodeKind, Vfg, VfgMode,
 };
 
 use crate::cache::{Artifact, ArtifactCache, CacheStats};
@@ -231,9 +231,6 @@ pub struct RetainedRun {
     /// The mod/ref summaries memory SSA was built from (`None` when the
     /// run built no memory SSA).
     pub modref: Option<ModRef>,
-    /// The VFG's replayable build tape (`None` when the run built no
-    /// VFG).
-    pub tape: Option<VfgTape>,
     /// The module's shared CFGs and dominator trees, as the stages left
     /// them.
     pub cfgs: ModuleCfgs,
@@ -269,7 +266,6 @@ struct RunCtx<'a> {
     env: Option<LowerEnv>,
     inline: Option<InlineTrace>,
     modref: Option<ModRef>,
-    tape: Option<VfgTape>,
     cfgs: Option<ModuleCfgs>,
 }
 
@@ -289,7 +285,6 @@ impl RunCtx<'_> {
             env: None,
             inline: None,
             modref: None,
-            tape: None,
             cfgs: None,
         }
     }
@@ -438,7 +433,7 @@ impl Pipeline {
     /// [`Pipeline::run_source`], also returning the state an incremental
     /// re-analysis of one function needs (see [`RetainedRun`]). The run
     /// never reads or fills the artifact cache, so its artifacts are its
-    /// own. Only this entry point records a VFG tape.
+    /// own.
     ///
     /// # Errors
     ///
@@ -458,7 +453,6 @@ impl Pipeline {
             env: ctx.env.expect("an uncached TinyC run lowers its source"),
             inline: ctx.inline.expect("an uncached TinyC run inlines"),
             modref: ctx.modref,
-            tape: ctx.tape,
             cfgs: ctx.cfgs.expect("a retained run keeps its CFGs"),
         })
     }
@@ -712,22 +706,12 @@ impl Pipeline {
             }
             _ => {
                 deadline_gate(budget, Stage::VfgBuild)?;
-                let record = ctx.retain;
                 let computed = ctx.timed(Stage::VfgBuild, |_| {
                     contained(options, Stage::VfgBuild, || {
-                        let opts = g.build_opts();
-                        if record {
-                            build_with_tape(module, &pa, &memssa, cfgs, opts, budget)
-                                .map(|(v, tape)| (v, Some(tape)))
-                        } else {
-                            build_with_budgeted(module, &pa, &memssa, cfgs, opts, budget)
-                                .map(|v| (v, None))
-                        }
+                        build_with_budgeted(module, &pa, &memssa, cfgs, g.build_opts(), budget)
                     })
                 });
-                let (v, tape) = stage_result(computed, Stage::VfgBuild)?;
-                ctx.tape = tape;
-                let v = Arc::new(v);
+                let v = Arc::new(stage_result(computed, Stage::VfgBuild)?);
                 ctx.store(vk, Artifact::Vfg(v.clone()));
                 v
             }
@@ -1203,8 +1187,7 @@ mod tests {
         assert_eq!(stages(&plain.report), stages(&kept.run.report));
         assert!(kept.run.report.stages.iter().all(|t| !t.cached));
         assert_eq!(kept.run.report.cache_hits + kept.run.report.cache_misses, 0);
-        assert!(kept.modref.is_some() && kept.tape.is_some());
-        assert_eq!(kept.tape.unwrap().num_funcs(), kept.run.module.funcs.len());
+        assert!(kept.modref.is_some());
         assert!(kept.env.funcs.contains_key("helper"));
         for a in [
             Arc::strong_count(kept.run.pa.as_ref().unwrap()),

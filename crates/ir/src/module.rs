@@ -31,16 +31,6 @@ pub enum Operand {
     Undef,
 }
 
-impl Operand {
-    /// The variable this operand reads, if it is a register.
-    pub fn as_var(self) -> Option<VarId> {
-        match self {
-            Operand::Var(v) => Some(v),
-            _ => None,
-        }
-    }
-}
-
 impl From<VarId> for Operand {
     fn from(v: VarId) -> Self {
         Operand::Var(v)
@@ -76,14 +66,6 @@ impl BinOp {
         matches!(
             self,
             BinOp::And | BinOp::Or | BinOp::Xor | BinOp::Shl | BinOp::Shr
-        )
-    }
-
-    /// Whether the operator is a comparison producing a boolean int.
-    pub fn is_comparison(self) -> bool {
-        matches!(
-            self,
-            BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
         )
     }
 }
@@ -591,11 +573,6 @@ impl Site {
     /// Builds a site.
     pub fn new(func: FuncId, block: BlockId, idx: usize) -> Self {
         Site { func, block, idx }
-    }
-
-    /// Whether this site addresses the block terminator of `f`.
-    pub fn is_terminator(&self, f: &Function) -> bool {
-        self.idx >= f.blocks[self.block].insts.len()
     }
 }
 

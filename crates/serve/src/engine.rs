@@ -45,12 +45,12 @@
 //!   solver ignores both, and `zero_init` only feeds the recomputed
 //!   slices of the edited function).
 //!
-//! If every gate passes, only the function's memory-SSA and VFG slice is
-//! recomputed — the VFG is re-assembled from the build tape recorded at
-//! cold analysis time — followed by the (global, but cheap) resolve and
-//! planning stages. Any gate failure falls back to a full recompute with
-//! the reason recorded in the response and the telemetry line; fallbacks
-//! are sound, never silent.
+//! If every gate passes, only the function's memory SSA and CFG are
+//! recomputed. The VFG is rebuilt by the same builder a cold run uses,
+//! over the retained CFGs of every other function, followed by the
+//! (global, but cheap) resolve and planning stages. Any gate failure
+//! falls back to a full recompute with the reason recorded in the
+//! response and the telemetry line; fallbacks are sound, never silent.
 //!
 //! The splice first copies the little it can change: the old function,
 //! its objects and the lengths of the object and type tables. Every
@@ -95,8 +95,7 @@ use usher_ir::{
 };
 use usher_pointer::{PointerAnalysis, SolverStats};
 use usher_vfg::{
-    build_function_ssa_budgeted, rebuild_with_tape, DemandEngine, FuncMemSsa, MemSsa, ModRef, Vfg,
-    VfgTape,
+    build_function_ssa_budgeted, build_with_budgeted, DemandEngine, FuncMemSsa, MemSsa, ModRef, Vfg,
 };
 
 use crate::codec;
@@ -357,7 +356,6 @@ struct Backend {
     modref: ModRef,
     memssa: MemSsa,
     vfg: Vfg,
-    tape: VfgTape,
     /// `module`'s shared CFGs and dominator trees. An incremental edit
     /// invalidates only the edited function's entry, so its memory SSA,
     /// VFG rebuild and whole-program Opt II recompute no other function's.
@@ -589,7 +587,6 @@ impl Backend {
             modref: r.modref.expect("a full-mode run builds memory SSA"),
             memssa: own(run.memssa),
             vfg: own(run.vfg),
-            tape: r.tape.expect("a strict guided run builds the VFG"),
             cfgs: r.cfgs,
             gamma: run.gamma.expect("a strict guided run resolves"),
             redirected: run.opt2_redirected,
@@ -1353,8 +1350,8 @@ impl Engine {
                 });
                 stages.push(ran(Stage::MemSsa, t));
                 let t = Instant::now();
-                let (vfg, tape) =
-                    rebuild_with_tape(m, &b.pa, &b.memssa, &b.cfgs, bopts, &b.tape, fid);
+                let vfg = build_with_budgeted(m, &b.pa, &b.memssa, &b.cfgs, bopts, unlimited)
+                    .expect("unlimited budgets never exhaust");
                 stages.push(ran(Stage::VfgBuild, t));
                 let t = Instant::now();
                 let out = redundant_check_elimination_budgeted(
@@ -1362,20 +1359,19 @@ impl Engine {
                 )
                 .result;
                 stages.push(ran(Stage::Resolve, t));
-                rebuilt = Some((vfg, tape, out));
+                rebuilt = Some((vfg, out));
             }
             let t = Instant::now();
             let (vfg, gamma) = match &rebuilt {
-                Some((vfg, _, out)) => (vfg, &out.gamma),
+                Some((vfg, out)) => (vfg, &out.gamma),
                 None => (&b.vfg, &*b.gamma),
             };
             let plan = guided_plan(m, &b.pa, &b.memssa, vfg, gamma, gopts, label);
             stages.push(ran(Stage::Instrument, t));
 
             // Commit: nothing below can fail.
-            if let Some((vfg, tape, out)) = rebuilt {
+            if let Some((vfg, out)) = rebuilt {
                 b.vfg = vfg;
-                b.tape = tape;
                 b.gamma = Arc::new(out.gamma);
                 b.redirected = out.redirected;
             } else {
@@ -2019,7 +2015,8 @@ fn debug_assert_value_flow_reuse(b: &Backend, opts: usher_vfg::BuildOpts, fid: F
         ),
     }
     let cfgs = ModuleCfgs::new(m);
-    let (vfg, _) = rebuild_with_tape(m, &b.pa, &b.memssa, &cfgs, opts, &b.tape, fid);
+    let vfg = build_with_budgeted(m, &b.pa, &b.memssa, &cfgs, opts, &Budget::unlimited())
+        .expect("unlimited budgets never exhaust");
     debug_assert_eq!(vfg.nodes, b.vfg.nodes, "cutoff must keep the VFG nodes");
     debug_assert_eq!(vfg.deps, b.vfg.deps, "cutoff must keep the dependence CSR");
     debug_assert_eq!(vfg.users, b.vfg.users, "cutoff must keep the user CSR");

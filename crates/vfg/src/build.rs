@@ -303,74 +303,6 @@ impl Default for BuildOpts {
     }
 }
 
-/// One recorded builder operation. A function's traversal is replayed
-/// from these to rebuild an identical graph without touching the
-/// function body: `Touch` reproduces the exact node interning order
-/// (recorded even on table hits), `Def`/`Edge` the metadata and edge
-/// arena, and the two composite ops re-execute against the *current*
-/// module state — `Check` because check nodes are always fresh, `Call`
-/// because a call's emissions read the callee's params, returns and
-/// memory summaries, which may belong to the one function that changed.
-#[derive(Clone, Copy, Debug)]
-enum TapeOp {
-    Touch(NodeKind),
-    Def(NodeKind, Site),
-    Edge(NodeKind, NodeKind, EdgeKind),
-    Check(Site, Operand, CheckKind),
-    Call(Site),
-}
-
-/// The recorded traversal of one function: its builder ops in emission
-/// order plus its contribution to the store statistics.
-#[derive(Clone, Debug, Default)]
-struct FuncTape {
-    ops: Vec<TapeOp>,
-    stats: VfgStats,
-}
-
-/// A per-function recording of an entire VFG construction, replayable by
-/// [`rebuild_with_tape`] with any single function swapped out for a live
-/// traversal. Tapes of unchanged functions are shared (`Arc`) across
-/// rebuilds.
-#[derive(Clone, Debug)]
-pub struct VfgTape {
-    funcs: Vec<std::sync::Arc<FuncTape>>,
-    opts: BuildOpts,
-}
-
-impl VfgTape {
-    /// The options the tape was recorded under; a rebuild must use the
-    /// same ones.
-    pub fn opts(&self) -> BuildOpts {
-        self.opts
-    }
-
-    /// Number of recorded functions.
-    pub fn num_funcs(&self) -> usize {
-        self.funcs.len()
-    }
-}
-
-fn stats_delta(after: &VfgStats, before: &VfgStats) -> VfgStats {
-    VfgStats {
-        strong_stores: after.strong_stores - before.strong_stores,
-        weak_singleton_stores: after.weak_singleton_stores - before.weak_singleton_stores,
-        semi_strong_stores: after.semi_strong_stores - before.semi_strong_stores,
-        multi_target_stores: after.multi_target_stores - before.multi_target_stores,
-        total_stores: after.total_stores - before.total_stores,
-        store_chis: after.store_chis - before.store_chis,
-    }
-}
-
-fn stats_add(into: &mut VfgStats, d: &VfgStats) {
-    into.strong_stores += d.strong_stores;
-    into.weak_singleton_stores += d.weak_singleton_stores;
-    into.semi_strong_stores += d.semi_strong_stores;
-    into.multi_target_stores += d.multi_target_stores;
-    into.total_stores += d.total_stores;
-    into.store_chis += d.store_chis;
-}
-
 /// The in-flight construction state: node tables plus one flat edge
 /// arena. Nodes are interned in the same traversal order as the frozen
 /// reference builder, so ids are identical across generations.
@@ -385,9 +317,6 @@ struct Builder {
     f_root: u32,
     checks: Vec<Check>,
     stats: VfgStats,
-    /// Active tape recording, if any. Composite emissions (checks,
-    /// calls) suppress it around their low-level ops.
-    rec: Option<Vec<TapeOp>>,
 }
 
 impl Builder {
@@ -410,7 +339,6 @@ impl Builder {
             f_root: 0,
             checks: Vec::new(),
             stats: VfgStats::default(),
-            rec: None,
         };
         b.t_root = b.fresh(NodeKind::RootT);
         b.f_root = b.fresh(NodeKind::RootF);
@@ -425,11 +353,6 @@ impl Builder {
     }
 
     fn tl_node(&mut self, f: FuncId, v: VarId) -> u32 {
-        if let Some(r) = self.rec.as_mut() {
-            // Recorded even on a table hit: replay must reproduce the
-            // exact first-touch interning order.
-            r.push(TapeOp::Touch(NodeKind::Tl(f, v)));
-        }
         let slot = &mut self.tl_ids[f.index()][v.index()];
         if *slot != 0 {
             return *slot - 1;
@@ -442,9 +365,6 @@ impl Builder {
     }
 
     fn mem_node(&mut self, f: FuncId, mv: MemVerId) -> u32 {
-        if let Some(r) = self.rec.as_mut() {
-            r.push(TapeOp::Touch(NodeKind::Mem(f, mv)));
-        }
         let slot = &mut self.mem_ids[f.index()][mv.0 as usize];
         if *slot != 0 {
             return *slot - 1;
@@ -461,35 +381,13 @@ impl Builder {
         self.fresh(NodeKind::Check(site))
     }
 
-    /// Interns the node a tape operand refers to. Check nodes never
-    /// appear as tape operands (their emissions are composite ops).
-    fn intern(&mut self, kind: NodeKind) -> u32 {
-        match kind {
-            NodeKind::RootT => self.t_root,
-            NodeKind::RootF => self.f_root,
-            NodeKind::Tl(f, v) => self.tl_node(f, v),
-            NodeKind::Mem(f, mv) => self.mem_node(f, mv),
-            NodeKind::Check(_) => unreachable!("check nodes are never tape operands"),
-        }
-    }
-
     /// Records a defining site for a node.
     fn set_def(&mut self, node: u32, site: Site) {
-        if let Some(r) = self.rec.as_mut() {
-            r.push(TapeOp::Def(self.nodes[node as usize], site));
-        }
         self.def_site[node as usize] = Some(site);
     }
 
     #[inline]
     fn edge(&mut self, from: u32, to: u32, kind: EdgeKind) {
-        if let Some(r) = self.rec.as_mut() {
-            r.push(TapeOp::Edge(
-                self.nodes[from as usize],
-                self.nodes[to as usize],
-                kind,
-            ));
-        }
         self.edges.push((from, to, kind));
     }
 
@@ -601,127 +499,6 @@ pub fn build_with_budgeted(
     Ok(b.finish(opts.mode))
 }
 
-/// [`build_with_budgeted`], additionally recording a replayable
-/// per-function tape of the construction alongside the graph.
-pub fn build_with_tape(
-    m: &Module,
-    pa: &PointerAnalysis,
-    ms: &MemSsa,
-    cfgs: &ModuleCfgs,
-    opts: BuildOpts,
-    budget: &Budget,
-) -> Result<(Vfg, VfgTape), Exhausted> {
-    let mut b = Builder::new(m, ms);
-    let mut funcs = Vec::with_capacity(m.funcs.len());
-    for fid in m.funcs.indices() {
-        let fc = cfgs.get(m, fid);
-        funcs.push(std::sync::Arc::new(record_function(
-            &mut b, m, pa, ms, fc, fid, opts, budget,
-        )?));
-    }
-    Ok((b.finish(opts.mode), VfgTape { funcs, opts }))
-}
-
-/// Rebuilds the VFG after an edit confined to `dirty`'s body: every
-/// other function replays its recorded tape (no CFG, dominator or
-/// instruction work), `dirty` is traversed live, on its entry in the
-/// shared `cfgs`, and re-recorded. The
-/// result is bit-identical to [`build_with_tape`] on the current module
-/// because the replayed ops reproduce the exact node interning and edge
-/// emission order, and the composite `Check`/`Call` ops re-read the
-/// current module state for anything that can reference `dirty`.
-pub fn rebuild_with_tape(
-    m: &Module,
-    pa: &PointerAnalysis,
-    ms: &MemSsa,
-    cfgs: &ModuleCfgs,
-    opts: BuildOpts,
-    tape: &VfgTape,
-    dirty: FuncId,
-) -> (Vfg, VfgTape) {
-    assert_eq!(
-        tape.funcs.len(),
-        m.funcs.len(),
-        "tape does not match the module's function count"
-    );
-    assert_eq!(tape.opts, opts, "tape was recorded under different options");
-    let mut b = Builder::new(m, ms);
-    let mut funcs = Vec::with_capacity(m.funcs.len());
-    for fid in m.funcs.indices() {
-        if fid == dirty {
-            let fc = cfgs.get(m, fid);
-            let live = record_function(&mut b, m, pa, ms, fc, fid, opts, &Budget::unlimited())
-                .expect("unlimited budgets never exhaust");
-            funcs.push(std::sync::Arc::new(live));
-        } else {
-            replay_function(&mut b, m, pa, ms, fid, opts, &tape.funcs[fid.index()]);
-            funcs.push(std::sync::Arc::clone(&tape.funcs[fid.index()]));
-        }
-    }
-    (b.finish(opts.mode), VfgTape { funcs, opts })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn record_function(
-    b: &mut Builder,
-    m: &Module,
-    pa: &PointerAnalysis,
-    ms: &MemSsa,
-    fc: &FuncCfg,
-    fid: FuncId,
-    opts: BuildOpts,
-    budget: &Budget,
-) -> Result<FuncTape, Exhausted> {
-    let before = b.stats;
-    b.rec = Some(Vec::new());
-    traverse_function(b, m, pa, ms, fc, fid, opts, budget)?;
-    let ops = b.rec.take().unwrap_or_default();
-    Ok(FuncTape {
-        ops,
-        stats: stats_delta(&b.stats, &before),
-    })
-}
-
-fn replay_function(
-    b: &mut Builder,
-    m: &Module,
-    pa: &PointerAnalysis,
-    ms: &MemSsa,
-    fid: FuncId,
-    opts: BuildOpts,
-    ft: &FuncTape,
-) {
-    debug_assert!(b.rec.is_none(), "replay never records");
-    let full = opts.mode == VfgMode::Full;
-    for op in &ft.ops {
-        match *op {
-            TapeOp::Touch(kind) => {
-                b.intern(kind);
-            }
-            TapeOp::Def(kind, site) => {
-                let n = b.intern(kind);
-                b.set_def(n, site);
-            }
-            TapeOp::Edge(from, to, ek) => {
-                let x = b.intern(from);
-                let y = b.intern(to);
-                b.edge(x, y, ek);
-            }
-            TapeOp::Check(site, operand, kind) => {
-                register_check(b, site, operand, kind, fid);
-            }
-            TapeOp::Call(site) => {
-                let inst = &m.funcs[site.func].blocks[site.block].insts[site.idx];
-                let Inst::Call { dst, callee, args } = inst else {
-                    unreachable!("Call tape op does not point at a call instruction");
-                };
-                build_call(b, m, pa, ms, fid, site, *dst, callee, args, full);
-            }
-        }
-    }
-    stats_add(&mut b.stats, &ft.stats);
-}
-
 #[allow(clippy::too_many_arguments)]
 fn traverse_function(
     b: &mut Builder,
@@ -787,7 +564,7 @@ fn traverse_function(
         let term_site = Site::new(fid, bb, block.insts.len());
         match &block.term {
             Terminator::Br { cond, .. } => {
-                register_check_traced(b, term_site, *cond, CheckKind::BranchCond, fid);
+                register_check(b, term_site, *cond, CheckKind::BranchCond, fid);
             }
             Terminator::Jmp(_) | Terminator::Ret(_) | Terminator::Unreachable => {}
         }
@@ -818,18 +595,6 @@ fn register_check(b: &mut Builder, site: Site, op: Operand, kind: CheckKind, f: 
         operand: op,
         kind,
     });
-}
-
-/// [`register_check`] recorded as one composite tape op: the check node
-/// is always fresh, so replay re-executes the registration rather than
-/// replaying its low-level emissions.
-fn register_check_traced(b: &mut Builder, site: Site, op: Operand, kind: CheckKind, f: FuncId) {
-    let saved = b.rec.take();
-    register_check(b, site, op, kind, f);
-    b.rec = saved;
-    if let Some(r) = b.rec.as_mut() {
-        r.push(TapeOp::Check(site, op, kind));
-    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -901,7 +666,7 @@ fn build_inst(
             }
         }
         Inst::Load { dst, addr } => {
-            register_check_traced(b, site, *addr, CheckKind::LoadAddr, fid);
+            register_check(b, site, *addr, CheckKind::LoadAddr, fid);
             let d = b.tl_node(fid, *dst);
             b.set_def(d, site);
             if full {
@@ -923,7 +688,7 @@ fn build_inst(
             }
         }
         Inst::Store { addr, val } => {
-            register_check_traced(b, site, *addr, CheckKind::StoreAddr, fid);
+            register_check(b, site, *addr, CheckKind::StoreAddr, fid);
             b.stats.total_stores += 1;
             if !full {
                 return;
@@ -980,16 +745,7 @@ fn build_inst(
             }
         }
         Inst::Call { dst, callee, args } => {
-            // Composite tape op: a call's emissions read the callee's
-            // params, return terminators and memory summaries, which can
-            // belong to the edited function — replay re-executes this
-            // against the current module instead of replaying stale ops.
-            let saved = b.rec.take();
             build_call(b, m, pa, ms, fid, site, *dst, callee, args, full);
-            b.rec = saved;
-            if let Some(r) = b.rec.as_mut() {
-                r.push(TapeOp::Call(site));
-            }
         }
         Inst::Phi { dst, incomings } => {
             let d = b.tl_node(fid, *dst);

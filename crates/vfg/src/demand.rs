@@ -338,8 +338,6 @@ pub struct DemandStats {
     /// `Top` (its lane row is empty — a strong update killed every `F`
     /// path through it).
     pub refinements: usize,
-    /// SCCs fully processed and memoized.
-    pub sccs_processed: usize,
     /// Queries that exhausted their budget and degraded to `Bot`.
     pub exhausted_queries: usize,
 }
@@ -568,7 +566,6 @@ impl DemandEngine {
                 for &u in members {
                     self.resolved[u as usize] = true;
                 }
-                self.stats.sccs_processed += 1;
             }
         }
 

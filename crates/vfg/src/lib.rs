@@ -19,8 +19,8 @@ pub mod printer;
 pub mod reference;
 
 pub use build::{
-    build, build_with, build_with_budgeted, build_with_tape, rebuild_with_tape, BuildOpts, Check,
-    CheckKind, EdgeKind, NodeKind, Vfg, VfgMode, VfgStats, VfgTape,
+    build, build_with, build_with_budgeted, BuildOpts, Check, CheckKind, EdgeKind, NodeKind, Vfg,
+    VfgMode, VfgStats,
 };
 pub use condense::Condensation;
 pub use csr::Csr;
@@ -221,52 +221,6 @@ mod tests {
             assert_eq!(new.checks, old.checks, "{mode:?}: checks");
             assert_eq!(new.def_site, old.def_site, "{mode:?}: def sites");
             assert_eq!(new.stats, old.stats, "{mode:?}: stats");
-        }
-    }
-
-    #[test]
-    fn tape_records_and_replays_identically() {
-        let src = "int g; int buf[4];
-             def f(int x) -> int { if (x) { return x + 1; } return g; }
-             def h(int *q) { *q = 9; }
-             def main(int c) {
-                 int *p;
-                 int i = 0;
-                 while (i < 4) {
-                     p = malloc(1);
-                     *p = f(i);
-                     h(p);
-                     buf[i] = *p;
-                     i = i + 1;
-                 }
-                 if (c) { g = buf[2]; }
-                 print(g);
-             }";
-        let m = compile_o0im(src).expect("compiles");
-        let pa = usher_pointer::analyze(&m);
-        let ms = build_memssa(&m, &pa);
-        let opts = BuildOpts::default();
-        let plain = build::build_with(&m, &pa, &ms, opts);
-        let cfgs = usher_ir::ModuleCfgs::new(&m);
-        let (taped, tape) =
-            build_with_tape(&m, &pa, &ms, &cfgs, opts, &usher_ir::Budget::unlimited()).unwrap();
-        let same = |a: &Vfg, b: &Vfg, tag: &str| {
-            assert_eq!(a.nodes, b.nodes, "{tag}: nodes");
-            assert_eq!(a.deps.offsets, b.deps.offsets, "{tag}: dep offsets");
-            assert_eq!(a.deps.targets, b.deps.targets, "{tag}: dep targets");
-            assert_eq!(a.deps.kinds, b.deps.kinds, "{tag}: dep kinds");
-            assert_eq!(a.users.targets, b.users.targets, "{tag}: user targets");
-            assert_eq!(a.checks, b.checks, "{tag}: checks");
-            assert_eq!(a.def_site, b.def_site, "{tag}: def sites");
-            assert_eq!(a.stats, b.stats, "{tag}: stats");
-        };
-        same(&taped, &plain, "taped-vs-plain");
-        // Replaying with any single function live must reproduce the
-        // graph exactly, because the module has not changed.
-        for fid in m.funcs.indices() {
-            let (re, tape2) = rebuild_with_tape(&m, &pa, &ms, &cfgs, opts, &tape, fid);
-            same(&re, &plain, &format!("rebuild-dirty-{fid:?}"));
-            assert_eq!(tape2.num_funcs(), tape.num_funcs());
         }
     }
 

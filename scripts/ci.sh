@@ -92,18 +92,21 @@ echo "==> serve smoke"
 # over stdin — cold analyze, warm re-analyze (the cache must hit), two
 # single-function edits (a const swap, then an unused-local insert) that
 # must take the incremental path, recompute exactly one function and
-# keep the retained value flow, a query, stats with a nonzero warm-hit
-# ratio and three memory-tier entries, and a clean shutdown. The cold
-# open runs the driver's pipeline, so its stderr telemetry record must
-# list the driver's stages in order, and no record may carry a contained
-# stage panic. The incremental-vs-cold speedup floor is a timing gate in
-# tests/perf_gates.rs (see "perf gates" below).
+# keep the retained value flow, a third (an operator swap) that must be
+# incremental too and rebuild the value flow, a query, stats with a
+# nonzero warm-hit ratio and three memory-tier entries, and a clean
+# shutdown. The cold open runs the driver's pipeline, so its stderr
+# telemetry record must list the driver's stages in order, and no record
+# may carry a contained stage panic. The incremental-vs-cold speedup
+# floors are timing gates in tests/perf_gates.rs (see "perf gates"
+# below).
 SRV_OUT=$(mktemp) && SRV_ERR=$(mktemp)
 printf '%s\n' \
   '{"op":"analyze","source":"def scale(int v) -> int {\n    int bias = 4;\n    if (v) { return v * bias; }\n    return bias;\n}\ndef risky(int c) -> int {\n    int x;\n    if (c) { x = 1; }\n    if (x) { return 1; }\n    return 0;\n}\ndef main(int c) {\n    print(scale(risky(c)));\n}","id":"ci-a1"}' \
   '{"op":"analyze","source":"def scale(int v) -> int {\n    int bias = 4;\n    if (v) { return v * bias; }\n    return bias;\n}\ndef risky(int c) -> int {\n    int x;\n    if (c) { x = 1; }\n    if (x) { return 1; }\n    return 0;\n}\ndef main(int c) {\n    print(scale(risky(c)));\n}","id":"ci-a2"}' \
   '{"op":"edit","session":1,"func":"scale","body":"def scale(int v) -> int {\n    int bias = 9;\n    if (v) { return v * bias; }\n    return bias;\n}","id":"ci-e1"}' \
   '{"op":"edit","session":1,"func":"scale","body":"def scale(int v) -> int {\n    int bias = 9;\n    int unused = 3;\n    if (v) { return v * bias; }\n    return bias;\n}","id":"ci-e2"}' \
+  '{"op":"edit","session":1,"func":"scale","body":"def scale(int v) -> int {\n    int bias = 9;\n    int unused = 3;\n    if (v) { return v + bias; }\n    return bias;\n}","id":"ci-e3"}' \
   '{"op":"query","session":1,"id":"ci-q1"}' \
   '{"op":"stats","id":"ci-s1"}' \
   '{"op":"shutdown","id":"ci-z1"}' \
@@ -119,11 +122,15 @@ grep -q '"id":"ci-e1".*"incremental":true,"functions_recomputed":1' "$SRV_OUT"
 # A promoted local is not an object: inserting an unused one keeps the
 # object table and the post-`mem2reg` body, so it is incremental too.
 grep -q '"id":"ci-e2".*"incremental":true,"functions_recomputed":1' "$SRV_OUT"
+# `v * bias -> v + bias` changes an operator, so the value flow is
+# rebuilt: the VFG from the retained CFGs, then Γ and Opt II.
+grep -q '"id":"ci-e3".*"incremental":true,"functions_recomputed":1' "$SRV_OUT"
 grep -q '"id":"ci-q1".*"plan_digest"' "$SRV_OUT"
 grep -q '"id":"ci-s1".*"analyzes_warm":1' "$SRV_OUT"
 # `bias = 4 -> 9` changes only a constant and `int unused = 3;` leaves
 # the post-`mem2reg` body as it was: both edits must keep the retained
-# value flow (VFG, Γ, Opt II) and re-plan only.
+# value flow (VFG, Γ, Opt II) and re-plan only; the operator swap must
+# not.
 grep -q '"id":"ci-s1".*"edits_value_flow_unchanged":2[,}]' "$SRV_OUT"
 # The memory tier holds only what the warm path reads back (module, Γ,
 # plan) for the one cold analysis; a write-only insert would show here.
@@ -234,7 +241,9 @@ echo "==> perf gates"
 # and run here in release: the prefilter pointer solve and the condensed
 # VFG build + resolve must not be slower than their frozen references, a
 # cold demand query must stay a small fraction of a cold resolve, and
-# incremental serve edits must beat a cold analyze by 1.5x. Each gate
+# incremental serve edits must beat a cold analyze (1.5x on gen-37; on
+# gen-131, 40x for constant swaps and 4x for operator swaps, which
+# rebuild the value flow). Each gate
 # prints `gate <name>: measured <x>, bound <y>`, so this log records the
 # margins. The step fails unless the summary reports `0 ignored`: a
 # release run must never skip a gate.

@@ -25,7 +25,7 @@ use usher::vfg::{build, build_memssa, build_reference, DemandEngine, MemSsa, Vfg
 use usher::workloads::{generate, ladder_config, SEED_LADDER};
 
 mod common;
-use common::synthesize_edit;
+use common::{synthesize_edit, synthesize_op_swap};
 
 /// Samples per timed side; each side's time is the fastest sample.
 const ITERS: usize = 3;
@@ -254,17 +254,22 @@ fn cold_dispatcher(src: &str) -> (f64, Dispatcher, std::path::PathBuf, u64) {
     (cold, d, dir, sid)
 }
 
-/// Synthesized edit `k` of session `sid` through the protocol: its
-/// wall time and whether it took the incremental path. `None` when the
-/// source offers no edit `k`.
-fn timed_edit(d: &Dispatcher, sid: u64, k: usize) -> Option<(f64, bool)> {
+/// The edit `synthesize` builds as number `k` for session `sid`, sent
+/// through the protocol: its wall time and whether it took the
+/// incremental path. `None` when the source offers no edit `k`.
+fn timed_edit(
+    d: &Dispatcher,
+    sid: u64,
+    k: usize,
+    synthesize: fn(&str, usize) -> Option<(String, String)>,
+) -> Option<(f64, bool)> {
     let source = d
         .engine()
         .lock()
         .unwrap()
         .session_source(sid)
         .expect("session is open");
-    let (func, body) = synthesize_edit(&source, k)?;
+    let (func, body) = synthesize(&source, k)?;
     let mut w = ObjWriter::new();
     w.str("op", "edit")
         .u64("session", sid)
@@ -314,7 +319,7 @@ fn incremental_edits_beat_a_cold_analyze() {
     for round in 0..EDITS_PER_CLIENT {
         for (c, &sid) in sessions.iter().enumerate() {
             let k = round * CLIENTS + c;
-            if let Some((dt, true)) = timed_edit(&d, sid, k) {
+            if let Some((dt, true)) = timed_edit(&d, sid, k, synthesize_edit) {
                 incremental.push(dt);
             }
         }
@@ -356,7 +361,8 @@ fn const_swap_edits_beat_a_cold_analyze_by_40x_on_gen_131() {
     // Even `k` is a const swap in `synthesize_edit`.
     let edits: Vec<f64> = (0..EDITS)
         .map(|i| {
-            let (dt, incremental) = timed_edit(&d, sid, 2 * i).expect("helpers have constants");
+            let (dt, incremental) =
+                timed_edit(&d, sid, 2 * i, synthesize_edit).expect("helpers have constants");
             assert!(incremental, "const swap {i} fell back");
             dt
         })
@@ -370,6 +376,52 @@ fn const_swap_edits_beat_a_cold_analyze_by_40x_on_gen_131() {
     assert!(
         speedup >= SPEEDUP_FLOOR,
         "const-swap p50 {:.3}ms is only {speedup:.1}x faster than a cold analyze {:.3}ms",
+        p50 * 1e3,
+        cold * 1e3
+    );
+}
+
+/// Operator-swap edits on the same program shape: after a cold analyze
+/// on a disk store with the WAL on, 24 edits of the cold session that
+/// each swap one int operator (`&` and `^`) of one helper, all through
+/// `Dispatcher::handle_line`. Every one must take the incremental path
+/// and none the constant-only cutoff, and their p50 must beat the cold
+/// analyze by 4x: such an edit recomputes one function's CFG and memory
+/// SSA, then rebuilds the VFG over the retained CFGs and re-runs Opt II
+/// and planning.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "timing gate: release only, run by scripts/ci.sh"
+)]
+fn value_flow_edits_beat_a_cold_analyze_by_4x_on_gen_131() {
+    const EDITS: usize = 24;
+    const SPEEDUP_FLOOR: f64 = 4.0;
+    let src = generate(131, ladder_config(160, 14));
+    let (cold, d, dir, sid) = cold_dispatcher(&src);
+    let edits: Vec<f64> = (0..EDITS)
+        .map(|i| {
+            let (dt, incremental) =
+                timed_edit(&d, sid, i, synthesize_op_swap).expect("helpers have `&` or `^`");
+            assert!(incremental, "operator swap {i} fell back");
+            dt
+        })
+        .collect();
+    let counters = d.engine().lock().unwrap().stats().counters;
+    assert_eq!(counters.edits_incremental, EDITS as u64);
+    assert_eq!(
+        counters.edits_value_flow_unchanged, 0,
+        "an operator swap took the constant-only cutoff"
+    );
+    drop(d);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let p50 = p50(edits);
+    let speedup = cold / p50.max(1e-9);
+    report("serve-value-flow-speedup/gen-131", speedup, SPEEDUP_FLOOR);
+    assert!(
+        speedup >= SPEEDUP_FLOOR,
+        "operator-swap p50 {:.3}ms is only {speedup:.1}x faster than a cold analyze {:.3}ms",
         p50 * 1e3,
         cold * 1e3
     );
