@@ -31,19 +31,18 @@
 //!   variable and leaves neither an object nor a variable behind, so
 //!   inserting or removing one passes; an address-taken or array local
 //!   does not;
-//! - a structural diff of the old and new post-`mem2reg` bodies must find
-//!   identical instruction variants, identical destinations and identical
-//!   pointer-relevant operands. Operands may differ only where they are
-//!   provably invisible to the points-to solver: non-pointer constants,
-//!   `undef`, or non-pointer variables with empty points-to and
-//!   function-target sets (such operands contribute no constraint edges,
-//!   so swapping them cannot change any points-to set). Unary and binary
-//!   operators may differ too: the solver adds no constraint for an
-//!   arithmetic result;
-//! - the function's own allocation sites must keep their kind, type,
-//!   size and field classing (`name` and `zero_init` are exempt — the
-//!   solver ignores both, and `zero_init` only feeds the recomputed
-//!   slices of the edited function).
+//! - the old and new post-`mem2reg` bodies, with the function's own
+//!   surviving allocation sites, must be equal once both are blinded to
+//!   what the points-to solver never reads (`pointer-structure-changed`
+//!   otherwise). Every operand the retained solution shows it never
+//!   reads becomes `undef`, in any position: a constant, `undef`, or a
+//!   non-pointer variable with empty points-to and function-target sets
+//!   (such an operand adds no constraint, so swapping it cannot change
+//!   any points-to set). Unary and binary operators are blinded too (the
+//!   solver adds no constraint for an arithmetic result), and so are an
+//!   object's `name` and `zero_init` (the solver ignores both, and
+//!   `zero_init` only feeds the recomputed slices of the edited
+//!   function).
 //!
 //! If every gate passes, only the function's memory SSA and CFG are
 //! recomputed. The VFG is rebuilt by the same builder a cold run uses,
@@ -63,8 +62,9 @@
 //! Value-flow early cutoff: when the new body differs from the old one
 //! only in integer constants, the function's memory SSA, the VFG, Γ and
 //! the Opt II result are kept as they are and only planning re-runs (no
-//! stage before planning reads a constant's value; see
-//! `body_equal_up_to_constants`).
+//! stage before planning reads a constant's value). It is the same
+//! comparison as the pointer gate's, `same_body`, under another
+//! blinding: every constant reads as `0` and objects compare in full.
 //!
 //! Incremental results are *not* persisted to the store: the session
 //! retains them in memory, and only full analyses (which equal what a
@@ -90,8 +90,8 @@ use usher_driver::{
 };
 use usher_frontend::{parser, relower_function, LowerEnv, RelowerBlocked, RelowerError};
 use usher_ir::{
-    is_inline_target, Budget, Callee, FuncId, Function, GepOffset, Idx, InlineTrace, Inst, Module,
-    ModuleCfgs, ObjId, ObjectData, Operand, OptLevel, Terminator, TypeTable,
+    is_inline_target, BinOp, Budget, Callee, FuncId, Function, Idx, InlineTrace, Inst, Module,
+    ModuleCfgs, ObjId, ObjectData, Operand, OptLevel, Terminator, UnOp,
 };
 use usher_pointer::{PointerAnalysis, SolverStats};
 use usher_vfg::{
@@ -629,11 +629,6 @@ impl Snapshot {
         }
     }
 
-    /// The old object that `id` (within the range) named.
-    fn object(&self, id: usize) -> &ObjectData {
-        &self.objects[id - self.range.0]
-    }
-
     /// Puts the snapshot back into `b`. A module that is still shared
     /// was never written: every write goes through `Arc::make_mut`.
     fn restore(&mut self, b: &mut Backend) {
@@ -690,28 +685,6 @@ impl Drop for Splice<'_> {
         if !self.committed {
             self.old.restore(self.b);
         }
-    }
-}
-
-/// An operand the points-to solver provably never looks at: swapping it
-/// for another such operand cannot change any points-to or
-/// function-target set (it contributes no constraint edges). `f` is the
-/// function `fid` whose variables the operand may name.
-fn operand_invisible_to_pa(
-    types: &TypeTable,
-    f: &Function,
-    pa: &PointerAnalysis,
-    fid: FuncId,
-    op: Operand,
-) -> bool {
-    match op {
-        Operand::Const(_) | Operand::Undef => true,
-        Operand::Var(v) => {
-            !types.is_pointer(f.vars[v].ty)
-                && pa.pts_var(fid, v).is_empty()
-                && pa.fn_targets(fid, v).is_empty()
-        }
-        Operand::Global(_) | Operand::Func(_) => false,
     }
 }
 
@@ -1304,20 +1277,20 @@ impl Engine {
                 break 'fast Err(relower_reason(&blocked));
             }
             let old = &splice.old;
-            if !function_diff_allows_pa_reuse(old, m, &b.pa) || !object_ranges_compatible(old, m) {
+            if !pa_reusable(old, m, &b.pa) {
                 break 'fast Err("pointer-structure-changed");
             }
 
             // All gates passed. The retained pointer analysis is
-            // observably identical on the new module (the diff admits no
-            // new constraint edges), which the debug build re-derives
-            // and asserts via the mod/ref summaries.
+            // observably identical on the new module (the blinded bodies
+            // seed the same constraints), which the debug build
+            // re-derives and asserts via the mod/ref summaries.
             //
             // Early cutoff: a body that differs only in constants has the
             // same memory SSA, VFG, Γ and Opt II result (a constant has no
             // points-to set and no value-flow node of its own). The debug
             // build rebuilds them on the cutoff path and asserts the reuse.
-            let value_flow_unchanged = body_equal_up_to_constants(old, m);
+            let value_flow_unchanged = value_flow_reusable(old, m);
             let m: &Module = &b.module;
             #[cfg(debug_assertions)]
             {
@@ -1711,257 +1684,51 @@ fn raw_body_references_involved(m: &Module, fid: FuncId, inline: &InlineTrace) -
     found
 }
 
-/// Structural diff of the old (snapshot) and new post-`mem2reg` bodies of
-/// the spliced function.
+/// Whether the old (snapshot) and new post-`mem2reg` bodies of the
+/// spliced function are equal once both sides are blinded: every operand
+/// an instruction or terminator reads goes through `blind_use`, every
+/// instruction then through `blind_inst`, and each of the function's own
+/// surviving objects through `blind_obj`. Params, entry, var types and
+/// the block and instruction counts must match as they are. Only a pair
+/// that differs is copied to blind it, so an edit that fails costs no
+/// more than the walk up to its first real difference.
 ///
-/// Returns `true` when the bodies are identical except for operands that
-/// are provably invisible to the points-to solver (see module docs) — in
-/// which case the retained [`PointerAnalysis`] (including its per-
-/// function loop info, since the CFG is required identical) remains
-/// observably valid for the new module.
-fn function_diff_allows_pa_reuse(old: &Snapshot, m_new: &Module, pa: &PointerAnalysis) -> bool {
-    let fid = old.fid;
-    let fo = &old.func;
-    let fnew = &m_new.funcs[fid];
-    if fo.params != fnew.params || fo.entry != fnew.entry {
-        return false;
-    }
-    if fo.vars.len() != fnew.vars.len() {
-        return false;
-    }
-    for v in fo.vars.indices() {
-        if fo.vars[v].ty != fnew.vars[v].ty {
-            return false;
-        }
-    }
-    if fo.blocks.len() != fnew.blocks.len() {
-        return false;
-    }
-    // An operand pair is acceptable when equal, or when BOTH sides are
-    // invisible to the solver. The new side is judged through the old
-    // function's variables — valid because the var tables were just
-    // required equal, and the splice interned no type.
-    let invisible = |op: &Operand| operand_invisible_to_pa(&m_new.types, fo, pa, fid, *op);
-    let lax = |a: &Operand, b: &Operand| a == b || (invisible(a) && invisible(b));
-    for bb in fo.blocks.indices() {
-        let bo = &fo.blocks[bb];
-        let bn = &fnew.blocks[bb];
-        if bo.insts.len() != bn.insts.len() {
-            return false;
-        }
-        for (io, inew) in bo.insts.iter().zip(&bn.insts) {
-            if io == inew {
-                continue;
-            }
-            let ok = match (io, inew) {
-                (Inst::Copy { dst: d1, src: s1 }, Inst::Copy { dst: d2, src: s2 }) => {
-                    d1 == d2 && lax(s1, s2)
-                }
-                // The solver adds no constraint for an arithmetic result
-                // (pointer arithmetic is a gep), so operators may change.
-                (
-                    Inst::Un {
-                        dst: d1, src: s1, ..
-                    },
-                    Inst::Un {
-                        dst: d2, src: s2, ..
-                    },
-                ) => d1 == d2 && lax(s1, s2),
-                (
-                    Inst::Bin {
-                        dst: d1,
-                        lhs: l1,
-                        rhs: r1,
-                        ..
-                    },
-                    Inst::Bin {
-                        dst: d2,
-                        lhs: l2,
-                        rhs: r2,
-                        ..
-                    },
-                ) => d1 == d2 && lax(l1, l2) && lax(r1, r2),
-                (
-                    Inst::Alloc {
-                        dst: d1,
-                        obj: ob1,
-                        count: c1,
-                    },
-                    Inst::Alloc {
-                        dst: d2,
-                        obj: ob2,
-                        count: c2,
-                    },
-                ) => {
-                    d1 == d2
-                        && ob1 == ob2
-                        && match (c1, c2) {
-                            (None, None) => true,
-                            (Some(a), Some(b)) => lax(a, b),
-                            _ => false,
-                        }
-                }
-                (
-                    Inst::Gep {
-                        dst: d1,
-                        base: b1,
-                        offset: of1,
-                    },
-                    Inst::Gep {
-                        dst: d2,
-                        base: b2,
-                        offset: of2,
-                    },
-                ) => {
-                    // Base addresses are strict; only the runtime index of
-                    // an Index offset may vary (it feeds no points-to
-                    // constraint when non-pointer).
-                    d1 == d2
-                        && b1 == b2
-                        && match (of1, of2) {
-                            (GepOffset::Field(a), GepOffset::Field(b)) => a == b,
-                            (
-                                GepOffset::Index {
-                                    index: i1,
-                                    elem_cells: e1,
-                                },
-                                GepOffset::Index {
-                                    index: i2,
-                                    elem_cells: e2,
-                                },
-                            ) => e1 == e2 && lax(i1, i2),
-                            _ => false,
-                        }
-                }
-                (Inst::Load { dst: d1, addr: a1 }, Inst::Load { dst: d2, addr: a2 }) => {
-                    d1 == d2 && a1 == a2
-                }
-                (Inst::Store { addr: a1, val: v1 }, Inst::Store { addr: a2, val: v2 }) => {
-                    // Addresses strict; values lax (the `pts(*a) ⊇ pts(v)`
-                    // constraint only exists for pointer-typed values,
-                    // which the invisible class excludes).
-                    a1 == a2 && lax(v1, v2)
-                }
-                (
-                    Inst::Call {
-                        dst: d1,
-                        callee: c1,
-                        args: ar1,
-                    },
-                    Inst::Call {
-                        dst: d2,
-                        callee: c2,
-                        args: ar2,
-                    },
-                ) => {
-                    let callee_ok = match (c1, c2) {
-                        (Callee::Direct(a), Callee::Direct(b)) => a == b,
-                        (Callee::External(a), Callee::External(b)) => a == b,
-                        (Callee::Indirect(a), Callee::Indirect(b)) => a == b,
-                        _ => false,
-                    };
-                    d1 == d2
-                        && callee_ok
-                        && ar1.len() == ar2.len()
-                        && ar1.iter().zip(ar2).all(|(a, b)| lax(a, b))
-                }
-                (
-                    Inst::Phi {
-                        dst: d1,
-                        incomings: in1,
-                    },
-                    Inst::Phi {
-                        dst: d2,
-                        incomings: in2,
-                    },
-                ) => {
-                    d1 == d2
-                        && in1.len() == in2.len()
-                        && in1
-                            .iter()
-                            .zip(in2)
-                            .all(|((bb1, o1), (bb2, o2))| bb1 == bb2 && lax(o1, o2))
-                }
-                _ => false,
-            };
-            if !ok {
-                return false;
-            }
-        }
-        let term_ok = match (&bo.term, &bn.term) {
-            (Terminator::Jmp(a), Terminator::Jmp(b)) => a == b,
-            (
-                Terminator::Br {
-                    cond: c1,
-                    then_bb: t1,
-                    else_bb: e1,
-                },
-                Terminator::Br {
-                    cond: c2,
-                    then_bb: t2,
-                    else_bb: e2,
-                },
-            ) => t1 == t2 && e1 == e2 && lax(c1, c2),
-            (Terminator::Ret(None), Terminator::Ret(None)) => true,
-            (Terminator::Ret(Some(a)), Terminator::Ret(Some(b))) => lax(a, b),
-            (Terminator::Unreachable, Terminator::Unreachable) => true,
-            _ => false,
-        };
-        if !term_ok {
-            return false;
-        }
-    }
-    true
-}
-
-/// Whether the function's own allocation sites kept their analysis-
-/// relevant shape. `env.obj_ranges` describes the post-`mem2reg` table,
-/// so the range holds only the objects that survived promotion, on both
-/// sides (the splice has already required their count equal).
-fn object_ranges_compatible(old: &Snapshot, m_new: &Module) -> bool {
-    let (lo, hi) = old.range;
-    for i in lo..hi {
-        let a = old.object(i);
-        let b = &m_new.objects[ObjId::from_usize(i)];
-        if a.kind != b.kind
-            || a.ty != b.ty
-            || a.size != b.size
-            || a.field_classes != b.field_classes
-            || a.num_classes != b.num_classes
-            || a.is_array != b.is_array
-        {
-            return false;
-        }
-    }
-    true
-}
-
-/// The value-flow early cutoff's shape test: whether the old and new
-/// post-`mem2reg` bodies of `fid` are equal once every integer constant
-/// reads as `0`, and the function's own surviving allocation sites are
-/// equal in full (`zero_init` included, which seeds the VFG). A promoted
-/// local has no object and no variable left, so an unused scalar insert
-/// or removal passes.
+/// The edit gates call it twice:
 ///
-/// The reuse this licenses is exact, not approximate: no stage before
-/// planning reads a constant's value. The VFG maps every constant to the
-/// `T` root and registers no check on one, the pointer solver adds no
-/// constraint for one (so memory SSA, which reads only points-to sets,
-/// is unchanged too), and Opt II and the MFC read only instruction
-/// kinds, operators and the CFG. Planning does read constants (their
-/// shadow is defined), so it always re-runs.
+/// - The pointer gate ([`pa_reusable`]) turns into `undef` every
+///   operand the retained solution shows the solver never reads (a
+///   constant, `undef`, or a non-pointer variable with empty points-to
+///   and function-target sets, judged through the old function's
+///   variables) in every position, sets every unary and binary operator
+///   to one value, and blinds each object's `name` and `zero_init`.
+///   Bodies equal under this blinding differ only where the solver's
+///   `seed_inst` adds nothing: `operand_node` has no node for a constant
+///   or `undef` and `operand_const_targets` no target, and a variable
+///   whose sets are empty in the solution carries nothing through the
+///   copy, load, store, gep or call constraint it feeds, whether it is
+///   the value, the address, the base or the callee. An arithmetic
+///   result seeds nothing, and the solver reads neither an object's name
+///   nor whether it starts defined. So the retained [`PointerAnalysis`]
+///   is still the least solution (and its loop info still holds, since
+///   the CFG is equal).
+/// - The value-flow cutoff ([`value_flow_reusable`]) reads every integer
+///   constant as `0` and compares objects in full (`zero_init` seeds the
+///   VFG). No stage before planning reads a constant's value: the VFG
+///   maps every constant to the `T` root and registers no check on one,
+///   the pointer solver adds no constraint for one (so memory SSA, which
+///   reads only points-to sets, is unchanged too), and Opt II and the
+///   MFC read only instruction kinds, operators and the CFG. Planning
+///   does read constants (their shadow is defined), so it always re-runs.
 ///
-/// Called after `function_diff_allows_pa_reuse`, which has already
-/// required equal params, entry and var types. Instructions are compared
-/// pairwise and only a pair that differs is copied to blind its
-/// constants, so an edit that fails the test costs no more than the walk
-/// up to its first non-constant difference.
-fn body_equal_up_to_constants(old: &Snapshot, m_new: &Module) -> bool {
-    let fo = &old.func;
-    let fnew = &m_new.funcs[old.fid];
-    if fo.blocks.len() != fnew.blocks.len() {
-        return false;
-    }
+/// A promoted local has no object and no variable left, so an unused
+/// scalar insert or removal passes both.
+fn same_body(
+    old: &Snapshot,
+    m_new: &Module,
+    blind_use: impl Fn(Operand) -> Operand,
+    blind_inst: fn(&mut Inst),
+    blind_obj: fn(&mut ObjectData),
+) -> bool {
     fn eq_blind<T: Clone + PartialEq>(x: &T, y: &T, blind: impl Fn(&mut T)) -> bool {
         x == y || {
             let (mut x, mut y) = (x.clone(), y.clone());
@@ -1970,16 +1737,69 @@ fn body_equal_up_to_constants(old: &Snapshot, m_new: &Module) -> bool {
             x == y
         }
     }
-    let zero = |op: Operand| match op {
+    let (fo, fnew) = (&old.func, &m_new.funcs[old.fid]);
+    fo.params == fnew.params
+        && fo.entry == fnew.entry
+        && (fo.vars.iter().map(|v| v.ty)).eq(fnew.vars.iter().map(|v| v.ty))
+        && fo.blocks.len() == fnew.blocks.len()
+        && fo.blocks.iter().zip(fnew.blocks.iter()).all(|(x, y)| {
+            x.insts.len() == y.insts.len()
+                && eq_blind(&x.term, &y.term, |t: &mut Terminator| {
+                    t.map_uses(&blind_use)
+                })
+                && (x.insts.iter().zip(&y.insts)).all(|(i, j)| {
+                    eq_blind(i, j, |i: &mut Inst| {
+                        i.map_uses(&blind_use);
+                        blind_inst(i);
+                    })
+                })
+        })
+        && (old.objects.iter())
+            .zip(&m_new.objects.raw()[old.range.0..old.range.1])
+            .all(|(x, y)| eq_blind(x, y, blind_obj))
+}
+
+/// The pointer gate: whether the new body seeds the points-to solver
+/// exactly as the old one did, so the retained solution stays valid.
+/// Hides every operand the solver never reads, the arithmetic operators,
+/// and each object's `name` and `zero_init` (see [`same_body`]).
+fn pa_reusable(old: &Snapshot, m_new: &Module, pa: &PointerAnalysis) -> bool {
+    let unread = |op| match op {
+        Operand::Var(v)
+            if m_new.types.is_pointer(old.func.vars[v].ty)
+                || !pa.pts_var(old.fid, v).is_empty()
+                || !pa.fn_targets(old.fid, v).is_empty() =>
+        {
+            op
+        }
+        Operand::Global(_) | Operand::Func(_) => op,
+        _ => Operand::Undef,
+    };
+    same_body(
+        old,
+        m_new,
+        unread,
+        |i| match i {
+            Inst::Un { op, .. } => *op = UnOp::Neg,
+            Inst::Bin { op, .. } => *op = BinOp::Add,
+            _ => {}
+        },
+        |o| {
+            o.name.clear();
+            o.zero_init = false;
+        },
+    )
+}
+
+/// The value-flow early cutoff: whether the new body differs from the
+/// old one only in integer constants, its objects equal in full (see
+/// [`same_body`]).
+fn value_flow_reusable(old: &Snapshot, m_new: &Module) -> bool {
+    let zero = |op| match op {
         Operand::Const(_) => Operand::Const(0),
         op => op,
     };
-    fo.blocks.iter().zip(fnew.blocks.iter()).all(|(x, y)| {
-        x.insts.len() == y.insts.len()
-            && eq_blind(&x.term, &y.term, |t: &mut Terminator| t.map_uses(zero))
-            && (x.insts.iter().zip(&y.insts))
-                .all(|(i, j)| eq_blind(i, j, |t: &mut Inst| t.map_uses(zero)))
-    }) && (old.range.0..old.range.1).all(|i| *old.object(i) == m_new.objects[ObjId::from_usize(i)])
+    same_body(old, m_new, zero, |_| {}, |_| {})
 }
 
 /// Debug self-check of the value-flow early cutoff: recomputing the
@@ -1990,30 +1810,11 @@ fn body_equal_up_to_constants(old: &Snapshot, m_new: &Module) -> bool {
 fn debug_assert_value_flow_reuse(b: &Backend, opts: usher_vfg::BuildOpts, fid: FuncId, k: usize) {
     let m: &Module = &b.module;
     let fs = usher_vfg::build_function_ssa(m, &b.pa, fid, &b.modref);
-    match (&fs, b.memssa.funcs.get(&fid)) {
-        (None, None) => {}
-        (Some(new), Some(old)) => {
-            debug_assert_eq!(new.defs, old.defs, "cutoff must keep memory SSA versions");
-            debug_assert_eq!(new.mus, old.mus, "cutoff must keep mu lists");
-            debug_assert_eq!(new.chis, old.chis, "cutoff must keep chi lists");
-            debug_assert_eq!(new.phis, old.phis, "cutoff must keep region phis");
-            debug_assert_eq!(new.ret_mus, old.ret_mus, "cutoff must keep ret mus");
-            debug_assert_eq!(new.formal_in, old.formal_in, "cutoff must keep formal-ins");
-            debug_assert_eq!(
-                new.summary_in, old.summary_in,
-                "cutoff must keep summary_in"
-            );
-            debug_assert_eq!(
-                new.summary_out, old.summary_out,
-                "cutoff must keep summary_out"
-            );
-        }
-        (new, old) => panic!(
-            "cutoff must keep memory SSA presence: new {}, retained {}",
-            new.is_some(),
-            old.is_some()
-        ),
-    }
+    debug_assert_eq!(
+        fs.as_ref(),
+        b.memssa.funcs.get(&fid),
+        "cutoff must keep the function's memory SSA"
+    );
     let cfgs = ModuleCfgs::new(m);
     let vfg = build_with_budgeted(m, &b.pa, &b.memssa, &cfgs, opts, &Budget::unlimited())
         .expect("unlimited budgets never exhaust");
@@ -2890,5 +2691,72 @@ def f() -> int { /* } */ return 1; }
             .map(|s| (s.name.as_str(), s.start, s.end))
             .collect();
         assert_eq!(got, [("f", 3, 4), ("g", 4, 5), ("h", 5, 6)]);
+    }
+
+    /// Both edit gates on IR written directly: TinyC cannot put an
+    /// operand the solver never reads in an address position (`mem2reg`
+    /// reads a promoted pointer through a pointer-typed copy), but the
+    /// pointer gate blinds one there as anywhere else.
+    #[test]
+    fn edit_gates_blind_unread_operands_in_every_position() {
+        let module = |init: &str, load: &str, store: &str| {
+            let text = format!(
+                "obj 0 \"malloc\" heap(@f0) {init} : int
+main @f1
+def @f0 \"f\" -> int {{
+  var %v0 \"a\" int
+  var %v1 \"q\" int*
+  var %v2 \"l\" int
+  params %v0
+  entry bb0
+  bb0:
+    %v1 = alloc 0
+    store %v1 %v0
+    %v2 = load {load}
+    store {store} 1
+    ret %v2
+}}
+def @f1 \"main\" {{
+  var %v0 \"c\" int
+  var %v1 \"r\" int
+  params %v0
+  entry bb0
+  bb0:
+    %v1 = call @f0(%v0)
+    ecall print(%v1)
+    ret
+}}"
+            );
+            usher_ir::parse_text(&text).expect("the module parses")
+        };
+        let m_old = module("uninit", "%v1", "undef");
+        let pa = usher_pointer::analyze(&m_old);
+        let fid = FuncId::from_usize(0);
+        let old = Snapshot {
+            fid,
+            func: m_old.funcs[fid].clone(),
+            range: (0, 1),
+            objects: m_old.objects.raw().to_vec(),
+            objects_len: 1,
+            types_len: m_old.types.len(),
+            memssa: None,
+        };
+        // (object init, load address, store address, pointer gate passes,
+        // value flow unchanged).
+        let cases = [
+            ("uninit", "%v1", "undef", true, true),
+            ("uninit", "%v1", "0", true, false),
+            ("uninit", "%v1", "7", true, false),
+            ("uninit", "%v1", "%v0", true, false), // an int with no targets
+            ("uninit", "%v1", "%v1", false, false),
+            ("uninit", "undef", "undef", false, false),
+            ("zeroinit", "%v1", "undef", true, false),
+        ];
+        for (init, load, store, pa_ok, vf_ok) in cases {
+            let m = module(init, load, store);
+            let case = format!("{init} / load {load} / store {store}");
+            assert_eq!(pa_reusable(&old, &m, &pa), pa_ok, "{case}: pointer gate");
+            assert_eq!(value_flow_reusable(&old, &m), vf_ok, "{case}: cutoff");
+        }
     }
 }

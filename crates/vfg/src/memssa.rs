@@ -83,7 +83,7 @@ pub struct RegionPhi {
 }
 
 /// Memory SSA for one function.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FuncMemSsa {
     /// All versions, indexed by [`MemVerId`].
     pub defs: Vec<MemDef>,

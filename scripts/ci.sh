@@ -94,8 +94,9 @@ echo "==> serve smoke"
 # must take the incremental path, recompute exactly one function and
 # keep the retained value flow, a third (an operator swap) that must be
 # incremental too and rebuild the value flow, a query, stats with a
-# nonzero warm-hit ratio and three memory-tier entries, and a clean
-# shutdown. The cold open runs the driver's pipeline, so its stderr
+# nonzero warm-hit ratio and three memory-tier entries, a fourth edit
+# (a new call) that the pointer gate must refuse, and a clean shutdown.
+# The cold open runs the driver's pipeline, so its stderr
 # telemetry record must list the driver's stages in order, and no record
 # may carry a contained stage panic. The incremental-vs-cold speedup
 # floors are timing gates in tests/perf_gates.rs (see "perf gates"
@@ -109,6 +110,7 @@ printf '%s\n' \
   '{"op":"edit","session":1,"func":"scale","body":"def scale(int v) -> int {\n    int bias = 9;\n    int unused = 3;\n    if (v) { return v + bias; }\n    return bias;\n}","id":"ci-e3"}' \
   '{"op":"query","session":1,"id":"ci-q1"}' \
   '{"op":"stats","id":"ci-s1"}' \
+  '{"op":"edit","session":1,"func":"scale","body":"def scale(int v) -> int {\n    int bias = 9;\n    int unused = 3;\n    if (v) { print(v); return v * bias; }\n    return bias;\n}","id":"ci-e4"}' \
   '{"op":"shutdown","id":"ci-z1"}' \
   | ./target/release/usher serve > "$SRV_OUT" 2> "$SRV_ERR"
 grep -q '"id":"ci-a1".*"mode":"cold"' "$SRV_OUT"
@@ -135,6 +137,11 @@ grep -q '"id":"ci-s1".*"edits_value_flow_unchanged":2[,}]' "$SRV_OUT"
 # The memory tier holds only what the warm path reads back (module, Γ,
 # plan) for the one cold analysis; a write-only insert would show here.
 grep -q '"id":"ci-s1".*"memory_entries":3[,}]' "$SRV_OUT"
+# A new `print(v)` call adds an instruction, so the edited body is no
+# longer the old one up to operands the solver never reads: the edit
+# falls back to a full recompute and names the gate.
+grep -q '"id":"ci-e4".*"incremental":false' "$SRV_OUT"
+grep -q '"id":"ci-e4".*"fallback_reason":"pointer-structure-changed"' "$SRV_OUT"
 if grep -q '"warm_hit_ratio":0[,}]' "$SRV_OUT"; then
     echo "error: serve smoke warm-hit ratio must be nonzero" >&2
     exit 1
@@ -256,3 +263,5 @@ fi
 rm -f "$GATES_OUT"
 
 echo "==> CI OK"
+# For information only, not a gate.
+echo "non-test Rust lines: $(./scripts/loc.sh)"

@@ -90,15 +90,23 @@ fn edit_sequences_stay_byte_identical_to_cold_analysis() {
     assert!(total_fall > 0, "the trace must exercise the fallback path");
 }
 
-/// A helper whose edits pass the pointer gate (every operand involved
-/// is a non-pointer with empty points-to sets) but, unlike a const swap,
-/// change value flow. `u` is declared but never assigned.
+/// A helper whose scalar edits pass the pointer gate (every operand
+/// involved is a non-pointer with empty points-to sets) but, unlike a
+/// const swap, change value flow. `u` is declared but never assigned.
+/// The heap cells `q` and `r` give the gate pointer operands to refuse,
+/// and `n` is a null pointer stored through.
 const CUTOFF_SRC: &str = "def mix(int a, int b) -> int {
     int k = 9;
     int u;
+    int *q = malloc(1);
+    int *r = malloc(1);
+    int *n = 0;
+    *q = a;
+    *r = b;
+    if (b > 99) { *n = 1; }
     int t = a + k;
     if (t > 4) { return t * 2; }
-    return b;
+    return b + *q;
 }
 def main(int c) {
     print(mix(c, c + 1));
@@ -108,9 +116,10 @@ def main(int c) {
 fn value_flow_edits_interleaved_with_const_swaps_match_cold_analysis() {
     let mut e = Engine::new(EngineConfig::default()).expect("engine opens");
     let sid = e.analyze(CUTOFF_SRC).expect("analyzes").session_id;
-    // (replace, with, expected path). Each step applies to the previous
-    // step's source. `cutoff` keeps the retained VFG, Γ and Opt II
-    // result; `rebuild` is incremental with the VFG rebuilt.
+    // (replace, with, expected path or fallback reason). Each step
+    // applies to the previous step's source. `cutoff` keeps the retained
+    // VFG, Γ and Opt II result; `rebuild` is incremental with the VFG
+    // rebuilt.
     let steps = [
         ("int k = 9;", "int k = 3;", "cutoff"),
         ("a + k", "b + k", "rebuild"), // int operand swap
@@ -122,6 +131,18 @@ fn value_flow_edits_interleaved_with_const_swaps_match_cold_analysis() {
         ("int k = 3;", "int k = 8;", "cutoff"),
         ("b & k", "b & u", "rebuild"), // a constant's flow -> uninitialized local
         ("t * 5", "t * 6", "cutoff"),
+        // A store address swapped between two heap cells.
+        ("*q = a;", "*r = a;", "pointer-structure-changed"),
+        // `malloc` -> `calloc` changes only the object's name and
+        // `zero_init`: the solver reads neither, the VFG's seeding reads
+        // `zero_init`.
+        ("int *r = malloc(1);", "int *r = calloc(1);", "rebuild"),
+        ("return b + *q;", "return b;", "pointer-structure-changed"), // dropped load
+        // The null pointer becomes an uninitialized one. `mem2reg` reads
+        // `n` through a pointer-typed copy, so the store address stays
+        // that variable and only the copied `0` becomes `undef`, which
+        // the solver reads in neither case; only `undef` is checked.
+        ("int *n = 0;", "int *n;", "rebuild"),
     ];
     let mut body = CUTOFF_SRC[..CUTOFF_SRC.find("\ndef main").unwrap()].to_string();
     for (k, (from, to, expect)) in steps.into_iter().enumerate() {
@@ -137,13 +158,9 @@ fn value_flow_edits_interleaved_with_const_swaps_match_cold_analysis() {
         ) {
             (true, 1) => "cutoff",
             (true, 0) => "rebuild",
-            _ => "fallback",
+            _ => out.fallback_reason.unwrap_or("fallback"),
         };
-        assert_eq!(
-            path, expect,
-            "step {k} ({from} -> {to}): fallback reason {:?}",
-            out.fallback_reason
-        );
+        assert_eq!(path, expect, "step {k} ({from} -> {to})");
         let q = e.query(sid).unwrap();
         let (pf, gf) = oracle(&e.session_source(sid).unwrap());
         assert_eq!(
