@@ -22,7 +22,7 @@ use crate::mfc::{mfc, MfcScratch};
 use crate::resolve::Gamma;
 
 /// Where a shadow operation reads from.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ShadowSrc {
     /// The shadow register of a top-level variable.
     Tl(VarId),
@@ -41,7 +41,7 @@ pub fn shadow_src(op: Operand) -> ShadowSrc {
 
 /// One shadow operation. Field meanings follow the variant docs.
 #[allow(missing_docs)]
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum ShadowOp {
     /// `sigma(dst) := defined` (strong update to a register shadow).
     SetTl { dst: VarId, defined: bool },
@@ -112,10 +112,34 @@ impl ShadowOp {
             ShadowOp::Check { .. } => 0,
         }
     }
+
+    /// Copies into this op, planned at `inst`'s site, the operands the
+    /// planner takes verbatim from that instruction: an allocation's
+    /// `count`, a load's or store's `addr`, and the operands of a
+    /// bit-level unary or binary op. Every other operand field is a
+    /// [`ShadowSrc`], a destination, or a checked operand, and none of
+    /// those depends on a constant's value: [`shadow_src`] maps every
+    /// constant to `Const(true)`, and checks guard only variables and
+    /// `undef`. So after an edit that changes only constants, rebinding
+    /// each op of the edited function's sites yields the plan a fresh
+    /// [`guided_plan`] builds.
+    pub fn rebind(&mut self, inst: &Inst) {
+        match (self, inst) {
+            (ShadowOp::SetMemClass { count, .. }, Inst::Alloc { count: c, .. }) => *count = *c,
+            (ShadowOp::LoadSh { addr, .. }, Inst::Load { addr: a, .. })
+            | (ShadowOp::StoreSh { addr, .. }, Inst::Store { addr: a, .. }) => *addr = *a,
+            (ShadowOp::BinSh { lhs, rhs, .. }, Inst::Bin { lhs: l, rhs: r, .. }) => {
+                *lhs = *l;
+                *rhs = *r;
+            }
+            (ShadowOp::UnSh { src, .. }, Inst::Un { src: s, .. }) => *src = *s,
+            _ => {}
+        }
+    }
 }
 
 /// Static instrumentation statistics.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct PlanStats {
     /// Static count of shadow-variable reads (Figure 11, left).
     pub propagations: usize,

@@ -28,8 +28,6 @@ use usher_ir::{FxHasher, Module};
 use usher_pointer::PointerAnalysis;
 use usher_vfg::{MemSsa, Vfg};
 
-use crate::fingerprint::plan_fingerprint;
-
 /// Version tag of the cache entry format. Bump this whenever an
 /// artifact's semantics change in a way old entries must not survive;
 /// entries from another version are evicted on lookup exactly like
@@ -54,11 +52,6 @@ pub enum Artifact {
     Gamma(Arc<Gamma>, usize),
     /// Instrumentation plan.
     Plan(Arc<Plan>),
-}
-
-fn hash_str(h: &mut FxHasher, s: &str) {
-    h.write_usize(s.len());
-    h.write(s.as_bytes());
 }
 
 /// Hashes a map's entries in key order, so equal maps digest equally
@@ -139,8 +132,15 @@ pub fn artifact_digest(a: &Artifact) -> u64 {
             h.write_usize(*redirected);
         }
         Artifact::Plan(p) => {
+            // What `plan_fingerprint` renders: the op lists by entry and
+            // site, the tracked phis and the stats (not name or
+            // provenance).
             h.write_u64(6);
-            hash_str(&mut h, &plan_fingerprint(p));
+            hash_sorted(&mut h, &p.entry);
+            hash_sorted(&mut h, &p.before);
+            hash_sorted(&mut h, &p.after);
+            hash_sorted_set(&mut h, &p.tracked_phis);
+            p.stats.hash(&mut h);
         }
     }
     h.finish()

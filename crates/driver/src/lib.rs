@@ -53,6 +53,7 @@ pub use pipeline::{
 };
 pub use pool::{default_threads, parallel_map, parallel_map_catching};
 pub use report::{
-    json_escape, BatchReport, DegradeEvent, PipelineReport, ServeHealth, Stage, StageTiming,
+    json_escape, json_escape_into, BatchReport, DegradeEvent, PipelineReport, ServeHealth, Stage,
+    StageTiming,
 };
 pub use usher_pointer::PointerStrategy;

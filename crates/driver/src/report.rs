@@ -168,20 +168,35 @@ pub struct ServeHealth {
 /// JSONL-emitting harness (reports, fuzz campaigns) shares one escaper.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    json_escape_into(&mut out, s);
     out
+}
+
+/// [`json_escape`], appending to `out`. Runs that need no escape are
+/// copied in one piece: every byte that does is ASCII, so a run always
+/// ends on a character boundary.
+pub fn json_escape_into(out: &mut String, s: &str) {
+    let b = s.as_bytes();
+    let mut run = 0;
+    while let Some(k) = b[run..]
+        .iter()
+        .position(|&c| c < 0x20 || c == b'"' || c == b'\\')
+    {
+        let i = run + k;
+        out.push_str(&s[run..i]);
+        match b[i] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            c => {
+                let _ = write!(out, "\\u{c:04x}");
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
 }
 
 impl PipelineReport {

@@ -55,16 +55,20 @@
 //! its objects and the lengths of the object and type tables. Every
 //! refusal (a gate, a bad body, a failed fallback or an unwinding panic)
 //! puts that copy back, so an edit that commits copies nothing of the
-//! rest of the program. The session's source text changes only when an
-//! edit commits: the body's lines replace the function's, and only they
-//! are rescanned for definitions.
+//! rest of the program. The session's source text, one buffer with its
+//! line starts, changes only when an edit commits: the body's lines
+//! replace the function's in place, and only they are rescanned for
+//! definitions.
 //!
 //! Value-flow early cutoff: when the new body differs from the old one
-//! only in integer constants, the function's memory SSA, the VFG, Γ and
-//! the Opt II result are kept as they are and only planning re-runs (no
-//! stage before planning reads a constant's value). It is the same
-//! comparison as the pointer gate's, `same_body`, under another
-//! blinding: every constant reads as `0` and objects compare in full.
+//! only in integer constants, the function's memory SSA, the VFG, Γ, the
+//! Opt II result and the plan are kept as they are. No stage reads a
+//! constant's value; planning only copies some operands verbatim into
+//! its shadow ops (an allocation count, a load or store address, the
+//! operands of a bit-level op), and the cutoff rebinds just those from
+//! the edited function's instructions. It is the same comparison as the
+//! pointer gate's, `same_body`, under another blinding: every constant
+//! reads as `0` and objects compare in full.
 //!
 //! Incremental results are *not* persisted to the store: the session
 //! retains them in memory, and only full analyses (which equal what a
@@ -82,6 +86,7 @@ use std::time::{Duration, Instant};
 
 use usher_core::{
     guided_plan, redundant_check_elimination_budgeted, Config, Gamma, Plan, PlanProvenance,
+    ShadowOp,
 };
 use usher_driver::{
     default_threads, gamma_fingerprint, plan_fingerprint, tinyc_source_key, Artifact,
@@ -91,7 +96,7 @@ use usher_driver::{
 use usher_frontend::{parser, relower_function, LowerEnv, RelowerBlocked, RelowerError};
 use usher_ir::{
     is_inline_target, BinOp, Budget, Callee, FuncId, Function, Idx, InlineTrace, Inst, Module,
-    ModuleCfgs, ObjId, ObjectData, Operand, OptLevel, Terminator, UnOp,
+    ModuleCfgs, ObjId, ObjectData, Operand, OptLevel, Site, Terminator, UnOp,
 };
 use usher_pointer::{PointerAnalysis, SolverStats};
 use usher_vfg::{
@@ -149,8 +154,9 @@ pub struct Counters {
     /// Edits that took the function-granular incremental path.
     pub edits_incremental: u64,
     /// Incremental edits whose value flow was unchanged (only constants
-    /// differed), so the retained VFG, Γ and Opt II result were reused
-    /// and only planning re-ran. A subset of `edits_incremental`.
+    /// differed), so the retained VFG, Γ, Opt II result and plan were
+    /// reused, the plan with its copied operands rebound. A subset of
+    /// `edits_incremental`.
     pub edits_value_flow_unchanged: u64,
     /// Edits that fell back to a full recompute.
     pub edits_fallback: u64,
@@ -380,8 +386,70 @@ enum SessionState {
     Ready(Box<Backend>),
 }
 
-struct Session {
-    lines: Vec<String>,
+/// A source text as one buffer: its lines in order, as [`str::lines`]
+/// splits them, each followed by `\n`, and the offset where each starts.
+/// The text itself is the buffer without its last `\n`, which is the
+/// lines joined by `\n`.
+#[derive(Clone, Debug, Default, PartialEq)]
+struct Text {
+    buf: String,
+    /// `starts[i]` is where line `i` starts; a last entry, `buf.len()`,
+    /// closes the last line.
+    starts: Vec<usize>,
+}
+
+impl Text {
+    fn new(src: &str) -> Text {
+        let mut buf = String::with_capacity(src.len() + 1);
+        let mut starts = vec![0];
+        for line in src.lines() {
+            buf.push_str(line);
+            buf.push('\n');
+            starts.push(buf.len());
+        }
+        Text { buf, starts }
+    }
+
+    /// The number of lines.
+    fn len(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    fn lines(&self) -> impl Iterator<Item = &str> {
+        (self.starts.windows(2)).map(|w| &self.buf[w[0]..w[1] - 1])
+    }
+
+    /// The text: its lines joined by `\n`.
+    fn source(&self) -> &str {
+        self.buf.strip_suffix('\n').unwrap_or(&self.buf)
+    }
+
+    /// The text with lines `[lo, hi)` replaced by `body`'s lines.
+    fn source_with(&self, lo: usize, hi: usize, body: &Text) -> String {
+        let (a, b) = (self.starts[lo], self.starts[hi]);
+        let mut s = [&self.buf[..a], &body.buf, &self.buf[b..]].concat();
+        if s.ends_with('\n') {
+            s.pop();
+        }
+        s
+    }
+
+    /// Replaces lines `[lo, hi)` with `body`'s lines.
+    fn splice(&mut self, lo: usize, hi: usize, body: &Text) {
+        let (a, b) = (self.starts[lo], self.starts[hi]);
+        self.buf.replace_range(a..b, &body.buf);
+        for s in &mut self.starts[hi..] {
+            *s = *s - (b - a) + body.buf.len();
+        }
+        let fresh = body.starts[..body.len()].iter().map(|s| s + a);
+        self.starts.splice(lo..hi, fresh);
+    }
+}
+
+/// One analyzed program's source and retained analysis. [`Engine::close`]
+/// hands it back so the caller can free it outside any lock it holds.
+pub struct Session {
+    text: Text,
     spans: Vec<FnSpan>,
     edits: u64,
     state: SessionState,
@@ -398,18 +466,19 @@ impl Session {
     /// does. So only the body's lines are scanned, and every later span
     /// shifts by the change in line count. Any other span is replaced
     /// and the whole text rescanned.
-    fn splice(&mut self, at: usize, body: Vec<String>) {
+    fn splice(&mut self, at: usize, body: &Text) {
         let old = self.spans.get(at);
-        let (start, end) = old.map_or((self.lines.len(), self.lines.len()), |s| (s.start, s.end));
+        let n = self.text.len();
+        let (start, end) = old.map_or((n, n), |s| (s.start, s.end));
         let removed = usize::from(old.is_some());
         let isolated = old.is_none_or(|s| s.isolated);
         let added = body.len();
         let fresh = if isolated {
-            scan_spans(&body)
+            scan_spans(body)
         } else {
             Vec::new()
         };
-        self.lines.splice(start..end, body);
+        self.text.splice(start, end, body);
         if isolated {
             for s in &mut self.spans[at + removed..] {
                 s.start = s.start + added - (end - start);
@@ -422,11 +491,11 @@ impl Session {
             });
             self.spans.splice(at..at + removed, fresh);
         } else {
-            self.spans = scan_spans(&self.lines);
+            self.spans = scan_spans(&self.text);
         }
         debug_assert_eq!(
             self.spans,
-            scan_spans(&self.lines),
+            scan_spans(&self.text),
             "spliced spans must equal a rescan of the whole text"
         );
     }
@@ -455,10 +524,6 @@ fn fnv_digest(s: &str) -> u64 {
     k.finish()
 }
 
-fn split_lines(src: &str) -> Vec<String> {
-    src.lines().map(String::from).collect()
-}
-
 /// Scans top-level `def` spans with a brace-depth line scanner.
 ///
 /// TinyC has no string or character literals, so counting braces per
@@ -467,8 +532,10 @@ fn split_lines(src: &str) -> Vec<String> {
 /// and a closed block comment separates tokens like a space. A `def` is
 /// recognized on a line that starts at brace depth 0 with no definition
 /// pending, when the line's code begins with `def ` and a name. The scan
-/// reads bytes: a session's text lexes, so its code is ASCII.
-fn scan_spans(lines: &[String]) -> Vec<FnSpan> {
+/// reads bytes: a session's text lexes, so its code is ASCII. Once a
+/// line's `def` match is decided, only braces and comment openers
+/// matter, and the scan skips to the next one.
+fn scan_spans(text: &Text) -> Vec<FnSpan> {
     /// Progress of matching `def <name>` against the start of a line's
     /// code.
     #[derive(Clone, Copy)]
@@ -502,7 +569,7 @@ fn scan_spans(lines: &[String]) -> Vec<FnSpan> {
     let mut open: Option<(String, usize, bool)> = None;
     let mut opened_brace = false;
     let mut in_block = false;
-    for (i, line) in lines.iter().enumerate() {
+    for (i, line) in text.lines().enumerate() {
         let b = line.as_bytes();
         let began_in_block = in_block;
         let mut def = if depth == 0 && open.is_none() {
@@ -521,6 +588,12 @@ fn scan_spans(lines: &[String]) -> Vec<FnSpan> {
                 in_block = false;
                 def = step(def, j, None);
                 continue;
+            }
+            if let Def::Done = def {
+                match b[j..].iter().position(|c| matches!(c, b'{' | b'}' | b'/')) {
+                    Some(k) => j += k,
+                    None => break,
+                }
             }
             match (b[j], b.get(j + 1)) {
                 (b'/', Some(b'/')) => break,
@@ -795,7 +868,7 @@ impl Engine {
                         sid: *sid,
                         warm: matches!(s.state, SessionState::Warm { .. }),
                         edits: s.edits,
-                        source: s.lines.join("\n"),
+                        source: s.text.source().to_string(),
                     }
                 })
                 .collect()
@@ -837,10 +910,9 @@ impl Engine {
         base_edits: u64,
         src: &str,
     ) -> Result<(), String> {
-        let lines = split_lines(src);
-        let canon = lines.join("\n");
-        let spans = scan_spans(&lines);
-        let sk = tinyc_source_key(&canon);
+        let text = Text::new(src);
+        let spans = scan_spans(&text);
+        let sk = tinyc_source_key(text.source());
         let mut state = None;
         if warm {
             match self.warm_probe(sk) {
@@ -860,7 +932,9 @@ impl Engine {
         let state = match state {
             Some(s) => s,
             None => {
-                let (backend, _) = self.compute(sid, &canon, None).map_err(|e| e.to_string())?;
+                let (backend, _) = self
+                    .compute(sid, text.source(), None)
+                    .map_err(|e| e.to_string())?;
                 self.persist(sk, &backend);
                 self.last_solver = backend.pa.stats;
                 SessionState::Ready(Box::new(backend))
@@ -869,7 +943,7 @@ impl Engine {
         self.sessions.insert(
             sid,
             Session {
-                lines,
+                text,
                 spans,
                 edits: base_edits,
                 state,
@@ -1050,10 +1124,9 @@ impl Engine {
                 "deadline expired before analysis started",
             ));
         }
-        let lines = split_lines(src);
-        let canon = lines.join("\n");
-        let spans = scan_spans(&lines);
-        let sk = tinyc_source_key(&canon);
+        let text = Text::new(src);
+        let spans = scan_spans(&text);
+        let sk = tinyc_source_key(text.source());
         let mem0 = self.cache.stats();
         let disk0 = self.disk.as_ref().map(|d| d.stats()).unwrap_or_default();
         let sid = self.next_session;
@@ -1076,7 +1149,7 @@ impl Engine {
             }
             None => {
                 let remaining = deadline.map(|d| d.saturating_sub(start.elapsed()));
-                let (backend, report) = match self.compute(sid, &canon, remaining) {
+                let (backend, report) = match self.compute(sid, text.source(), remaining) {
                     Ok(c) => c,
                     Err(e) => {
                         return Err(self.refuse(
@@ -1101,7 +1174,7 @@ impl Engine {
                 sid,
                 warm: mode == "warm",
                 edits: 0,
-                source: canon,
+                source: text.source().to_string(),
             });
         }
         if let SessionState::Ready(b) = &state {
@@ -1120,7 +1193,7 @@ impl Engine {
         self.sessions.insert(
             sid,
             Session {
-                lines,
+                text,
                 spans,
                 edits: 0,
                 state,
@@ -1211,7 +1284,7 @@ impl Engine {
 
         // The source text changes only when the edit commits: the body's
         // lines replace the function's span, or follow the last line.
-        let body_lines = split_lines(body);
+        let body_text = Text::new(body);
         let session = &self.sessions[&sid];
         let at = session.spans.iter().position(|s| s.name == func);
         let at = at.unwrap_or(session.spans.len());
@@ -1287,9 +1360,10 @@ impl Engine {
             // re-derives and asserts via the mod/ref summaries.
             //
             // Early cutoff: a body that differs only in constants has the
-            // same memory SSA, VFG, Γ and Opt II result (a constant has no
-            // points-to set and no value-flow node of its own). The debug
-            // build rebuilds them on the cutoff path and asserts the reuse.
+            // same memory SSA, VFG, Γ, Opt II result and plan, up to the
+            // operands planning copies (a constant has no points-to set
+            // and no value-flow node of its own). The debug build rebuilds
+            // them on the cutoff path and asserts the reuse.
             let value_flow_unchanged = value_flow_reusable(old, m);
             let m: &Module = &b.module;
             #[cfg(debug_assertions)]
@@ -1334,13 +1408,20 @@ impl Engine {
                 stages.push(ran(Stage::Resolve, t));
                 rebuilt = Some((vfg, out));
             }
+            // The cutoff keeps the retained plan and rebinds only the
+            // operands planning copies from the edited instructions.
             let t = Instant::now();
-            let (vfg, gamma) = match &rebuilt {
-                Some((vfg, out)) => (vfg, &out.gamma),
-                None => (&b.vfg, &*b.gamma),
+            let (plan, rebinds) = match &rebuilt {
+                Some((vfg, out)) => {
+                    let plan = guided_plan(m, &b.pa, &b.memssa, vfg, &out.gamma, gopts, label);
+                    (Some(plan), Vec::new())
+                }
+                None => (None, plan_rebinds(&b.plan, m, fid)),
             };
-            let plan = guided_plan(m, &b.pa, &b.memssa, vfg, gamma, gopts, label);
-            stages.push(ran(Stage::Instrument, t));
+            stages.push(StageTiming {
+                cached: plan.is_none(),
+                ..ran(Stage::Instrument, t)
+            });
 
             // Commit: nothing below can fail.
             if let Some((vfg, out)) = rebuilt {
@@ -1350,7 +1431,16 @@ impl Engine {
             } else {
                 self.counters.edits_value_flow_unchanged += 1;
             }
-            b.plan = Arc::new(plan);
+            if let Some(plan) = plan {
+                b.plan = Arc::new(plan);
+            } else if !rebinds.is_empty() {
+                // Copies the plan only while the memory tier shares it.
+                apply_rebinds(Arc::make_mut(&mut b.plan), rebinds);
+            }
+            #[cfg(debug_assertions)]
+            if value_flow_unchanged {
+                debug_assert_plan_rebind(b, gopts, &self.opts.label);
+            }
             // Any edit starts a new memo epoch, even one that keeps the
             // VFG the memoized demand verdicts were computed on.
             b.demand = None;
@@ -1378,11 +1468,9 @@ impl Engine {
                 // whose callers were not updated): user error, session
                 // unchanged.
                 let session = &self.sessions[&sid];
-                let n = session.lines.len();
+                let n = session.text.len();
                 let (lo, hi) = session.spans.get(at).map_or((n, n), |s| (s.start, s.end));
-                let canon = [&session.lines[..lo], &body_lines, &session.lines[hi..]]
-                    .concat()
-                    .join("\n");
+                let canon = session.text.source_with(lo, hi, &body_text);
                 let remaining = deadline.map(|d| d.saturating_sub(start.elapsed()));
                 let (backend, mut report) = match self.compute(sid, &canon, remaining) {
                     Ok(c) => c,
@@ -1419,7 +1507,7 @@ impl Engine {
                 "an edit must leave no stale shared CFG or dominator tree"
             );
         }
-        session.splice(at, body_lines);
+        session.splice(at, &body_text);
         session.edits += 1;
         self.counters.functions_recomputed += functions_recomputed as u64;
         if let Some(w) = &mut self.wal {
@@ -1623,21 +1711,21 @@ impl Engine {
         }
     }
 
-    /// Drops a session, releasing its retained state.
-    pub fn close(&mut self, sid: u64) -> bool {
-        let existed = self.sessions.remove(&sid).is_some();
-        if existed {
-            if let Some(w) = &mut self.wal {
-                w.append(&WalRecord::Close { sid });
-            }
+    /// Removes a session and returns it, `None` when there was none.
+    /// Freeing a session's text and retained analysis takes a while, so
+    /// a caller that holds a lock drops it after letting go.
+    pub fn close(&mut self, sid: u64) -> Option<Session> {
+        let session = self.sessions.remove(&sid)?;
+        if let Some(w) = &mut self.wal {
+            w.append(&WalRecord::Close { sid });
         }
-        existed
+        Some(session)
     }
 
     /// The session's current source text.
     #[must_use]
     pub fn session_source(&self, sid: u64) -> Option<String> {
-        self.sessions.get(&sid).map(|s| s.lines.join("\n"))
+        self.sessions.get(&sid).map(|s| s.text.source().to_string())
     }
 }
 
@@ -1713,12 +1801,13 @@ fn raw_body_references_involved(m: &Module, fid: FuncId, inline: &InlineTrace) -
 ///   the CFG is equal).
 /// - The value-flow cutoff ([`value_flow_reusable`]) reads every integer
 ///   constant as `0` and compares objects in full (`zero_init` seeds the
-///   VFG). No stage before planning reads a constant's value: the VFG
-///   maps every constant to the `T` root and registers no check on one,
-///   the pointer solver adds no constraint for one (so memory SSA, which
-///   reads only points-to sets, is unchanged too), and Opt II and the
-///   MFC read only instruction kinds, operators and the CFG. Planning
-///   does read constants (their shadow is defined), so it always re-runs.
+///   VFG). No stage reads a constant's value: the VFG maps every constant
+///   to the `T` root and registers no check on one, the pointer solver
+///   adds no constraint for one (so memory SSA, which reads only
+///   points-to sets, is unchanged too), Opt II and the MFC read only
+///   instruction kinds, operators and the CFG, and planning maps every
+///   constant to a defined shadow. Planning only copies some operands
+///   into its ops, which the cutoff rebinds ([`ShadowOp::rebind`]).
 ///
 /// A promoted local has no object and no variable left, so an unused
 /// scalar insert or removal passes both.
@@ -1800,6 +1889,54 @@ fn value_flow_reusable(old: &Snapshot, m_new: &Module) -> bool {
         op => op,
     };
     same_body(old, m_new, zero, |_| {}, |_| {})
+}
+
+/// The shadow ops at `fid`'s instruction sites in `plan` that change
+/// when each is rebound to the instruction now at its site
+/// ([`ShadowOp::rebind`]), as `(after, site, ops)` replacements of whole
+/// site lists. Empty when the plan already matches.
+fn plan_rebinds(plan: &Plan, m: &Module, fid: FuncId) -> Vec<(bool, Site, Vec<ShadowOp>)> {
+    let mut out = Vec::new();
+    for (bb, block) in m.funcs[fid].blocks.iter_enumerated() {
+        for (idx, inst) in block.insts.iter().enumerate() {
+            let site = Site::new(fid, bb, idx);
+            for (after, map) in [(false, &plan.before), (true, &plan.after)] {
+                let Some(ops) = map.get(&site) else { continue };
+                let mut rebound = ops.clone();
+                rebound.iter_mut().for_each(|op| op.rebind(inst));
+                if rebound != *ops {
+                    out.push((after, site, rebound));
+                }
+            }
+        }
+    }
+    out
+}
+
+fn apply_rebinds(plan: &mut Plan, rebinds: Vec<(bool, Site, Vec<ShadowOp>)>) {
+    for (after, site, ops) in rebinds {
+        let map = if after {
+            &mut plan.after
+        } else {
+            &mut plan.before
+        };
+        map.insert(site, ops);
+    }
+}
+
+/// Debug self-check of the cutoff's plan: the retained plan with its
+/// operands rebound must equal a fresh plan of the edited module.
+#[cfg(debug_assertions)]
+fn debug_assert_plan_rebind(b: &Backend, gopts: usher_core::GuidedOpts, label: &str) {
+    let m: &Module = &b.module;
+    let fresh = guided_plan(m, &b.pa, &b.memssa, &b.vfg, &b.gamma, gopts, label);
+    debug_assert_eq!(
+        plan_fingerprint(&fresh),
+        plan_fingerprint(&b.plan),
+        "cutoff must keep the plan up to rebound operands"
+    );
+    debug_assert_eq!(fresh.name, b.plan.name);
+    debug_assert_eq!(fresh.provenance, b.plan.provenance);
 }
 
 /// Debug self-check of the value-flow early cutoff: recomputing the
@@ -1973,7 +2110,7 @@ def main(int c) {
         let module = b.module.clone();
         let key = e
             .opts
-            .frontend_key(tinyc_source_key(&split_lines(SRC).join("\n")));
+            .frontend_key(tinyc_source_key(Text::new(SRC).source()));
         let Some(Artifact::Module(cached)) = e.cache.lookup(key) else {
             panic!("cold analyze must cache its module");
         };
@@ -2069,7 +2206,10 @@ def main(int c) {
             let t = stage(&out, s);
             assert!(t.cached && t.seconds == 0.0, "{s:?} must be reused: {t:?}");
         }
-        assert!(!stage(&out, Stage::Instrument).cached, "planning re-runs");
+        assert!(
+            stage(&out, Stage::Instrument).cached,
+            "the plan is kept, its operands rebound"
+        );
         let post = e.query_use(sid, 0).unwrap();
         assert_eq!(post.epoch, 1, "a kept VFG still starts a new epoch");
         assert!(!post.memo_hit);
@@ -2416,8 +2556,9 @@ def main() { print(a() + b()); }";
                 "/* main,\n   rewritten */\n// twice\ndef main() {\n  print(a());\n}",
             ),
         ] {
-            s.splice(at, split_lines(body));
-            assert_eq!(s.spans, scan_spans(&s.lines), "{body}");
+            s.splice(at, &Text::new(body));
+            assert_eq!(s.spans, scan_spans(&s.text), "{body}");
+            assert_eq!(s.text, Text::new(s.text.source()), "{body}");
         }
         let names: Vec<&str> = s.spans.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, ["a", "b", "main", "c"]);
@@ -2661,8 +2802,9 @@ def main() { print(a() + b()); }";
 
     #[test]
     fn span_scanner_finds_all_defs() {
-        let lines = split_lines(SRC);
-        let spans = scan_spans(&lines);
+        let text = Text::new(SRC);
+        let lines: Vec<&str> = text.lines().collect();
+        let spans = scan_spans(&text);
         let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, ["helper0", "risky", "main"]);
         for s in &spans {
@@ -2670,7 +2812,7 @@ def main() { print(a() + b()); }";
             assert!(lines[s.end - 1].trim_end().ends_with('}'));
         }
         // Single-line defs work too.
-        let one = split_lines("def f() -> int { return 1; }\ndef g() { print(1); }");
+        let one = Text::new("def f() -> int { return 1; }\ndef g() { print(1); }");
         let spans = scan_spans(&one);
         assert_eq!(spans.len(), 2);
         assert_eq!((spans[0].start, spans[0].end), (0, 1));
@@ -2685,7 +2827,7 @@ def f() -> int { return 2; }
 def f() -> int { /* } */ return 1; }
 /**/ def g() { print(1); } // def h() {
 /*/ { */ def h() { print(2); }";
-        let spans = scan_spans(&split_lines(src));
+        let spans = scan_spans(&Text::new(src));
         let got: Vec<(&str, usize, usize)> = spans
             .iter()
             .map(|s| (s.name.as_str(), s.start, s.end))
@@ -2731,16 +2873,7 @@ def @f1 \"main\" {{
         };
         let m_old = module("uninit", "%v1", "undef");
         let pa = usher_pointer::analyze(&m_old);
-        let fid = FuncId::from_usize(0);
-        let old = Snapshot {
-            fid,
-            func: m_old.funcs[fid].clone(),
-            range: (0, 1),
-            objects: m_old.objects.raw().to_vec(),
-            objects_len: 1,
-            types_len: m_old.types.len(),
-            memssa: None,
-        };
+        let old = snapshot_of_f0(&m_old);
         // (object init, load address, store address, pointer gate passes,
         // value flow unchanged).
         let cases = [
@@ -2757,6 +2890,83 @@ def @f1 \"main\" {{
             let case = format!("{init} / load {load} / store {store}");
             assert_eq!(pa_reusable(&old, &m, &pa), pa_ok, "{case}: pointer gate");
             assert_eq!(value_flow_reusable(&old, &m), vf_ok, "{case}: cutoff");
+        }
+    }
+
+    /// The edit snapshot of `@f0`, which owns the module's only object.
+    fn snapshot_of_f0(m: &Module) -> Snapshot {
+        let fid = FuncId::from_usize(0);
+        Snapshot {
+            fid,
+            func: m.funcs[fid].clone(),
+            range: (0, 1),
+            objects: m.objects.raw().to_vec(),
+            objects_len: 1,
+            types_len: m.types.len(),
+            memssa: None,
+        }
+    }
+
+    /// The cutoff's plan rebind on IR written directly. TinyC lowers a
+    /// constant allocation count to a static layout and reads a promoted
+    /// local through a copy, so no TinyC edit that keeps the value flow
+    /// changes an operand planning copies. Here the count of an
+    /// allocation whose cell is read uninitialized and the mask of a
+    /// bitwise `and` change, under the serve preset (which copies the
+    /// count) and its bit-level twin (which also copies the mask).
+    #[test]
+    fn cutoff_rebinds_the_operands_planning_copies() {
+        let module = |count: i64, mask: i64| {
+            let text = format!(
+                "obj 0 \"malloc\" heap(@f0) uninit : int
+main @f1
+def @f0 \"f\" -> int {{
+  var %v0 \"a\" int
+  var %v1 \"h\" int*
+  var %v2 \"l\" int
+  var %v3 \"x\" int
+  params %v0
+  entry bb0
+  bb0:
+    %v1 = alloc 0 count {count}
+    %v2 = load %v1
+    %v3 = bin And %v2 {mask}
+    br %v3 bb1 bb2
+  bb1:
+    ret %v3
+  bb2:
+    ret %v0
+}}
+def @f1 \"main\" {{
+  var %v0 \"c\" int
+  var %v1 \"r\" int
+  params %v0
+  entry bb0
+  bb0:
+    %v1 = call @f0(%v0)
+    ecall print(%v1)
+    ret
+}}"
+            );
+            usher_ir::parse_text(&text).expect("the module parses")
+        };
+        let (m_old, m_new) = (module(1, 5), module(2, 6));
+        assert!(
+            value_flow_reusable(&snapshot_of_f0(&m_old), &m_new),
+            "only constants differ, so the edit takes the cutoff"
+        );
+        for cfg in [Config::USHER, Config::USHER_BIT] {
+            let mut plan = usher_core::run_config(&m_old, cfg).plan;
+            let want = plan_fingerprint(&usher_core::run_config(&m_new, cfg).plan);
+            assert_ne!(
+                plan_fingerprint(&plan),
+                want,
+                "{}: the plan changes",
+                cfg.name
+            );
+            let rebinds = plan_rebinds(&plan, &m_new, FuncId::from_usize(0));
+            apply_rebinds(&mut plan, rebinds);
+            assert_eq!(plan_fingerprint(&plan), want, "{}", cfg.name);
         }
     }
 }

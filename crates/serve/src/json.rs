@@ -36,7 +36,7 @@ impl Json {
     /// input.
     pub fn parse(s: &str) -> Result<Json, String> {
         let b = s.as_bytes();
-        let mut p = Parser { b, i: 0 };
+        let mut p = Parser { s, b, i: 0 };
         p.ws();
         let v = p.value()?;
         p.ws();
@@ -81,6 +81,7 @@ impl Json {
 }
 
 struct Parser<'a> {
+    s: &'a str,
     b: &'a [u8],
     i: usize,
 }
@@ -203,6 +204,15 @@ impl<'a> Parser<'a> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
+            // Copies the run up to the next quote, backslash or control
+            // byte in one piece. Those are ASCII, so the run ends on a
+            // character boundary.
+            let run = self.b[self.i..]
+                .iter()
+                .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+                .unwrap_or(self.b.len() - self.i);
+            out.push_str(&self.s[self.i..self.i + run]);
+            self.i += run;
             match self.peek() {
                 None => return Err("unterminated string".into()),
                 Some(b'"') => {
@@ -248,17 +258,7 @@ impl<'a> Parser<'a> {
                         _ => return Err(format!("bad escape at offset {}", self.i)),
                     }
                 }
-                Some(c) if c < 0x20 => return Err("raw control char in string".into()),
-                Some(_) => {
-                    // Copy one UTF-8 scalar (the input is a &str, so
-                    // boundaries are valid).
-                    let start = self.i;
-                    self.i += 1;
-                    while self.i < self.b.len() && (self.b[self.i] & 0xc0) == 0x80 {
-                        self.i += 1;
-                    }
-                    out.push_str(std::str::from_utf8(&self.b[start..self.i]).unwrap());
-                }
+                Some(_) => return Err("raw control char in string".into()),
             }
         }
     }
@@ -281,11 +281,13 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Escapes a string for inclusion inside a JSON string literal (no
-/// surrounding quotes). Delegates to the driver's escaper so the serve
-/// responses and the telemetry lines agree byte-for-byte.
-pub fn escape(s: &str) -> String {
-    usher_driver::json_escape(s)
+/// Appends `"s"`, escaped, to `buf`. Uses the driver's escaper, so the
+/// serve responses and the telemetry lines agree byte-for-byte.
+fn push_quoted(buf: &mut String, s: &str) {
+    buf.reserve(s.len() + 2);
+    buf.push('"');
+    usher_driver::json_escape_into(buf, s);
+    buf.push('"');
 }
 
 /// An incremental writer for one-line JSON objects.
@@ -309,13 +311,14 @@ impl ObjWriter {
             self.buf.push(',');
         }
         self.any = true;
-        let _ = write!(self.buf, "\"{}\":", escape(k));
+        push_quoted(&mut self.buf, k);
+        self.buf.push(':');
     }
 
     /// Appends a string field.
     pub fn str(&mut self, k: &str, v: &str) -> &mut Self {
         self.key(k);
-        let _ = write!(self.buf, "\"{}\"", escape(v));
+        push_quoted(&mut self.buf, v);
         self
     }
 
@@ -433,6 +436,58 @@ mod tests {
             (r#""\ue000""#, "\u{e000}"),
         ] {
             assert_eq!(Json::parse(input).unwrap().as_str(), Some(want));
+        }
+    }
+
+    /// Seed-enumerated strings mixing quotes, backslashes, every control
+    /// character, multi-byte UTF-8 and long plain runs survive
+    /// `json_escape` and `Json::parse`, and the escaper writes one line.
+    #[test]
+    fn escaped_strings_round_trip_through_the_parser() {
+        const PIECES: [&str; 12] = [
+            "\"", "\\", "\n", "\r", "\t", "\u{0}", "\u{1f}", "\u{7f}", "é", "€", "😀", "/",
+        ];
+        for seed in 1..=200u64 {
+            let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+            let mut next = || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            let mut s = String::new();
+            for _ in 0..next() % 40 {
+                match next() % 4 {
+                    0 => s.push_str(PIECES[(next() % PIECES.len() as u64) as usize]),
+                    1 => s.push(char::from_u32((next() % 0x20) as u32).unwrap()),
+                    2 => s.push_str(&"plain text run ".repeat((next() % 300) as usize)),
+                    _ => s.extend(char::from_u32((next() % 0x3000) as u32)),
+                }
+            }
+            let quoted = format!("\"{}\"", usher_driver::json_escape(&s));
+            assert!(
+                !quoted.contains('\n'),
+                "seed {seed}: the escape spans lines"
+            );
+            let back = Json::parse(&quoted).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            assert_eq!(back.as_str(), Some(s.as_str()), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn string_rejections_name_their_cause() {
+        let long = "x".repeat(1000);
+        for (bad, why) in [
+            ("\"a\u{1}b\"".to_string(), "raw control char in string"),
+            (format!("\"{long}\n{long}\""), "raw control char in string"),
+            (format!("\"{long}"), "unterminated string"),
+            ("\"".to_string(), "unterminated string"),
+            (format!("\"{long}\\"), "unterminated escape"),
+            ("\"\\ud800\"".to_string(), "lone high surrogate"),
+            ("\"\\ud800\\u0041\"".to_string(), "bad low surrogate"),
+            ("\"\\udc00\"".to_string(), "lone low surrogate"),
+        ] {
+            assert_eq!(Json::parse(&bad), Err(why.to_string()), "{bad:?}");
         }
     }
 

@@ -588,8 +588,10 @@ impl Dispatcher {
                         false,
                     );
                 };
-                let mut engine = self.engine_lock();
-                let closed = engine.close(sid);
+                let session = self.engine_lock().close(sid);
+                let closed = session.is_some();
+                // Frees the session after the engine lock is released.
+                drop(session);
                 let mut w = ObjWriter::new();
                 w.bool("ok", true)
                     .str("op", "close")

@@ -250,7 +250,8 @@ echo "==> perf gates"
 # cold demand query must stay a small fraction of a cold resolve, and
 # incremental serve edits must beat a cold analyze (1.5x on gen-37; on
 # gen-131, 40x for constant swaps and 4x for operator swaps, which
-# rebuild the value flow). Each gate
+# rebuild the value flow), and a warm re-open of gen-131 must beat a
+# cold analyze by 8x. Each gate
 # prints `gate <name>: measured <x>, bound <y>`, so this log records the
 # margins. The step fails unless the summary reports `0 ignored`: a
 # release run must never skip a gate.

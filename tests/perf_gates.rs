@@ -346,7 +346,8 @@ fn incremental_edits_beat_a_cold_analyze() {
 /// constant of one helper, all through `Dispatcher::handle_line`. Every one must take the
 /// incremental path, and their p50 must beat the cold analyze by 40x:
 /// such an edit splices one function into the retained module and
-/// source and re-runs only planning, so it must not pay for copying or
+/// source and keeps the retained plan, rebinding the operands planning
+/// copied from the function, so it must not pay for copying or
 /// rescanning the whole program.
 #[test]
 #[cfg_attr(
@@ -422,6 +423,55 @@ fn value_flow_edits_beat_a_cold_analyze_by_4x_on_gen_131() {
     assert!(
         speedup >= SPEEDUP_FLOOR,
         "operator-swap p50 {:.3}ms is only {speedup:.1}x faster than a cold analyze {:.3}ms",
+        p50 * 1e3,
+        cold * 1e3
+    );
+}
+
+/// Warm re-opens on the serve-session program shape (gen-131, 160
+/// helpers of 14 statements): after a cold analyze on a disk store with
+/// the WAL on, 12 analyzes of the same source through
+/// `Dispatcher::handle_line`, each served warm from the memory tier and
+/// closed again (untimed). Their p50 must beat the cold analyze by 8x:
+/// a warm open decodes the request, splits and scans the source, reads
+/// three cached artifacts and logs the source to the WAL, and each of
+/// those must move the text in bulk.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "timing gate: release only, run by scripts/ci.sh"
+)]
+fn warm_reopens_beat_a_cold_analyze_by_8x_on_gen_131() {
+    const OPENS: usize = 12;
+    const SPEEDUP_FLOOR: f64 = 8.0;
+    let src = generate(131, ladder_config(160, 14));
+    let (cold, d, dir, _) = cold_dispatcher(&src);
+    let opens: Vec<f64> = (0..OPENS)
+        .map(|i| {
+            let line = analyze_request(&src, &format!("warm-{i}"));
+            let t = Instant::now();
+            let resp = ok(&d, &line);
+            let dt = t.elapsed().as_secs_f64();
+            assert_eq!(resp.get("mode").and_then(Json::as_str), Some("warm"));
+            let sid = resp
+                .get("session")
+                .and_then(Json::as_u64)
+                .expect("session id");
+            let mut w = ObjWriter::new();
+            w.str("op", "close").u64("session", sid);
+            ok(&d, &w.finish());
+            dt
+        })
+        .collect();
+    drop(d);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let p50 = p50(opens);
+    let speedup = cold / p50.max(1e-9);
+    report("serve-warm-open-speedup/gen-131", speedup, SPEEDUP_FLOOR);
+    assert!(
+        speedup >= SPEEDUP_FLOOR,
+        "warm-open p50 {:.3}ms is only {speedup:.1}x faster than a cold analyze {:.3}ms",
         p50 * 1e3,
         cold * 1e3
     );
