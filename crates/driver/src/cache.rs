@@ -249,11 +249,6 @@ impl ArtifactCache {
         }
     }
 
-    /// Drops every entry (counters keep accumulating).
-    pub fn clear(&self) {
-        self.map().clear();
-    }
-
     /// Fault injection: flips the stored digest of every entry, leaving
     /// the artifacts intact. Every subsequent lookup of these keys
     /// detects the mismatch, evicts, and recomputes — the detectable
@@ -304,8 +299,6 @@ mod tests {
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 2, 1));
         assert_eq!(s.corrupt_recovered, 0);
-        c.clear();
-        assert_eq!(c.stats().entries, 0);
     }
 
     #[test]

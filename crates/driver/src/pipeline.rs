@@ -394,11 +394,6 @@ impl Pipeline {
         self.cache.stats()
     }
 
-    /// Drops all cached artifacts.
-    pub fn clear_cache(&self) {
-        self.cache.clear();
-    }
-
     /// Fault injection: flips every cache entry's stored digest so the
     /// next lookup detects the corruption, evicts and recomputes. See
     /// [`ArtifactCache::corrupt_digests`]. Returns entries corrupted.

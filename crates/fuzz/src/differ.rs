@@ -15,9 +15,6 @@
 //! * [`FaultInjection::FuelExhaustion`] — a tiny step budget; every run
 //!   must trap [`usher_runtime::Trap::FuelExhausted`] at the identical
 //!   point, and the outcome is classified, not a mismatch.
-//! * [`FaultInjection::CacheEviction`] — evicts the driver's artifact
-//!   cache between two otherwise identical runs; rebuilt artifacts must
-//!   fingerprint identically (a cache-poisoning probe).
 //! * [`FaultInjection::TrapForcing`] — tiny recursion/allocation caps
 //!   force trap paths; native and instrumented runs must trap alike.
 //! * [`FaultInjection::DropChecks`] — strips every `Check` from the
@@ -74,9 +71,6 @@ pub enum FaultInjection {
     None,
     /// Run everything under a tiny step budget.
     FuelExhaustion,
-    /// Evict the driver's artifact cache between two identical runs and
-    /// require identical rebuilt plans.
-    CacheEviction,
     /// Tiny call-depth and allocation caps to force trap paths.
     TrapForcing,
     /// Strip every runtime check from the guided plans (synthetic
@@ -106,10 +100,9 @@ pub enum FaultInjection {
 
 impl FaultInjection {
     /// Every mode, for sweeps.
-    pub const ALL: [FaultInjection; 10] = [
+    pub const ALL: [FaultInjection; 9] = [
         FaultInjection::None,
         FaultInjection::FuelExhaustion,
-        FaultInjection::CacheEviction,
         FaultInjection::TrapForcing,
         FaultInjection::DropChecks,
         FaultInjection::CacheCorrupt,
@@ -124,7 +117,6 @@ impl FaultInjection {
         match self {
             FaultInjection::None => "none",
             FaultInjection::FuelExhaustion => "fuel",
-            FaultInjection::CacheEviction => "cache-evict",
             FaultInjection::TrapForcing => "trap-force",
             FaultInjection::DropChecks => "drop-checks",
             FaultInjection::CacheCorrupt => "cache-corrupt",
@@ -530,23 +522,6 @@ fn cross_check_driver(
         }
         if fault == FaultInjection::CacheCorrupt {
             cache_corruption_probe(src, &popts, cfg, false, mismatches);
-        }
-        if fault == FaultInjection::CacheEviction {
-            // Cache-poisoning probe: warm the cache, evict it, and require
-            // the rebuilt artifacts to fingerprint identically.
-            let pipe = Pipeline::new();
-            let warm = pipe.run_source("fuzz", src, popts.clone());
-            pipe.clear_cache();
-            let cold = pipe.run_source("fuzz", src, popts.clone());
-            if let (Ok(a), Ok(b)) = (warm, cold) {
-                if plan_fingerprint(&a.plan) != plan_fingerprint(&b.plan) {
-                    mismatches.push(Mismatch {
-                        kind: MismatchKind::PlanDivergence,
-                        config: (*cfg).to_string(),
-                        detail: "plan changed across a cache eviction".to_string(),
-                    });
-                }
-            }
         }
     }
 }

@@ -1,11 +1,14 @@
 //! Text codecs for on-disk artifacts.
 //!
-//! The content-addressed store persists the three artifacts that dominate
-//! warm-start cost: the compiled [`Module`], the resolved [`Gamma`] (with
-//! Opt II's redirected-node count) and the instrumentation [`Plan`].
-//! Intermediate artifacts (pointer analysis, memory SSA, VFG) are cheap to
-//! rebuild relative to their serialized size and are cached in neither
-//! tier: only the session that computed them holds them.
+//! The content-addressed store persists, per analysed program, the three
+//! artifacts that dominate warm-start cost: the compiled [`Module`], the
+//! resolved [`Gamma`] (with Opt II's redirected-node count) and the
+//! instrumentation [`Plan`]. [`encode_analysis`] packs the three into
+//! one payload, so the store writes and reads them as one entry, and
+//! [`decode_analysis`] accepts only a payload of exactly the recorded
+//! lengths. Intermediate artifacts (pointer analysis, memory SSA, VFG)
+//! are cheap to rebuild relative to their serialized size and are cached
+//! in neither tier: only the session that computed them holds them.
 //!
 //! Every codec is a deterministic line-based text format: map keys are
 //! sorted before encoding, so equal artifacts encode to equal bytes and
@@ -37,11 +40,59 @@ fn err<T>(msg: impl Into<String>) -> Result<T, CodecError> {
 }
 
 // ---------------------------------------------------------------------
+// One analysis: module, Gamma and plan
+// ---------------------------------------------------------------------
+
+/// Encodes one program's analysis as a single payload: a header line
+/// `analysis v1 <gamma bytes> <plan bytes> <module bytes>`, then the
+/// three encodings back to back.
+pub fn encode_analysis(m: &Module, g: &Gamma, redirected: usize, p: &Plan) -> String {
+    let gamma = encode_gamma(g, redirected);
+    let (plan, module) = (encode_plan(p), encode_module(m));
+    let (gl, pl, ml) = (gamma.len(), plan.len(), module.len());
+    format!("analysis v1 {gl} {pl} {ml}\n{gamma}{plan}{module}")
+}
+
+/// Decodes a payload produced by [`encode_analysis`] into the module, Γ,
+/// Opt II's redirected count and the plan.
+///
+/// # Errors
+///
+/// Fails when the body is not exactly the recorded lengths (truncation,
+/// trailing bytes) or any part fails its own decoder.
+pub fn decode_analysis(s: &str) -> Result<(Module, Gamma, usize, Plan), CodecError> {
+    let (header, body) = s
+        .split_once('\n')
+        .ok_or(CodecError("analysis: missing header".into()))?;
+    let lens: Vec<usize> = header
+        .strip_prefix("analysis v1 ")
+        .ok_or(CodecError("analysis: bad header".into()))?
+        .split(' ')
+        .map(|t| t.parse())
+        .collect::<Result<_, _>>()
+        .map_err(|_| CodecError("analysis: bad length".into()))?;
+    let [g, p, m] = lens[..] else {
+        return err("analysis: wrong length arity");
+    };
+    if g.checked_add(p).and_then(|n| n.checked_add(m)) != Some(body.len()) {
+        return err("analysis: length mismatch");
+    }
+    let part = |lo: usize, hi: usize| {
+        body.get(lo..hi)
+            .ok_or(CodecError("analysis: split inside a character".into()))
+    };
+    let (gamma, redirected) = decode_gamma(part(0, g)?)?;
+    let plan = decode_plan(part(g, g + p)?)?;
+    let module = decode_module(part(g + p, body.len())?)?;
+    Ok((module, gamma, redirected, plan))
+}
+
+// ---------------------------------------------------------------------
 // Module
 // ---------------------------------------------------------------------
 
 /// Encodes a module as its canonical IR text.
-pub fn encode_module(m: &Module) -> String {
+fn encode_module(m: &Module) -> String {
     usher_ir::write_text(m)
 }
 
@@ -50,7 +101,7 @@ pub fn encode_module(m: &Module) -> String {
 /// # Errors
 ///
 /// Fails when the text is not valid IR.
-pub fn decode_module(s: &str) -> Result<Module, CodecError> {
+fn decode_module(s: &str) -> Result<Module, CodecError> {
     usher_ir::parse_text(s).map_err(|e| CodecError(format!("module: {e:?}")))
 }
 
@@ -59,7 +110,7 @@ pub fn decode_module(s: &str) -> Result<Module, CodecError> {
 // ---------------------------------------------------------------------
 
 /// Encodes a resolved `Gamma` plus Opt II's redirected-node count.
-pub fn encode_gamma(g: &Gamma, redirected: usize) -> String {
+fn encode_gamma(g: &Gamma, redirected: usize) -> String {
     let mut bits = String::with_capacity(g.len());
     for i in 0..g.len() {
         bits.push(if g.is_bot(i as u32) { '1' } else { '0' });
@@ -84,7 +135,7 @@ pub fn encode_gamma(g: &Gamma, redirected: usize) -> String {
 /// # Errors
 ///
 /// Fails on any structural mismatch.
-pub fn decode_gamma(s: &str) -> Result<(Gamma, usize), CodecError> {
+fn decode_gamma(s: &str) -> Result<(Gamma, usize), CodecError> {
     let mut lines = s.lines();
     if lines.next() != Some("gamma v1") {
         return err("gamma: bad header");
@@ -464,7 +515,7 @@ fn parse_op(line: &str) -> Result<ShadowOp, CodecError> {
 }
 
 /// Encodes a plan deterministically (sorted sites/entries/phis).
-pub fn encode_plan(p: &Plan) -> String {
+fn encode_plan(p: &Plan) -> String {
     use std::fmt::Write as _;
     let mut s = String::new();
     let _ = writeln!(s, "plan v1");
@@ -516,7 +567,7 @@ pub fn encode_plan(p: &Plan) -> String {
 /// # Errors
 ///
 /// Fails on any structural mismatch.
-pub fn decode_plan(s: &str) -> Result<Plan, CodecError> {
+fn decode_plan(s: &str) -> Result<Plan, CodecError> {
     enum Slot {
         Entry(FuncId),
         Before(Site),
@@ -713,6 +764,25 @@ mod tests {
         assert!(decode_plan(&penc.replace("plan v1", "plan v2")).is_err());
         assert!(decode_plan(&penc.replacen("op ", "xp ", 1)).is_err());
         assert!(decode_module("not a module").is_err());
+    }
+
+    #[test]
+    fn analysis_round_trips_and_rejects_truncation() {
+        let (m, g, r, plan) = sample();
+        let enc = encode_analysis(&m, &g, r, &plan);
+        let (m2, g2, r2, p2) = decode_analysis(&enc).unwrap();
+        assert_eq!(encode_analysis(&m2, &g2, r2, &p2), enc);
+        // Cut inside each part and at the boundary before the module.
+        let module_at = enc.len() - encode_module(&m).len();
+        for cut in [
+            enc.len() - 1,
+            module_at,
+            enc.find("plan v1").unwrap() + 3,
+            20,
+        ] {
+            assert!(decode_analysis(&enc[..cut]).is_err(), "cut at {cut}");
+        }
+        assert!(decode_analysis(&format!("{enc}\n")).is_err());
     }
 
     #[test]

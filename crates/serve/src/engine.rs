@@ -73,10 +73,15 @@
 //! Incremental results are *not* persisted to the store: the session
 //! retains them in memory, and only full analyses (which equal what a
 //! cold run would produce) populate the cache tiers. Both tiers hold
-//! exactly what the warm path reads back (module, Γ and plan); the
-//! memory tier shares the session's module by `Arc` rather than copying
-//! it. The engine's [`ArtifactCache`] is private to it, so its entries
-//! are never seen by a batch [`usher_driver::Pipeline`].
+//! exactly what the warm path reads back (module, Γ and plan): the
+//! memory tier as three entries that share the session's artifacts by
+//! `Arc`, the disk tier as one entry per program, written and read
+//! whole. The engine's [`ArtifactCache`] is private to it, so its
+//! entries are never seen by a batch [`usher_driver::Pipeline`].
+//!
+//! A request `analyze` and a WAL replay build their session through one
+//! routine, `Engine::open_session`: warm probe or cold compute, WAL
+//! append, persist, insert.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
@@ -105,8 +110,8 @@ use usher_vfg::{
 
 use crate::codec;
 use crate::faultio::FaultIo;
-use crate::store::{DiskStats, DiskStore, StoreKind};
-use crate::wal::{Wal, WalRecord};
+use crate::store::{DiskStats, DiskStore};
+use crate::wal::{open_line, Wal, WalRecord};
 
 /// Engine construction options.
 #[derive(Clone, Debug)]
@@ -888,8 +893,14 @@ impl Engine {
         else {
             return Err(()); // edits without an open: unrecoverable
         };
-        self.replay_open(sid, *warm, *edits, source)
-            .map_err(|_| ())?;
+        let opened = self.open_session(sid, source, *edits, *warm, None);
+        // A warm probe that hits never errors, so anything else missed:
+        // the session is recomputed cold and the miss recorded.
+        if *warm && !matches!(opened, Ok(("warm", _))) {
+            self.replay.store_misses += 1;
+            self.replay.fallbacks.push((sid, "wal-store-miss"));
+        }
+        opened.map_err(|_| ())?;
         for r in &records[1..] {
             let WalRecord::Edit { func, body, .. } = r else {
                 return Err(());
@@ -897,58 +908,6 @@ impl Engine {
             self.edit(sid, func, body).map_err(|_| ())?;
             self.replay.edits_replayed += 1;
         }
-        Ok(())
-    }
-
-    /// Recreates a session under its original id and mode. A warm open
-    /// whose artifacts were evicted from the store falls back to a cold
-    /// compute with the `"wal-store-miss"` reason recorded.
-    fn replay_open(
-        &mut self,
-        sid: u64,
-        warm: bool,
-        base_edits: u64,
-        src: &str,
-    ) -> Result<(), String> {
-        let text = Text::new(src);
-        let spans = scan_spans(&text);
-        let sk = tinyc_source_key(text.source());
-        let mut state = None;
-        if warm {
-            match self.warm_probe(sk) {
-                Some((module, gamma, plan)) => {
-                    state = Some(SessionState::Warm {
-                        module,
-                        gamma,
-                        plan,
-                    });
-                }
-                None => {
-                    self.replay.store_misses += 1;
-                    self.replay.fallbacks.push((sid, "wal-store-miss"));
-                }
-            }
-        }
-        let state = match state {
-            Some(s) => s,
-            None => {
-                let (backend, _) = self
-                    .compute(sid, text.source(), None)
-                    .map_err(|e| e.to_string())?;
-                self.persist(sk, &backend);
-                self.last_solver = backend.pa.stats;
-                SessionState::Ready(Box::new(backend))
-            }
-        };
-        self.sessions.insert(
-            sid,
-            Session {
-                text,
-                spans,
-                edits: base_edits,
-                state,
-            },
-        );
         Ok(())
     }
 
@@ -967,70 +926,33 @@ impl Engine {
 
     // -- two-tier cache ------------------------------------------------
 
-    fn load_module(&self, key: u64) -> Option<Arc<Module>> {
-        if !self.use_cache {
-            return None;
-        }
-        if let (Some(Artifact::Module(m)), _) = self.cache.lookup_verified(key) {
-            return Some(m);
-        }
-        let payload = self.disk.as_ref()?.load(key, StoreKind::Module)?;
-        let m = Arc::new(codec::decode_module(&payload).ok()?);
-        self.cache.insert(key, Artifact::Module(m.clone()));
-        Some(m)
-    }
-
-    fn load_gamma(&self, key: u64) -> Option<(Arc<Gamma>, usize)> {
-        if !self.use_cache {
-            return None;
-        }
-        if let (Some(Artifact::Gamma(g, r)), _) = self.cache.lookup_verified(key) {
-            return Some((g, r));
-        }
-        let payload = self.disk.as_ref()?.load(key, StoreKind::Gamma)?;
-        let (g, r) = codec::decode_gamma(&payload).ok()?;
-        let g = Arc::new(g);
-        self.cache.insert(key, Artifact::Gamma(g.clone(), r));
-        Some((g, r))
-    }
-
-    fn load_plan(&self, key: u64) -> Option<Arc<Plan>> {
-        if !self.use_cache {
-            return None;
-        }
-        if let (Some(Artifact::Plan(p)), _) = self.cache.lookup_verified(key) {
-            return Some(p);
-        }
-        let payload = self.disk.as_ref()?.load(key, StoreKind::Plan)?;
-        let p = Arc::new(codec::decode_plan(&payload).ok()?);
-        self.cache.insert(key, Artifact::Plan(p.clone()));
-        Some(p)
+    /// Inserts one program's module, Γ and plan into the memory tier,
+    /// under the driver's frontend, resolve and plan keys.
+    fn remember(&self, sk: u64, m: &Arc<Module>, g: &Arc<Gamma>, redirected: usize, p: &Arc<Plan>) {
+        let o = &self.opts;
+        self.cache
+            .insert(o.frontend_key(sk), Artifact::Module(m.clone()));
+        let rk = o.resolve_key(sk, &self.knobs);
+        self.cache
+            .insert(rk, Artifact::Gamma(g.clone(), redirected));
+        self.cache.insert(o.plan_key(sk), Artifact::Plan(p.clone()));
     }
 
     /// Persists a completed full analysis into both tiers: module, Γ and
     /// plan, the three artifacts [`Engine::warm_probe`] reads back. The
-    /// memory tier shares them with the session by `Arc`. Degraded plans
+    /// memory tier shares them with the session by `Arc`; the disk tier
+    /// writes them as one entry under the plan key, so a crash or an
+    /// eviction never leaves part of a program behind. Degraded plans
     /// are refused (serve's unbudgeted runs cannot produce them, but the
     /// invariant is enforced here, not assumed).
     fn persist(&self, sk: u64, b: &Backend) {
         if !self.use_cache || plan_is_degraded(&b.plan) {
             return;
         }
-        let fk = self.opts.frontend_key(sk);
-        let rk = self.opts.resolve_key(sk, &self.knobs);
-        let plk = self.opts.plan_key(sk);
-        self.cache.insert(fk, Artifact::Module(b.module.clone()));
-        self.cache
-            .insert(rk, Artifact::Gamma(b.gamma.clone(), b.redirected));
-        self.cache.insert(plk, Artifact::Plan(b.plan.clone()));
+        self.remember(sk, &b.module, &b.gamma, b.redirected, &b.plan);
         if let Some(disk) = &self.disk {
-            disk.store(fk, StoreKind::Module, &codec::encode_module(&b.module));
-            disk.store(
-                rk,
-                StoreKind::Gamma,
-                &codec::encode_gamma(&b.gamma, b.redirected),
-            );
-            disk.store(plk, StoreKind::Plan, &codec::encode_plan(&b.plan));
+            let payload = codec::encode_analysis(&b.module, &b.gamma, b.redirected, &b.plan);
+            disk.store(self.opts.plan_key(sk), &payload);
         }
     }
 
@@ -1080,14 +1002,83 @@ impl Engine {
 
     // -- requests ------------------------------------------------------
 
-    /// Warm path probe: every persisted artifact of this source is
-    /// present in the cache tiers.
+    /// Warm path probe: the program's module, Γ and plan from the memory
+    /// tier when it holds all three, otherwise from the one disk entry
+    /// that holds them together, which then refills the memory tier.
     fn warm_probe(&self, sk: u64) -> Option<(Arc<Module>, Arc<Gamma>, Arc<Plan>)> {
-        let g = self.knobs;
-        let m = self.load_module(self.opts.frontend_key(sk))?;
-        let (gamma, _) = self.load_gamma(self.opts.resolve_key(sk, &g))?;
-        let plan = self.load_plan(self.opts.plan_key(sk))?;
-        Some((m, gamma, plan))
+        if !self.use_cache {
+            return None;
+        }
+        let o = &self.opts;
+        let lookup = |key| self.cache.lookup_verified(key).0;
+        if let Some(Artifact::Module(m)) = lookup(o.frontend_key(sk)) {
+            let rk = o.resolve_key(sk, &self.knobs);
+            if let (Some(Artifact::Gamma(g, _)), Some(Artifact::Plan(p))) =
+                (lookup(rk), lookup(o.plan_key(sk)))
+            {
+                return Some((m, g, p));
+            }
+        }
+        let payload = self.disk.as_ref()?.load(o.plan_key(sk))?;
+        let (m, g, redirected, p) = codec::decode_analysis(&payload).ok()?;
+        let (m, g, p) = (Arc::new(m), Arc::new(g), Arc::new(p));
+        self.remember(sk, &m, &g, redirected, &p);
+        Some((m, g, p))
+    }
+
+    /// Builds the session `sid` for `src` and inserts it: warm from the
+    /// cache tiers when `probe` is set and they hold the program,
+    /// otherwise cold through [`Engine::compute`] before `deadline`. The
+    /// WAL records the open before the store persists it: a kill
+    /// between the two recovers the session by recomputing, whereas the
+    /// reverse order would lose an acknowledged session. Returns the
+    /// mode (`"warm"` or `"cold"`) and the run's report; on an error no
+    /// session was created.
+    fn open_session(
+        &mut self,
+        sid: u64,
+        src: &str,
+        edits: u64,
+        probe: bool,
+        deadline: Option<Instant>,
+    ) -> Result<(&'static str, PipelineReport), DriverError> {
+        let text = Text::new(src);
+        let spans = scan_spans(&text);
+        let sk = tinyc_source_key(text.source());
+        let warm = if probe { self.warm_probe(sk) } else { None };
+        let (state, mode, report) = match warm {
+            Some((module, gamma, plan)) => {
+                let mut report =
+                    PipelineReport::new(format!("session-{sid}"), &self.opts, Vec::new());
+                report.functions_total = module.funcs.len();
+                let state = SessionState::Warm {
+                    module,
+                    gamma,
+                    plan,
+                };
+                (state, "warm", report)
+            }
+            None => {
+                let remaining = deadline.map(|t| t.saturating_duration_since(Instant::now()));
+                let (backend, report) = self.compute(sid, text.source(), remaining)?;
+                self.last_solver = backend.pa.stats;
+                (SessionState::Ready(Box::new(backend)), "cold", report)
+            }
+        };
+        if let Some(w) = &mut self.wal {
+            w.append_line(&open_line(sid, mode == "warm", edits, text.source()));
+        }
+        if let SessionState::Ready(b) = &state {
+            self.persist(sk, b);
+        }
+        let session = Session {
+            text,
+            spans,
+            edits,
+            state,
+        };
+        self.sessions.insert(sid, session);
+        Ok((mode, report))
     }
 
     /// Analyzes a program, creating a session. Serves entirely from the
@@ -1124,64 +1115,26 @@ impl Engine {
                 "deadline expired before analysis started",
             ));
         }
-        let text = Text::new(src);
-        let spans = scan_spans(&text);
-        let sk = tinyc_source_key(text.source());
         let mem0 = self.cache.stats();
         let disk0 = self.disk.as_ref().map(|d| d.stats()).unwrap_or_default();
         let sid = self.next_session;
-
-        let (state, mode, mut report) = match self.warm_probe(sk) {
-            Some((module, gamma, plan)) => {
-                self.counters.analyzes_warm += 1;
-                let mut report =
-                    PipelineReport::new(format!("session-{sid}"), &self.opts, Vec::new());
-                report.functions_total = module.funcs.len();
-                (
-                    SessionState::Warm {
-                        module,
-                        gamma,
-                        plan,
-                    },
-                    "warm",
-                    report,
+        let deadline = deadline.and_then(|d| start.checked_add(d));
+        let (mode, mut report) = self
+            .open_session(sid, src, 0, true, deadline)
+            .map_err(|e| {
+                self.refuse(
+                    e,
+                    "bad-source",
+                    "",
+                    "deadline expired during analysis; no session was created",
                 )
-            }
-            None => {
-                let remaining = deadline.map(|d| d.saturating_sub(start.elapsed()));
-                let (backend, report) = match self.compute(sid, text.source(), remaining) {
-                    Ok(c) => c,
-                    Err(e) => {
-                        return Err(self.refuse(
-                            e,
-                            "bad-source",
-                            "",
-                            "deadline expired during analysis; no session was created",
-                        ))
-                    }
-                };
-                self.counters.analyzes_cold += 1;
-                self.counters.pointer_solves += 1;
-                self.last_solver = backend.pa.stats;
-                (SessionState::Ready(Box::new(backend)), "cold", report)
-            }
-        };
-        // WAL before store persist: a kill between the two recovers the
-        // session by recomputing, whereas the reverse order would lose an
-        // acknowledged session.
-        if let Some(w) = &mut self.wal {
-            w.append(&WalRecord::Open {
-                sid,
-                warm: mode == "warm",
-                edits: 0,
-                source: text.source().to_string(),
-            });
+            })?;
+        if mode == "warm" {
+            self.counters.analyzes_warm += 1;
+        } else {
+            self.counters.analyzes_cold += 1;
+            self.counters.pointer_solves += 1;
         }
-        if let SessionState::Ready(b) = &state {
-            self.persist(sk, b);
-        }
-        let functions_total = report.functions_total;
-
         self.next_session += 1;
         let mem1 = self.cache.stats();
         let disk1 = self.disk.as_ref().map(|d| d.stats()).unwrap_or_default();
@@ -1190,19 +1143,10 @@ impl Engine {
         report.cache_corrupt_recovered = mem1.corrupt_recovered - mem0.corrupt_recovered
             + (disk1.corrupt_recovered - disk0.corrupt_recovered) as usize;
         report.total_seconds = start.elapsed().as_secs_f64();
-        self.sessions.insert(
-            sid,
-            Session {
-                text,
-                spans,
-                edits: 0,
-                state,
-            },
-        );
         Ok(AnalyzeOutcome {
             session_id: sid,
             mode,
-            functions_total,
+            functions_total: report.functions_total,
             seconds: start.elapsed().as_secs_f64(),
             report,
         })
@@ -2575,26 +2519,33 @@ def main() { print(a() + b()); }";
             wal_enabled: false,
             ..EngineConfig::default()
         };
+        let fingerprints = |e: &mut Engine, sid| {
+            let q = e.query(sid).unwrap();
+            (q.plan_fingerprint, q.gamma_fingerprint)
+        };
         let fp0 = {
             let mut e = engine(cfg());
             let out = e.analyze(SRC).unwrap();
             assert_eq!(out.mode, "cold");
-            e.query(out.session_id).unwrap().plan_fingerprint
+            assert_eq!(e.stats().disk.unwrap().entries, 1, "one entry per program");
+            fingerprints(&mut e, out.session_id)
         };
+        let entries: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .filter(|e| e.file_name().to_string_lossy().ends_with(".art"))
+            .collect();
+        assert_eq!(entries.len(), 1, "module, gamma and plan share one file");
         // Fresh engine, same store: fully warm from disk.
         {
             let mut e = engine(cfg());
             let out = e.analyze(SRC).unwrap();
             assert_eq!(out.mode, "warm", "disk tier must warm a fresh engine");
-            assert_eq!(e.query(out.session_id).unwrap().plan_fingerprint, fp0);
+            assert_eq!(fingerprints(&mut e, out.session_id), fp0);
         }
-        // Corrupt one entry on disk: the analysis self-heals (evict +
+        // Corrupt the entry on disk: the analysis self-heals (evict +
         // recompute), exactly like the in-memory corrupt-recovery path.
-        let victim = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .find(|e| e.file_name().to_string_lossy().ends_with(".plan.art"))
-            .expect("plan entry on disk");
+        let victim = &entries[0];
         let mut bytes = std::fs::read_to_string(victim.path()).unwrap();
         bytes.push_str("GARBAGE");
         std::fs::write(victim.path(), bytes).unwrap();
@@ -2603,7 +2554,7 @@ def main() { print(a() + b()); }";
             let out = e.analyze(SRC).unwrap();
             assert_eq!(out.mode, "cold", "corrupt entry must force recompute");
             assert!(out.report.cache_corrupt_recovered >= 1);
-            assert_eq!(e.query(out.session_id).unwrap().plan_fingerprint, fp0);
+            assert_eq!(fingerprints(&mut e, out.session_id), fp0);
         }
         // And the heal re-persisted a good entry.
         {

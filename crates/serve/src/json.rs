@@ -294,16 +294,40 @@ fn push_quoted(buf: &mut String, s: &str) {
 ///
 /// Fields are appended in call order; the result never contains embedded
 /// newlines, so it is safe to emit as one JSON-lines record.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ObjWriter {
+    /// Everything written so far, from the object's `{` on (after any
+    /// prefix the writer was started behind).
     buf: String,
     any: bool,
+}
+
+impl Default for ObjWriter {
+    fn default() -> ObjWriter {
+        ObjWriter::after(String::new())
+    }
 }
 
 impl ObjWriter {
     /// Starts an empty object.
     pub fn new() -> ObjWriter {
         ObjWriter::default()
+    }
+
+    /// Starts an object written into `prefix`, after its contents.
+    pub(crate) fn after(mut prefix: String) -> ObjWriter {
+        prefix.push('{');
+        ObjWriter {
+            buf: prefix,
+            any: false,
+        }
+    }
+
+    /// Closes the object and hands back the whole buffer, prefix
+    /// included, without copying it.
+    pub(crate) fn into_string(mut self) -> String {
+        self.buf.push('}');
+        self.buf
     }
 
     fn key(&mut self, k: &str) {
@@ -356,7 +380,7 @@ impl ObjWriter {
 
     /// Finishes the object.
     pub fn finish(&self) -> String {
-        format!("{{{}}}", self.buf)
+        format!("{}}}", self.buf)
     }
 }
 

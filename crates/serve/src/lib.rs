@@ -44,5 +44,5 @@ pub use engine::{
 pub use faultio::{FaultIo, FaultKind, FaultSite, FaultSpec};
 pub use json::Json;
 pub use server::{run_server, Dispatcher, Handled, ServerConfig};
-pub use store::{verify_dir, DiskStats, DiskStore, StoreKind};
+pub use store::{verify_dir, DiskStats, DiskStore};
 pub use wal::{Wal, WalRecord, WalReplayInfo};

@@ -1,13 +1,16 @@
 //! The on-disk content-addressed artifact store.
 //!
-//! Layout: one file per entry, named `<key:016x>.<kind>.art` inside the
-//! store directory, where `key` is the stage cache key (a pure content
-//! hash of the source text plus pipeline knobs — the store directory's
-//! own contents never feed back into any key). Each file starts with a
+//! Layout: one file per entry, named `<key:016x>.art` inside the store
+//! directory, where `key` is a stage cache key (a pure content hash of
+//! the source text plus pipeline knobs — the store directory's own
+//! contents never feed back into any key). Serve writes one entry per
+//! analysed program, keyed by its plan key and holding module, Γ and
+//! plan together ([`crate::codec::encode_analysis`]), so a program is
+//! persisted, evicted and healed as a whole. Each file starts with a
 //! one-line header
 //!
 //! ```text
-//! usher-store v<CACHE_FORMAT_VERSION> kind=<module|gamma|plan> digest=<016x>
+//! usher-store v<CACHE_FORMAT_VERSION> digest=<016x>
 //! ```
 //!
 //! followed by the codec payload. The digest covers the payload, so
@@ -21,7 +24,10 @@
 //! `journal.log` of entry names (the last occurrence of a name is its
 //! most recent touch); the journal is compacted in place, also via
 //! rename, once it grows past a small multiple of the live entry count.
-//! Unrecognized files in the directory are ignored entirely.
+//! Unrecognized files in the directory are ignored entirely, among them
+//! the `<key>.<kind>.art` entries of stores written before module, Γ
+//! and plan shared one entry: they are neither read nor counted against
+//! the cap.
 //!
 //! All durable writes route through the injectable [`FaultIo`] shim so
 //! the crash-safety suite (and `usher fuzz --fault serve-chaos`) can
@@ -39,37 +45,6 @@ use std::sync::Mutex;
 use usher_driver::{KeyWriter, CACHE_FORMAT_VERSION};
 
 use crate::faultio::{FaultIo, FaultSite};
-
-/// Which artifact kind an entry holds.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum StoreKind {
-    /// Frontend output (compiled module).
-    Module,
-    /// Resolved definedness map (plus Opt II redirect count).
-    Gamma,
-    /// Instrumentation plan.
-    Plan,
-}
-
-impl StoreKind {
-    /// The kind's file-name / header tag.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            StoreKind::Module => "module",
-            StoreKind::Gamma => "gamma",
-            StoreKind::Plan => "plan",
-        }
-    }
-
-    fn parse(s: &str) -> Option<StoreKind> {
-        match s {
-            "module" => Some(StoreKind::Module),
-            "gamma" => Some(StoreKind::Gamma),
-            "plan" => Some(StoreKind::Plan),
-            _ => None,
-        }
-    }
-}
 
 /// Counters describing store behavior since open.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -98,7 +73,7 @@ struct EntryMeta {
 struct Inner {
     dir: PathBuf,
     cap_bytes: u64,
-    map: HashMap<(u64, StoreKind), EntryMeta>,
+    map: HashMap<u64, EntryMeta>,
     next_seq: u64,
     journal_lines: u64,
     stats: DiskStats,
@@ -118,46 +93,27 @@ pub fn payload_digest(payload: &str) -> u64 {
     k.finish()
 }
 
-fn entry_name(key: u64, kind: StoreKind) -> String {
-    format!("{key:016x}.{}.art", kind.as_str())
+fn entry_name(key: u64) -> String {
+    format!("{key:016x}.art")
 }
 
-fn parse_entry_name(name: &str) -> Option<(u64, StoreKind)> {
-    let mut parts = name.split('.');
-    let key_s = parts.next()?;
-    let kind_s = parts.next()?;
-    if parts.next() != Some("art") || parts.next().is_some() || key_s.len() != 16 {
+fn parse_entry_name(name: &str) -> Option<u64> {
+    let key_s = name.strip_suffix(".art")?;
+    if key_s.len() != 16 {
         return None;
     }
-    let key = u64::from_str_radix(key_s, 16).ok()?;
-    Some((key, StoreKind::parse(kind_s)?))
+    u64::from_str_radix(key_s, 16).ok()
 }
 
-fn header_line(kind: StoreKind, digest: u64) -> String {
-    format!(
-        "usher-store v{CACHE_FORMAT_VERSION} kind={} digest={digest:016x}",
-        kind.as_str()
-    )
+fn header_line(digest: u64) -> String {
+    format!("usher-store v{CACHE_FORMAT_VERSION} digest={digest:016x}")
 }
 
-/// Validates a header line against the expected kind; returns the
-/// recorded payload digest.
-fn parse_header(line: &str, kind: StoreKind) -> Option<u64> {
-    let rest = line.strip_prefix("usher-store v")?;
-    let (ver_s, rest) = rest.split_once(' ')?;
-    if ver_s.parse::<u32>().ok()? != CACHE_FORMAT_VERSION {
-        return None;
-    }
-    let rest = rest.strip_prefix("kind=")?;
-    let (kind_s, rest) = rest.split_once(' ')?;
-    if StoreKind::parse(kind_s)? != kind {
-        return None;
-    }
-    let dig_s = rest.strip_prefix("digest=")?;
-    if dig_s.len() != 16 {
-        return None;
-    }
-    u64::from_str_radix(dig_s, 16).ok()
+/// An entry file's payload, when its header names this format version
+/// and its payload's digest.
+fn checked_payload(content: &str) -> Option<&str> {
+    let (header, payload) = content.split_once('\n')?;
+    (header == header_line(payload_digest(payload))).then_some(payload)
 }
 
 /// Crash-safe entry write: temp write → temp fsync → rename → dir
@@ -187,14 +143,10 @@ pub fn verify_dir(dir: &Path) -> Vec<String> {
     for entry in entries.flatten() {
         let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
-        let Some((_, kind)) = parse_entry_name(name) else {
+        if parse_entry_name(name).is_none() {
             continue;
-        };
-        let ok = fs::read_to_string(entry.path()).is_ok_and(|content| {
-            content.split_once('\n').is_some_and(|(header, payload)| {
-                parse_header(header, kind) == Some(payload_digest(payload))
-            })
-        });
+        }
+        let ok = fs::read_to_string(entry.path()).is_ok_and(|c| checked_payload(&c).is_some());
         if !ok {
             corrupt.push(name.to_string());
         }
@@ -229,13 +181,13 @@ impl DiskStore {
             let entry = entry?;
             let name = entry.file_name();
             let Some(name) = name.to_str() else { continue };
-            let Some((key, kind)) = parse_entry_name(name) else {
-                continue; // junk and temp files are ignored
+            let Some(key) = parse_entry_name(name) else {
+                continue; // junk, temp files and older per-kind entries are ignored
             };
             let Ok(md) = entry.metadata() else { continue };
-            names_in_dir_order.push((key, kind));
+            names_in_dir_order.push(key);
             map.insert(
-                (key, kind),
+                key,
                 EntryMeta {
                     bytes: md.len(),
                     seq: 0,
@@ -278,37 +230,33 @@ impl DiskStore {
         })
     }
 
-    /// Loads an entry's payload, verifying version, kind and digest.
-    /// Anything unusable is evicted (self-heal) and reported as a miss.
-    pub fn load(&self, key: u64, kind: StoreKind) -> Option<String> {
+    /// Loads an entry's payload, verifying version and digest. Anything
+    /// unusable is evicted (self-heal) and reported as a miss.
+    pub fn load(&self, key: u64) -> Option<String> {
         let mut inner = self.inner.lock().expect("store poisoned");
-        if !inner.map.contains_key(&(key, kind)) {
+        if !inner.map.contains_key(&key) {
             inner.stats.misses += 1;
             return None;
         }
-        let name = entry_name(key, kind);
+        let name = entry_name(key);
         let path = inner.dir.join(&name);
         let content = match inner.io.read_to_string(FaultSite::StoreRead, &path) {
             Ok(c) => c,
             Err(_) => {
-                inner.remove_entry(key, kind);
+                inner.remove_entry(key);
                 inner.stats.misses += 1;
                 return None;
             }
         };
-        let payload = content.split_once('\n').and_then(|(header, payload)| {
-            let digest = parse_header(header, kind)?;
-            (digest == payload_digest(payload)).then(|| payload.to_string())
-        });
-        match payload {
+        match checked_payload(&content).map(str::to_string) {
             Some(p) => {
                 inner.stats.hits += 1;
-                inner.touch(key, kind);
+                inner.touch(key);
                 Some(p)
             }
             None => {
                 // Version skew or corruption: evict and recompute.
-                inner.remove_entry(key, kind);
+                inner.remove_entry(key);
                 inner.stats.corrupt_recovered += 1;
                 inner.stats.misses += 1;
                 None
@@ -320,22 +268,22 @@ impl DiskStore {
     /// size cap by evicting least-recently-used entries. Write failures
     /// are swallowed — the store is an accelerator, never a correctness
     /// dependency.
-    pub fn store(&self, key: u64, kind: StoreKind, payload: &str) {
+    pub fn store(&self, key: u64, payload: &str) {
         let mut inner = self.inner.lock().expect("store poisoned");
-        let name = entry_name(key, kind);
-        let content = format!("{}\n{payload}", header_line(kind, payload_digest(payload)));
+        let name = entry_name(key);
+        let content = format!("{}\n{payload}", header_line(payload_digest(payload)));
         if atomic_write(&inner.io, &inner.dir, &name, &content).is_err() {
             return;
         }
         let new_bytes = content.len() as u64;
-        if let Some(old) = inner.map.remove(&(key, kind)) {
+        if let Some(old) = inner.map.remove(&key) {
             inner.stats.bytes -= old.bytes;
             inner.stats.entries -= 1;
         }
         let seq = inner.next_seq;
         inner.next_seq += 1;
         inner.map.insert(
-            (key, kind),
+            key,
             EntryMeta {
                 bytes: new_bytes,
                 seq,
@@ -345,7 +293,7 @@ impl DiskStore {
         inner.stats.entries += 1;
         inner.stats.writes += 1;
         inner.journal_append(&name);
-        inner.evict_over_cap(key, kind);
+        inner.evict_over_cap(key);
         inner.maybe_compact_journal();
     }
 
@@ -356,21 +304,21 @@ impl DiskStore {
 }
 
 impl Inner {
-    fn remove_entry(&mut self, key: u64, kind: StoreKind) {
-        if let Some(meta) = self.map.remove(&(key, kind)) {
+    fn remove_entry(&mut self, key: u64) {
+        if let Some(meta) = self.map.remove(&key) {
             self.stats.bytes -= meta.bytes;
             self.stats.entries -= 1;
-            let _ = self.io.remove_file(&self.dir.join(entry_name(key, kind)));
+            let _ = self.io.remove_file(&self.dir.join(entry_name(key)));
         }
     }
 
-    fn touch(&mut self, key: u64, kind: StoreKind) {
+    fn touch(&mut self, key: u64) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        if let Some(meta) = self.map.get_mut(&(key, kind)) {
+        if let Some(meta) = self.map.get_mut(&key) {
             meta.seq = seq;
         }
-        self.journal_append(&entry_name(key, kind));
+        self.journal_append(&entry_name(key));
         self.maybe_compact_journal();
     }
 
@@ -395,8 +343,8 @@ impl Inner {
         let mut by_seq: Vec<_> = self.map.iter().map(|(id, m)| (m.seq, *id)).collect();
         by_seq.sort_unstable();
         let mut content = String::new();
-        for (_, (key, kind)) in &by_seq {
-            content.push_str(&entry_name(*key, *kind));
+        for (_, key) in &by_seq {
+            content.push_str(&entry_name(*key));
             content.push('\n');
         }
         if atomic_write(&self.io, &self.dir, "journal.log", &content).is_ok() {
@@ -407,7 +355,7 @@ impl Inner {
     /// Evicts least-recently-used entries until under the cap. The entry
     /// just written is exempt, so a single oversized artifact still
     /// persists rather than thrashing.
-    fn evict_over_cap(&mut self, keep_key: u64, keep_kind: StoreKind) {
+    fn evict_over_cap(&mut self, keep: u64) {
         if self.cap_bytes == 0 {
             return; // 0 = uncapped
         }
@@ -415,11 +363,11 @@ impl Inner {
             let victim = self
                 .map
                 .iter()
-                .filter(|(id, _)| **id != (keep_key, keep_kind))
+                .filter(|(key, _)| **key != keep)
                 .min_by_key(|(_, m)| m.seq)
-                .map(|(id, _)| *id);
-            let Some((key, kind)) = victim else { break };
-            self.remove_entry(key, kind);
+                .map(|(key, _)| *key);
+            let Some(key) = victim else { break };
+            self.remove_entry(key);
             self.stats.evictions += 1;
         }
     }
@@ -444,22 +392,16 @@ mod tests {
         let dir = scratch_dir("rt");
         {
             let s = DiskStore::open(&dir, 0).unwrap();
-            s.store(0xabc, StoreKind::Plan, "payload\nwith\nlines");
-            assert_eq!(
-                s.load(0xabc, StoreKind::Plan).as_deref(),
-                Some("payload\nwith\nlines")
-            );
+            s.store(0xabc, "payload\nwith\nlines");
+            assert_eq!(s.load(0xabc).as_deref(), Some("payload\nwith\nlines"));
             assert_eq!(s.stats().entries, 1);
             assert_eq!(s.stats().hits, 1);
         }
         let s = DiskStore::open(&dir, 0).unwrap();
         assert_eq!(s.stats().entries, 1);
-        assert_eq!(
-            s.load(0xabc, StoreKind::Plan).as_deref(),
-            Some("payload\nwith\nlines")
-        );
-        // Same key, different kind: distinct entry.
-        assert_eq!(s.load(0xabc, StoreKind::Gamma), None);
+        assert_eq!(s.load(0xabc).as_deref(), Some("payload\nwith\nlines"));
+        // Another key: no entry.
+        assert_eq!(s.load(0xabd), None);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -467,55 +409,48 @@ mod tests {
     fn corruption_and_version_skew_self_heal() {
         let dir = scratch_dir("corrupt");
         let s = DiskStore::open(&dir, 0).unwrap();
-        s.store(1, StoreKind::Gamma, "gamma-bytes");
-        s.store(2, StoreKind::Gamma, "other");
+        s.store(1, "gamma-bytes");
+        s.store(2, "other");
         // Flip payload bytes under entry 1.
-        let p1 = dir.join(entry_name(1, StoreKind::Gamma));
+        let p1 = dir.join(entry_name(1));
         let mut content = fs::read_to_string(&p1).unwrap();
         content.push_str("TRAILING GARBAGE");
         fs::write(&p1, content).unwrap();
-        assert_eq!(s.load(1, StoreKind::Gamma), None, "corrupt entry must miss");
+        assert_eq!(s.load(1), None, "corrupt entry must miss");
         assert!(!p1.exists(), "corrupt entry must be removed");
         assert_eq!(s.stats().corrupt_recovered, 1);
         // Version skew on entry 2.
-        let p2 = dir.join(entry_name(2, StoreKind::Gamma));
+        let p2 = dir.join(entry_name(2));
         let content = fs::read_to_string(&p2).unwrap();
         fs::write(
             &p2,
             content.replacen(&format!("v{CACHE_FORMAT_VERSION}"), "v999", 1),
         )
         .unwrap();
-        assert_eq!(s.load(2, StoreKind::Gamma), None);
+        assert_eq!(s.load(2), None);
         assert_eq!(s.stats().corrupt_recovered, 2);
         // The store recovers: a rewrite round-trips again.
-        s.store(1, StoreKind::Gamma, "gamma-bytes");
-        assert_eq!(s.load(1, StoreKind::Gamma).as_deref(), Some("gamma-bytes"));
+        s.store(1, "gamma-bytes");
+        assert_eq!(s.load(1).as_deref(), Some("gamma-bytes"));
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn lru_eviction_respects_recency() {
         let dir = scratch_dir("lru");
-        // Each entry is 69 bytes (49 header + 20 payload); cap fits 3.
+        // Each entry is 59 bytes (39 header + 20 payload); cap fits 3.
         let s = DiskStore::open(&dir, 220).unwrap();
-        s.store(1, StoreKind::Plan, &"a".repeat(20));
-        s.store(2, StoreKind::Plan, &"b".repeat(20));
-        s.store(3, StoreKind::Plan, &"c".repeat(20));
+        s.store(1, &"a".repeat(20));
+        s.store(2, &"b".repeat(20));
+        s.store(3, &"c".repeat(20));
         assert_eq!(s.stats().entries, 3);
         // Touch 1 so 2 becomes least recent.
-        assert!(s.load(1, StoreKind::Plan).is_some());
-        s.store(4, StoreKind::Plan, &"d".repeat(20));
+        assert!(s.load(1).is_some());
+        s.store(4, &"d".repeat(20));
         assert!(s.stats().evictions >= 1);
-        assert_eq!(
-            s.load(2, StoreKind::Plan),
-            None,
-            "least-recent entry evicted"
-        );
-        assert!(
-            s.load(1, StoreKind::Plan).is_some(),
-            "recently touched entry kept"
-        );
-        assert!(s.load(4, StoreKind::Plan).is_some(), "new entry kept");
+        assert_eq!(s.load(2), None, "least-recent entry evicted");
+        assert!(s.load(1).is_some(), "recently touched entry kept");
+        assert!(s.load(4).is_some(), "new entry kept");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -525,12 +460,14 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         fs::write(dir.join("README.txt"), "not an artifact").unwrap();
         fs::write(dir.join("0123.module.art.bak"), "nope").unwrap();
-        fs::write(dir.join("zzzz.plan.art"), "bad key hex").unwrap();
+        fs::write(dir.join("zzzzzzzzzzzzzzzz.art"), "bad key hex").unwrap();
+        fs::write(dir.join("0123456789abcdef.plan.art"), "per-kind entry").unwrap();
         let s = DiskStore::open(&dir, 0).unwrap();
         assert_eq!(s.stats().entries, 0);
-        s.store(9, StoreKind::Module, "m");
-        assert_eq!(s.load(9, StoreKind::Module).as_deref(), Some("m"));
+        s.store(9, "m");
+        assert_eq!(s.load(9).as_deref(), Some("m"));
         assert!(dir.join("README.txt").exists(), "junk left untouched");
+        assert!(dir.join("0123456789abcdef.plan.art").exists());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -547,9 +484,9 @@ mod tests {
                 after: 0,
             },
         );
-        s.store(7, StoreKind::Plan, "doomed");
+        s.store(7, "doomed");
         assert!(
-            !dir.join(entry_name(7, StoreKind::Plan)).exists(),
+            !dir.join(entry_name(7)).exists(),
             "a kill before rename must not leave the entry name"
         );
         assert_eq!(verify_dir(&dir), Vec::<String>::new());
@@ -557,8 +494,8 @@ mod tests {
         // ignored and the store works.
         let s2 = DiskStore::open(&dir, 0).unwrap();
         assert_eq!(s2.stats().entries, 0);
-        s2.store(7, StoreKind::Plan, "doomed");
-        assert_eq!(s2.load(7, StoreKind::Plan).as_deref(), Some("doomed"));
+        s2.store(7, "doomed");
+        assert_eq!(s2.load(7).as_deref(), Some("doomed"));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -575,9 +512,9 @@ mod tests {
                 after: 0,
             },
         );
-        s.store(8, StoreKind::Gamma, "gamma-payload");
-        assert_eq!(s.load(8, StoreKind::Gamma), None);
-        assert!(!dir.join(entry_name(8, StoreKind::Gamma)).exists());
+        s.store(8, "gamma-payload");
+        assert_eq!(s.load(8), None);
+        assert!(!dir.join(entry_name(8)).exists());
         assert_eq!(verify_dir(&dir), Vec::<String>::new());
         let _ = fs::remove_dir_all(&dir);
     }
@@ -587,7 +524,7 @@ mod tests {
         let dir = scratch_dir("order");
         let io = FaultIo::none();
         let s = DiskStore::open_with_io(&dir, 0, io.clone()).unwrap();
-        s.store(3, StoreKind::Module, "module-bytes");
+        s.store(3, "module-bytes");
         let log = io.log();
         let pos = |site: FaultSite| log.iter().position(|&s| s == site).unwrap();
         assert!(
@@ -609,9 +546,9 @@ mod tests {
     fn verify_dir_flags_only_bad_entries() {
         let dir = scratch_dir("verify");
         let s = DiskStore::open(&dir, 0).unwrap();
-        s.store(1, StoreKind::Plan, "good");
-        s.store(2, StoreKind::Plan, "soon bad");
-        let bad = entry_name(2, StoreKind::Plan);
+        s.store(1, "good");
+        s.store(2, "soon bad");
+        let bad = entry_name(2);
         let mut content = fs::read_to_string(dir.join(&bad)).unwrap();
         content.push_str("GARBAGE");
         fs::write(dir.join(&bad), content).unwrap();
@@ -624,9 +561,9 @@ mod tests {
     fn journal_is_compacted() {
         let dir = scratch_dir("journal");
         let s = DiskStore::open(&dir, 0).unwrap();
-        s.store(5, StoreKind::Plan, "p");
+        s.store(5, "p");
         for _ in 0..200 {
-            assert!(s.load(5, StoreKind::Plan).is_some());
+            assert!(s.load(5).is_some());
         }
         let lines = fs::read_to_string(dir.join("journal.log"))
             .unwrap()
@@ -638,7 +575,7 @@ mod tests {
         );
         // Recency survives compaction across reopen.
         let s2 = DiskStore::open(&dir, 0).unwrap();
-        assert!(s2.load(5, StoreKind::Plan).is_some());
+        assert!(s2.load(5).is_some());
         let _ = fs::remove_dir_all(&dir);
     }
 }

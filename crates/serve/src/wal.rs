@@ -106,6 +106,34 @@ fn source_digest(source: &str) -> u64 {
     k.finish()
 }
 
+/// Encodes one WAL line into one buffer, sized for `text` bytes of
+/// string fields: a CRC placeholder, the payload `fields` writes, and
+/// the newline. The CRC over the payload then fills the placeholder.
+fn record_line(text: usize, fields: impl FnOnce(&mut ObjWriter)) -> String {
+    const CRC: usize = 16;
+    let mut prefix = String::with_capacity(text + 128);
+    prefix.push_str(&" ".repeat(CRC + 1));
+    let mut w = ObjWriter::after(prefix);
+    fields(&mut w);
+    let mut line = w.into_string();
+    let crc = format!("{:016x}", record_crc(&line[CRC + 1..]));
+    line.replace_range(..CRC, &crc);
+    line.push('\n');
+    line
+}
+
+/// The line of an open record, encoded from a borrowed source.
+pub(crate) fn open_line(sid: u64, warm: bool, edits: u64, source: &str) -> String {
+    record_line(source.len(), |w| {
+        w.str("t", "open")
+            .u64("sid", sid)
+            .bool("warm", warm)
+            .u64("edits", edits)
+            .str("digest", &format!("{:016x}", source_digest(source)))
+            .str("source", source);
+    })
+}
+
 impl WalRecord {
     /// The session this record belongs to.
     pub fn sid(&self) -> u64 {
@@ -119,31 +147,30 @@ impl WalRecord {
     /// Encodes the record as one WAL line (CRC prefix included, no
     /// trailing newline). Public so tests can hand-craft WAL files.
     pub fn encode_line(&self) -> String {
-        let payload = match self {
+        let mut line = self.line();
+        line.pop();
+        line
+    }
+
+    /// The record's WAL line, trailing newline included.
+    fn line(&self) -> String {
+        match self {
             WalRecord::Open {
                 sid,
                 warm,
                 edits,
                 source,
-            } => ObjWriter::new()
-                .str("t", "open")
-                .u64("sid", *sid)
-                .bool("warm", *warm)
-                .u64("edits", *edits)
-                .str("digest", &format!("{:016x}", source_digest(source)))
-                .str("source", source)
-                .finish(),
-            WalRecord::Edit { sid, func, body } => ObjWriter::new()
-                .str("t", "edit")
-                .u64("sid", *sid)
-                .str("func", func)
-                .str("body", body)
-                .finish(),
-            WalRecord::Close { sid } => {
-                ObjWriter::new().str("t", "close").u64("sid", *sid).finish()
-            }
-        };
-        format!("{:016x} {payload}", record_crc(&payload))
+            } => open_line(*sid, *warm, *edits, source),
+            WalRecord::Edit { sid, func, body } => record_line(func.len() + body.len(), |w| {
+                w.str("t", "edit")
+                    .u64("sid", *sid)
+                    .str("func", func)
+                    .str("body", body);
+            }),
+            WalRecord::Close { sid } => record_line(0, |w| {
+                w.str("t", "close").u64("sid", *sid);
+            }),
+        }
     }
 
     fn decode_line(line: &str) -> Option<WalRecord> {
@@ -266,8 +293,7 @@ impl Wal {
         content.push_str(WAL_HEADER);
         content.push('\n');
         for r in records {
-            content.push_str(&r.encode_line());
-            content.push('\n');
+            content.push_str(&r.line());
         }
         let tmp = path.with_extension("wal.tmp");
         let rewrite = (|| -> std::io::Result<()> {
@@ -296,10 +322,15 @@ impl Wal {
     /// itself: subsequent appends are silent no-ops and the failure
     /// count is surfaced in `stats`.
     pub fn append(&mut self, record: &WalRecord) {
+        self.append_line(&record.line());
+    }
+
+    /// [`Wal::append`] of an already encoded line, such as an
+    /// [`open_line`] that borrows its source.
+    pub(crate) fn append_line(&mut self, line: &str) {
         let Some(file) = self.file.as_mut() else {
             return;
         };
-        let line = format!("{}\n", record.encode_line());
         let ok = self
             .io
             .append(FaultSite::WalAppend, file, line.as_bytes())

@@ -191,6 +191,9 @@ printf '%s\n' \
   '{"op":"shutdown","id":"cr-z1"}' \
   | ./target/release/usher serve --store-dir "$CRS_DIR" > "$CRS_OUT" 2>/dev/null
 grep -q '"id":"cr-s1".*"sessions_recovered":1' "$CRS_OUT"
+# One analysed program is one store entry: its module, Γ and plan are
+# written together, and the replay's re-persist replaces that entry.
+grep -q '"id":"cr-s1".*"disk_entries":1[,}]' "$CRS_OUT"
 grep -q '"id":"cr-q1".*"plan_digest"' "$CRS_OUT"
 grep -q '"id":"cr-u1".*"maybe_undef"' "$CRS_OUT"
 if grep -q '"ok":false' "$CRS_OUT"; then

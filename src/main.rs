@@ -30,8 +30,8 @@
 //! programs (and their mutants) executed natively, under the MSan
 //! baseline plan and under every guided preset, with results classified
 //! against the ground truth. `--smoke` is the fixed CI gate; `--seeds`,
-//! `--start`, `--mutants`, `--frontend`, `--fault none|fuel|cache-evict|
-//! trap-force|drop-checks|cache-corrupt|budget-exhaust|strategy-diverge|
+//! `--start`, `--mutants`, `--frontend`, `--fault none|fuel|trap-force|
+//! drop-checks|cache-corrupt|budget-exhaust|strategy-diverge|
 //! demand-diverge|serve-chaos`, `--threads`,
 //! `--no-minimize`, `--report FILE`
 //! (JSONL telemetry) and `--out DIR` (minimized reproducers) shape ad-hoc
@@ -415,7 +415,7 @@ fn fuzz_command(args: &[String]) -> Result<ExitCode, String> {
             "--fault" => {
                 let v = it.next().ok_or("--fault needs a value")?;
                 cfg.fault = FaultInjection::parse(v).ok_or_else(|| {
-                    format!("unknown fault mode {v} (none|fuel|cache-evict|trap-force|drop-checks|cache-corrupt|budget-exhaust|strategy-diverge|demand-diverge|serve-chaos)")
+                    format!("unknown fault mode {v} (none|fuel|trap-force|drop-checks|cache-corrupt|budget-exhaust|strategy-diverge|demand-diverge|serve-chaos)")
                 })?;
             }
             "--threads" => {

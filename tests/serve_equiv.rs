@@ -364,3 +364,83 @@ fn edits_skip_block_comments_and_match_cold_analysis() {
         assert_eq!(q.gamma_fingerprint, gf, "step {k} ({func}): gamma diverged");
     }
 }
+
+/// A program with an allocation wrapper (`make`, inlined into `main` at
+/// `O0+IM`, so both are involved in inlining), a pointer-returning
+/// helper that is not yet a wrapper, and two helpers the inliner never
+/// touched; `note`'s callers ignore its result.
+const GATES_SRC: &str = "def make(int v) -> int * {
+    int *p = malloc(1);
+    *p = v;
+    return p;
+}
+def pick(int a) -> int * {
+    int *q = 0;
+    return q;
+}
+def note(int a) -> int {
+    print(a);
+    return a;
+}
+def calc(int a) -> int {
+    int s = a + 1;
+    return s;
+}
+def main(int c) {
+    int *p = make(c);
+    int *q = pick(c);
+    note(c);
+    print(calc(*p));
+}";
+
+#[test]
+fn inline_and_signature_gates_fall_back_and_match_cold_analysis() {
+    let mut e = Engine::new(EngineConfig::default()).expect("engine opens");
+    let sid = e.analyze(GATES_SRC).expect("analyzes").session_id;
+    // (function, replace, with, fallback reason). Each step applies to
+    // the previous step's source.
+    let steps = [
+        // The wrapper itself was inlined into `main`.
+        ("make", "malloc(1)", "malloc(2)", "inline-involved"),
+        // Allocating makes `pick` an allocation wrapper the inliner
+        // would now copy into `main`.
+        (
+            "pick",
+            "int *q = 0;",
+            "int *q = malloc(1);",
+            "inline-target",
+        ),
+        // A new call of the wrapper, which a cold run would inline.
+        (
+            "calc",
+            "int s = a + 1;",
+            "int *w = make(a);\n    int s = *w + 1;",
+            "calls-inline-target",
+        ),
+        // Dropping the return type; the caller never read the result.
+        (
+            "note",
+            "def note(int a) -> int {\n    print(a);\n    return a;\n}",
+            "def note(int a) {\n    print(a);\n}",
+            "signature-changed",
+        ),
+    ];
+    for (k, (func, from, to, expect)) in steps.into_iter().enumerate() {
+        let source = e.session_source(sid).unwrap();
+        let lo = source.find(&format!("def {func}(")).unwrap();
+        let hi = lo + source[lo..].find("\n}").unwrap() + 2;
+        let body = &source[lo..hi];
+        assert!(body.contains(from), "step {k}: {from:?} not in {func}");
+        let body = body.replacen(from, to, 1);
+        let out = e
+            .edit(sid, func, &body)
+            .unwrap_or_else(|err| panic!("step {k} ({func}) rejected: {err}"));
+        assert_eq!(out.fallback_reason, Some(expect), "step {k} ({func})");
+        let source = e.session_source(sid).unwrap();
+        assert!(source.contains(&body), "step {k}: the edit did not land");
+        let q = e.query(sid).unwrap();
+        let (pf, gf) = oracle(&source);
+        assert_eq!(q.plan_fingerprint, pf, "step {k} ({func}): plan diverged");
+        assert_eq!(q.gamma_fingerprint, gf, "step {k} ({func}): gamma diverged");
+    }
+}
